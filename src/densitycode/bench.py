@@ -6,8 +6,9 @@ A three-term nonnegative regression summarizes the measurements:
 
     t(H, W, m) ~ a*HW + b*m*(log2(HW) - 2) + c*mW
 
-covering preprocessing, the per-point dichotomic searches, and the
-per-point conditional-row work.
+covering preprocessing and the per-point dichotomic searches. The c*mW
+term models the paper's per-point method, which rebuilds a conditional row
+for every point; this package's array encoder does not, so c fits near 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .encoder import EncodeParams, encode
 from .image_io import GrayImage, Polarity, make_density_field, normalize
@@ -98,6 +98,8 @@ def run_grid(
 
 def fit_model(samples: list[TimingSample]) -> TimingModel:
     """Nonnegative least squares over the three timing regressors."""
+    from scipy.optimize import nnls
+
     if len(samples) < 10:
         raise ValueError("need at least 10 samples")
     for name in ("H", "W", "m"):

@@ -42,10 +42,6 @@ def _env_seed() -> int:
     return int(os.environ.get("DC_SEED", DEFAULT_SEED))
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -99,22 +95,23 @@ def _load_corpus(corpus_dir: Path, polarity: Polarity, lam: float):
 
 
 def cmd_sweep(args) -> int:
+    lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
+        raise ValueError("alpha grid must be finite with --alpha-step > 0")
+    if lo > hi:
+        raise ValueError("--alpha-min must not exceed --alpha-max")
     lam = args.lam if args.lam is not None else _env_lambda()
-    corpus_dir = Path(args.corpus)
-    entries = _load_corpus(corpus_dir, Polarity(args.polarity), lam)
+    entries = _load_corpus(Path(args.corpus), Polarity(args.polarity), lam)
     masses = [field.foreground_mass for _, field in entries]
-    n_alphas = _round_half_up((args.alpha_max - args.alpha_min) / args.alpha_step) + 1
-    alphas = [args.alpha_min + i * args.alpha_step for i in range(n_alphas)]
+    alphas = [lo + i * step for i in range(math.floor((hi - lo) / step + 0.5) + 1)]
     seq_len = args.points
     if seq_len is None:
-        seq_len = max(
-            code_length(mass, args.alpha_max, 10**9) for mass in masses
-        )
+        seq_len = max(code_length(mass, hi, 10**9) for mass in masses)
     seq = halton(seq_len, 2)
     # encode once at the largest requested length; shorter alphas reuse
     # prefixes, which are bit-identical to re-encoding at that alpha
     full_codes = [
-        encode(field, seq, EncodeParams(lam=lam, alpha=args.alpha_max)).points
+        encode(field, seq, EncodeParams(lam=lam, alpha=hi)).points
         for _, field in entries
     ]
     q = all_powers(2, args.degree).q if args.degree >= 1 else 1

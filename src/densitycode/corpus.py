@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .image_io import GrayImage, Polarity, normalize, write_pgm
 from .matcher import all_powers
@@ -117,6 +116,8 @@ def generate_figure(seed, size: int, blur_radius: float | None = None) -> GrayIm
     the pixel count, so every figure carries enough mass to encode at small
     length factors.
     """
+    from scipy.ndimage import gaussian_filter
+
     if size < 64:
         raise ValueError("size must be >= 64")
     if blur_radius is None:

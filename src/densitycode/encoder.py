@@ -77,66 +77,55 @@ def code_length(
         raise ValueError("foreground mass must be > 0")
     if alpha is None:
         return available
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and > 0")
     m = min(available, math.floor(alpha * foreground_mass + 0.5))
     if m < 1:
         raise ValueError("empty code: alpha too small for this image")
     return m
 
 
-def _invert_cdf(cdf, u: float, size: int) -> tuple[int, float]:
-    """Bracket u inside a strictly increasing discrete CDF.
+def _invert(field: DensityField, u: np.ndarray) -> np.ndarray:
+    """Map (m, 2) points of (0,1)^2 to continuous pixel coordinates (x, y).
 
-    ``cdf[i]`` is the mass through bin i (0-based); the last entry is 1 and
-    an implicit 0 sits before the first bin. The dichotomic search moves the
-    lower bound while u >= cdf value, so it terminates in ceil(log2 size)
-    steps and lands on the unique bracket with C(inf) <= u < C(inf+1).
-
-    Returns (inf, w); the continuous coordinate is inf + w.
+    u[:, 1] inverts the row-marginal CDF (y), u[:, 0] the CDF of the row
+    blended from the two bracketing pixel rows (x). A cumulative sum is
+    linear, so that CDF is the same blend of the rows' zero-padded cumulative
+    sums. Columns are bisected for all points in lockstep by flat-index
+    gathers, keeping C(lo) <= target < C(hi): no bracket has zero width.
     """
-    inf = 0
-    sup = size
-    while sup - inf > 1:
-        mid = (inf + sup) >> 1
-        if u >= cdf[mid - 1]:
-            inf = mid
-        else:
-            sup = mid
-    c_inf = cdf[inf - 1] if inf > 0 else 0.0
-    span = cdf[sup - 1] - c_inf
-    # strictly positive cells guarantee a nonzero bracket
-    assert span > 0.0, "zero-width CDF bracket"
-    return inf, (u - c_inf) / span
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise ValueError("points must lie strictly inside (0,1)^2")
+    sy, sx = field.f.shape
+    ux, uy = u[:, 0], u[:, 1]
+    row_cdf = np.concatenate(([0.0], field.row_cdf))
+    iy = np.searchsorted(row_cdf[1:-1], uy, side="right")
+    wy = (uy - row_cdf[iy]) / (row_cdf[iy + 1] - row_cdf[iy])
+    cum = np.zeros((sy + 1, sx + 1))  # padded row r holds pixel row r - 1
+    np.cumsum(field.f, axis=1, out=cum[1:, 1:])
+    cum = cum.ravel()
+    above = iy * (sx + 1)
+    below = above + (sx + 1)
 
+    def blended(k):
+        a = cum[above + k]
+        return a + wy * (cum[below + k] - a)
 
-def _invert_axes(f, row_cdf, ux: float, uy: float, sy: int, sx: int):
-    """One code point from one unit-square point, given the field arrays."""
-    iy, wy = _invert_cdf(row_cdf, uy, sy)
-    if iy == 0:
-        # below the first row's CDF: blend down toward the empty edge
-        row = f[0] * wy
-    else:
-        lo = f[iy - 1]
-        row = lo + wy * (f[iy] - lo)
-    col_cdf = np.cumsum(row)
-    col_cdf /= col_cdf[-1]
-    ix, wx = _invert_cdf(col_cdf, ux, sx)
-    return ix + wx, iy + wy
+    target = ux * blended(sx)
+    lo = np.zeros_like(iy)
+    hi = np.full_like(iy, sx)
+    for _ in range((sx - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        left = blended(mid) <= target
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    c_lo = blended(lo)
+    return np.column_stack((lo + (target - c_lo) / (blended(hi) - c_lo), iy + wy))
 
 
 def invert_point(field: DensityField, u) -> tuple[float, float]:
-    """Map a single point of (0,1)^2 to continuous pixel coordinates (x, y).
-
-    The second coordinate of u drives the row-marginal inversion (image
-    rows, y); the first drives the conditional-row inversion (columns, x).
-    """
-    ux = float(u[0])
-    uy = float(u[1])
-    if not (0.0 < ux < 1.0 and 0.0 < uy < 1.0):
-        raise ValueError("u must lie strictly inside (0,1)^2")
-    sy, sx = field.f.shape
-    x, y = _invert_axes(field.f, field.row_cdf, ux, uy, sy, sx)
+    """Map a single point of (0,1)^2 to continuous pixel coordinates (x, y)."""
+    x, y = _invert(field, np.array([[u[0], u[1]]], dtype=np.float64))[0]
     return float(x), float(y)
 
 
@@ -145,8 +134,7 @@ def encode(
 ) -> DensityCode:
     """Evaluate the inverse cumulative mapping at each sequence point.
 
-    The row-marginal CDF is reused from the field (computed once); the
-    conditional row CDF is rebuilt for every code point. Points are emitted
+    Each code point depends only on its own sequence point and is emitted
     in sequence order, so any prefix of the output equals the code of the
     same image at the shorter length, exactly.
     """
@@ -158,18 +146,10 @@ def encode(
         raise ValueError("sequence shorter than requested length")
     available = len(seq) if params.max_points is None else params.max_points
     m = code_length(field.foreground_mass, params.alpha, available)
-    u = seq.points
-    if not np.all((u[:m] > 0.0) & (u[:m] < 1.0)):
-        raise ValueError("sequence points must lie strictly inside (0,1)^2")
-    f = field.f
-    row_cdf = field.row_cdf
-    sy, sx = f.shape
-    out = np.empty((m, 2))
-    for j in range(m):
-        out[j] = _invert_axes(f, row_cdf, u[j, 0], u[j, 1], sy, sx)
+    sy, sx = field.f.shape
     polarity = field.polarity.value if field.polarity is not None else None
     return DensityCode(
-        points=out,
+        points=_invert(field, seq.points[:m]),
         sx=sx,
         sy=sy,
         lam=field.lam,
@@ -200,13 +180,14 @@ def write_code_csv(code: DensityCode, path) -> None:
 def read_code_csv(path) -> DensityCode:
     """Parse a code file written by :func:`write_code_csv`.
 
-    Unknown header keys are ignored so the format can grow.
+    Unknown header keys are ignored so the format can grow. A point row
+    that is not two finite numbers is rejected with its line number.
     """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].lstrip().startswith("#"):
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].lstrip().startswith("#"):
         raise ValueError("missing code-file header")
-    header = lines[0].lstrip()[1:].strip()
+    header = lines[0][1].lstrip()[1:].strip()
     parts = [p.strip() for p in header.split(",")]
     if parts[0] != CODE_FORMAT_TAG:
         raise ValueError(f"unrecognized code-file format {parts[0]!r}")
@@ -217,8 +198,19 @@ def read_code_csv(path) -> DensityCode:
             meta[key.strip()] = value.strip()
     if int(meta.get("n", "2")) != 2:
         raise ValueError("only 2-D codes are supported")
-    rows = [ln.split(",") for ln in lines[1:]]
-    points = np.array([[float(a), float(b)] for a, b in rows])
+    rows = []
+    for lineno, line in lines[1:]:
+        fields = line.split(",")
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"expected 2 fields, found {len(fields)}")
+            rows.append((float(fields[0]), float(fields[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    points = np.array(rows).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}, line {lines[bad[0] + 1][0]}: non-finite coordinate")
     if "m" in meta and points.shape[0] != int(meta["m"]):
         raise ValueError("point count does not match header")
     alpha_s = meta.get("alpha", "none")

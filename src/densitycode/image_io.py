@@ -7,6 +7,7 @@ All arithmetic is double precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -261,8 +262,8 @@ def make_density_field(nimg: NormalizedImage, lam: float = 1e-4) -> DensityField
     sum strictly increasing and therefore invertible. The row-marginal CDF
     is computed here, once per field.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be finite and > 0")
     g = np.asarray(nimg.pixels, dtype=np.float64)
     mass = float(nimg.foreground_mass)
     if mass <= 0:
@@ -270,7 +271,10 @@ def make_density_field(nimg: NormalizedImage, lam: float = 1e-4) -> DensityField
     sy, sx = g.shape
     c = lam * mass / (sx * sy)
     f = g + c
-    f = f / f.sum()
+    total = float(f.sum())
+    if not math.isfinite(total):
+        raise ValueError("lambda too large: the background lift overflows")
+    f = f / total
     row_cdf = np.cumsum(f.sum(axis=1))
     row_cdf = row_cdf / row_cdf[-1]
     return DensityField(

@@ -25,25 +25,29 @@ def first_primes(n: int) -> list[int]:
     return primes
 
 
-def radical_inverse(t: int, base: int) -> float:
-    """Mirror the base-`base` digits of t across the radix point.
+def _radical_inverses(t: np.ndarray, base: int) -> np.ndarray:
+    """Mirror the base-`base` digits of each index in t across the radix point.
 
-    The reversed digits are assembled as an exact integer ratio and divided
-    once, so the result is the correctly rounded double of the true value
-    for every t and base.
+    Every index is mirrored over the k digits of the largest, so each value
+    is the exact ratio R / base**k, divided once. While base * max(t) <
+    2**53 both integers are exact doubles and the quotient is correctly
+    rounded; beyond that the digits stay Python integers.
     """
+    rest = t.astype(np.int64 if int(t.max()) < 2**53 // base else object)
+    mirrored, scale = np.zeros_like(rest), 1
+    while rest.any():
+        mirrored = mirrored * base + rest % base
+        rest, scale = rest // base, scale * base
+    return (mirrored / scale).astype(np.float64)
+
+
+def radical_inverse(t: int, base: int) -> float:
+    """Correctly rounded double of t's base-`base` digits mirrored across the point."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if base < 2:
         raise ValueError("base must be >= 2")
-    reversed_digits = 0
-    scale = 1
-    i = t
-    while i > 0:
-        i, digit = divmod(i, base)
-        reversed_digits = reversed_digits * base + digit
-        scale *= base
-    return reversed_digits / scale
+    return float(_radical_inverses(np.array([int(t)]), base)[0])
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,6 @@ def halton(m: int, n: int) -> QuasiSequence:
     if n < 1:
         raise ValueError("n must be >= 1")
     bases = tuple(first_primes(n))
-    points = np.empty((m, n))
-    for k, base in enumerate(bases):
-        col = points[:, k]
-        for j in range(m):
-            col[j] = radical_inverse(j + 1, base)
+    index = np.arange(1, m + 1)
+    points = np.column_stack([_radical_inverses(index, base) for base in bases])
     return QuasiSequence(points=points, bases=bases)

@@ -314,3 +314,94 @@ def test_bench_requires_out(capsys):
     rc = main(["bench"])
     assert rc == 1
     assert "requires --out" in capsys.readouterr().err
+
+
+def _encode_args(figure_pgm, tmp_path, *extra):
+    return [
+        "encode",
+        "--image",
+        str(figure_pgm),
+        "--polarity",
+        "light-on-dark",
+        "--points",
+        "64",
+        "--out",
+        str(tmp_path / "bad.csv"),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--lambda", "nan"], "lambda must be finite and > 0"),
+        (["--lambda", "inf"], "lambda must be finite and > 0"),
+        (["--lambda", "-1"], "lambda must be finite and > 0"),
+        (["--lambda", "1e308"], "lambda too large"),
+        (["--alpha", "inf"], "alpha must be finite and > 0"),
+        (["--alpha", "nan"], "alpha must be finite and > 0"),
+    ],
+)
+def test_encode_rejects_bad_lambda_and_alpha(
+    figure_pgm, tmp_path, capsys, extra, message
+):
+    rc = main(_encode_args(figure_pgm, tmp_path, *extra))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    corpus_dir = tmp_path_factory.mktemp("corpus")
+    args = ["gen-corpus", "--out", str(corpus_dir), "--pairs", "2", "--size", "64"]
+    assert main(args) == 0
+    return corpus_dir
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--alpha-step", "0"], "--alpha-step > 0"),
+        (["--alpha-step", "-0.01"], "--alpha-step > 0"),
+        (["--alpha-step", "nan"], "--alpha-step > 0"),
+        (["--alpha-max", "inf"], "alpha grid must be finite"),
+        (["--alpha-min", "0.3", "--alpha-max", "0.2"], "must not exceed"),
+    ],
+)
+def test_sweep_rejects_bad_alpha_grid(small_corpus, tmp_path, capsys, grid, message):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--corpus", str(small_corpus), "--out", str(out), *grid])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.5,2.5,3.5", "line 3: expected 2 fields, found 3"),
+        ("1.5", "line 3: expected 2 fields, found 1"),
+        ("nan,2.5", "line 3: non-finite coordinate"),
+        ("1.5,inf", "line 3: non-finite coordinate"),
+        ("1.5,abc", "line 3: could not convert"),
+    ],
+)
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_compare_rejects_malformed_code_rows(tmp_path, capsys, row, message, degree):
+    good = tmp_path / "good.csv"
+    bad = tmp_path / "bad.csv"
+    header = (
+        "# density-code v1, n=2, m=4, Sx=8, Sy=8, lambda=0.0001, "
+        "alpha=none, polarity=none, seq=halton\n"
+    )
+    points = ["1.0,1.0", "2.0,5.0", "6.0,3.0", "4.0,7.0"]
+    good.write_text(header + "\n".join(points) + "\n")
+    bad.write_text(header + "\n".join([points[0], row, *points[2:]]) + "\n")
+    rc = main(["compare", str(good), str(bad), "--degree", degree])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

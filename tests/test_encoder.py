@@ -1,9 +1,12 @@
-"""Tests for code-length selection, CDF inversion, and the encode loop."""
+"""Tests for code-length selection, CDF inversion, and the array encoder."""
+
+import bisect
 
 import numpy as np
 import pytest
 
 from densitycode import (
+    CorpusSpec,
     DensityCode,
     EncodeParams,
     GrayImage,
@@ -11,13 +14,16 @@ from densitycode import (
     Polarity,
     code_length,
     encode,
+    generate_corpus,
     generate_figure,
     halton,
     invert_point,
+    load_image,
     make_density_field,
     normalize,
     read_code_csv,
     write_code_csv,
+    write_pgm,
 )
 
 
@@ -58,6 +64,9 @@ class TestCodeLength:
             code_length(10.0, -0.5, 100)
         with pytest.raises(ValueError):
             code_length(10.0, 0.25, 0)
+        for alpha in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                code_length(100.0, alpha, 1000)
 
 
 class TestInvertPoint:
@@ -246,3 +255,51 @@ class TestCodeCsv:
         )
         with pytest.raises(ValueError, match="count"):
             read_code_csv(path)
+
+    @pytest.mark.parametrize(
+        "row", ["1.5,2.5,3.5", "1.5", "nan,2.5", "1.5,-inf", "1.5,x"]
+    )
+    def test_reader_rejects_bad_row_with_line_number(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# density-code v1, n=2, m=3, Sx=4, Sy=4, lambda=0.0001, "
+            f"alpha=none, polarity=none, seq=halton\n\n1,2\n{row}\n3,1\n"
+        )
+        with pytest.raises(ValueError, match="line 4: "):
+            read_code_csv(path)
+
+
+def scalar_walk(field, u):
+    """Reference: one point at a time, rebuilding the blended row's CDF."""
+
+    def bracket(cdf, t):
+        k = bisect.bisect_right(cdf, t, 0, len(cdf) - 1)
+        c_lo = cdf[k - 1] if k else 0.0
+        return k, (t - c_lo) / (cdf[k] - c_lo)
+
+    iy, wy = bracket(field.row_cdf, u[1])
+    above = field.f[iy - 1] if iy else np.zeros(field.width)
+    col = np.cumsum(above + wy * (field.f[iy] - above))
+    ix, wx = bracket(col / col[-1], u[0])
+    return ix + wx, iy + wy
+
+
+@pytest.fixture(scope="module")
+def corpus_pgms(tmp_path_factory):
+    """Corpus PGMs at 128x128, and a 1024x1024 figure written the same way."""
+    out = tmp_path_factory.mktemp("corpus")
+    generate_corpus(out, CorpusSpec(pair_count=2, size=128, seed=5))
+    big = generate_figure([5, 0], 1024).pixels
+    write_pgm(np.rint(big / big.max() * 65535.0), out / "big.pgm", maxval=65535)
+    return sorted(out.glob("*.pgm"))
+
+
+def test_encode_matches_scalar_walk_on_corpus_pgms(corpus_pgms):
+    for path in corpus_pgms:
+        img = load_image(path)
+        seq = halton(16385 if img.width == 1024 else 2049, 2)
+        for polarity in Polarity:
+            field = make_density_field(normalize(img, polarity), 1e-4)
+            got = encode(field, seq).points
+            want = np.array([scalar_walk(field, u) for u in seq.points])
+            assert np.max(np.abs(got - want)) <= 1e-9, (path.name, polarity)

@@ -184,3 +184,8 @@ def test_density_field_rejects_bad_lambda():
         make_density_field(nimg, 0.0)
     with pytest.raises(ValueError):
         make_density_field(nimg, -1.0)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            make_density_field(nimg, lam)
+    with pytest.raises(ValueError, match="too large"):
+        make_density_field(nimg, 1e308)

@@ -103,3 +103,18 @@ def test_halton_rejects_bad_args():
         halton(0, 2)
     with pytest.raises(ValueError):
         halton(5, 0)
+
+
+def test_halton_65536_matches_exact_oracle():
+    pts = halton(65536, 2).points
+    rng = np.random.default_rng(65536)
+    indices = [*rng.choice(65536, size=2000, replace=False), 65535]
+    for j in indices:
+        assert pts[j, 0] == brute_force_radical_inverse(int(j) + 1, 2)
+        assert pts[j, 1] == brute_force_radical_inverse(int(j) + 1, 3)
+
+
+@pytest.mark.parametrize("t", [2**53 + 1, 3**40 - 1, 10**30 + 7])
+@pytest.mark.parametrize("base", [2, 3, 7, 101])
+def test_radical_inverse_exact_beyond_double_precision(t, base):
+    assert radical_inverse(t, base) == brute_force_radical_inverse(t, base)
