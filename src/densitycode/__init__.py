@@ -16,6 +16,8 @@ from .corpus import (
     generate_corpus,
     generate_figure,
     identity_warp,
+    load_corpus,
+    sweep,
     warp_image,
     wind_warp_coefficients,
 )
@@ -24,7 +26,7 @@ from .encoder import (
     EncodeParams,
     code_length,
     encode,
-    invert_point,
+    invert,
     read_code_csv,
     write_code_csv,
 )
@@ -79,8 +81,9 @@ __all__ = [
     "generate_figure",
     "halton",
     "identity_warp",
-    "invert_point",
+    "invert",
     "least_squares_fit",
+    "load_corpus",
     "load_image",
     "load_pgm",
     "load_png",
@@ -89,6 +92,7 @@ __all__ = [
     "radical_inverse",
     "read_code_csv",
     "run_grid",
+    "sweep",
     "warp_image",
     "wind_warp_coefficients",
     "write_code_csv",

@@ -16,22 +16,17 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .corpus import CorpusSpec, generate_corpus
-from .encoder import (
-    EncodeParams,
-    code_length,
-    encode,
-    read_code_csv,
-    write_code_csv,
-)
+from .corpus import CorpusSpec, SweepRow, generate_corpus, load_corpus, sweep
+from .encoder import EncodeParams, encode, read_code_csv, write_code_csv
 from .image_io import Polarity, load_image, make_density_field, normalize
-from .matcher import all_powers, delta_median
+from .matcher import delta_median
 from .quasirandom import halton
 
 DEFAULT_LAMBDA = 1e-4
 DEFAULT_SEED = 42
 DEFAULT_GRID = "16,32,64,128,256,512"
 DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
+TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
 
 
 def _env_lambda() -> float:
@@ -74,26 +69,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _load_corpus(corpus_dir: Path, polarity: Polarity, lam: float):
-    """Fields and pair labels for every image listed in the manifest."""
-    manifest = corpus_dir / "manifest.csv"
-    if not manifest.is_file():
-        raise ValueError(f"corpus incomplete: missing {manifest}")
-    entries = []  # (pair id, field)
-    with open(manifest, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            pair = int(row["pair"])
-            for key in ("file_a", "file_b"):
-                path = corpus_dir / row[key]
-                if not path.is_file():
-                    raise ValueError(f"corpus incomplete: missing {path}")
-                nimg = normalize(load_image(path), polarity)
-                entries.append((pair, make_density_field(nimg, lam)))
-    if len(entries) < 4:
-        raise ValueError("corpus incomplete: need at least two pairs")
-    return entries
-
-
 def cmd_sweep(args) -> int:
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
@@ -101,60 +76,13 @@ def cmd_sweep(args) -> int:
     if lo > hi:
         raise ValueError("--alpha-min must not exceed --alpha-max")
     lam = args.lam if args.lam is not None else _env_lambda()
-    entries = _load_corpus(Path(args.corpus), Polarity(args.polarity), lam)
-    masses = [field.foreground_mass for _, field in entries]
+    entries = load_corpus(Path(args.corpus), Polarity(args.polarity), lam)
     alphas = [lo + i * step for i in range(math.floor((hi - lo) / step + 0.5) + 1)]
-    seq_len = args.points
-    if seq_len is None:
-        seq_len = max(code_length(mass, hi, 10**9) for mass in masses)
-    seq = halton(seq_len, 2)
-    # encode once at the largest requested length; shorter alphas reuse
-    # prefixes, which are bit-identical to re-encoding at that alpha
-    full_codes = [
-        encode(field, seq, EncodeParams(lam=lam, alpha=hi)).points
-        for _, field in entries
-    ]
-    q = all_powers(2, args.degree).q if args.degree >= 1 else 1
-    rows = []
-    for alpha in alphas:
-        lengths = [
-            min(code_length(mass, alpha, seq_len), pts.shape[0])
-            for mass, pts in zip(masses, full_codes)
-        ]
-        if args.degree >= 1 and min(lengths) < q:
-            rows.append((alpha, None, None, None, None, "invalid"))
-            continue
-        related = []
-        unrelated = []
-        for i, (pair_i, _) in enumerate(entries):
-            for j, (pair_j, _) in enumerate(entries):
-                if i == j:
-                    continue
-                delta = delta_median(
-                    full_codes[i][: lengths[i]],
-                    full_codes[j][: lengths[j]],
-                    args.degree,
-                ).delta
-                (related if pair_i == pair_j else unrelated).append(delta)
-        rows.append(
-            (
-                alpha,
-                min(related),
-                max(related),
-                min(unrelated),
-                max(unrelated),
-                "ok",
-            )
-        )
-    lines = ["alpha,related_min,related_max,unrelated_min,unrelated_max,status"]
-    for alpha, rel_min, rel_max, unrel_min, unrel_max, status in rows:
-        if status == "invalid":
-            lines.append(f"{alpha:.17g},,,,,invalid")
-        else:
-            lines.append(
-                f"{alpha:.17g},{rel_min:.17g},{rel_max:.17g},"
-                f"{unrel_min:.17g},{unrel_max:.17g},ok"
-            )
+    rows = sweep(entries, alphas, hi, args.degree, args.points)
+    lines = [",".join(SweepRow._fields)]
+    for *values, status in rows:  # an invalid row has no band edges
+        cells = ["" if value is None else f"{value:.17g}" for value in values]
+        lines.append(",".join([*cells, status]))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"alphas={len(rows)} out={args.out}")
     return 0
@@ -166,7 +94,11 @@ def cmd_bench(args) -> int:
             raise ValueError("bench fit requires --in")
         samples = []
         with open(args.infile, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = [c for c in TIMING_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{args.infile}: missing columns {', '.join(missing)}")
+            for row in reader:
                 samples.append(
                     bench_mod.TimingSample(
                         H=int(row["H"]),
@@ -194,7 +126,7 @@ def cmd_bench(args) -> int:
         seed=seed,
         lam=lam,
     )
-    lines = ["H,W,m,reps,median_ms"]
+    lines = [",".join(TIMING_COLUMNS)]
     for s in samples:
         lines.append(f"{s.H},{s.W},{s.m},{s.reps},{s.median_ms:.17g}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,10 +1,10 @@
-"""Synthetic test corpus: plant-like figures and gentle polynomial warps.
+"""Synthetic test corpus and the separation sweep run over it.
 
 Figures are deterministic branching skeletons rasterized with soft strokes
 and Gaussian-blurred, light on dark. Each figure gets a companion produced
-by a cubic "wind" warp whose Jacobian is lower-triangular with positive
-diagonal over the whole image rectangle, so a pair is related by a map the
-degree-3 dissimilarity can absorb.
+by a cubic "wind" warp x' = a(y)*x + b(y), y' = q(y) with a > 0 and q
+increasing, a map the degree-3 dissimilarity can absorb. The sweep compares
+every ordered pair of corpus images over a grid of length factors.
 """
 
 from __future__ import annotations
@@ -13,14 +13,26 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .image_io import GrayImage, Polarity, normalize, write_pgm
-from .matcher import all_powers
+from .encoder import EncodeParams, code_length, encode
+from .image_io import (
+    GrayImage,
+    Polarity,
+    load_image,
+    make_density_field,
+    normalize,
+    write_pgm,
+)
+from .matcher import all_powers, delta_median
+from .quasirandom import halton
 
 _CUBIC = all_powers(2, 3)
 _MONO_INDEX = {vec: t for t, vec in enumerate(_CUBIC.vectors)}
+# x-column monomials a map x' = a(y)*x + b(y) must not use
+_NONLINEAR_X = [_MONO_INDEX[vec] for vec in ((2, 0), (2, 1), (3, 0))]
 
 # minimum normalized foreground mass, as a fraction of the pixel count
 _MASS_FLOOR_FRACTION = 0.02
@@ -169,14 +181,17 @@ def _partial_poly(col, wrt: int):
 
 
 def check_warp_family(coeffs, sx: int, sy: int) -> None:
-    """Sampled 17x17 check that the map has a valid triangular Jacobian.
+    """Check that the map is x' = a(y)*x + b(y), y' = q(y), a > 0, q' > 0.
 
-    Requires the y output to be independent of x and both diagonal partial
-    derivatives strictly positive over the image rectangle.
+    The x output must have no x^2, x^2*y or x^3 term; independence of x in
+    the y output and the positive diagonal partials a and q' are checked on
+    a 17x17 sample of the image rectangle.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (_CUBIC.q, 2):
         raise ValueError(f"coefficients must be ({_CUBIC.q}, 2)")
+    if np.any(coeffs[_NONLINEAR_X, 0] != 0.0):
+        raise ValueError("not in transformation family: x output not linear in x")
     xs = np.linspace(0.0, sx, 17)
     ys = np.linspace(0.0, sy, 17)
     X, Y = np.meshgrid(xs, ys)
@@ -286,44 +301,32 @@ def _bilinear(px: np.ndarray, x, y, fill: float):
 def warp_image(img: GrayImage, coeffs) -> GrayImage:
     """Apply a forward cubic map by inverse-mapping every output pixel.
 
-    The y component depends only on y (enforced by the family check), so
-    the source y is constant along each output row; the source x is then
-    found per row by inverting the x component at that y. Bilinear sampling
-    with the image minimum as background fill completes the resampling.
+    The y component depends only on y, so the source y is constant along
+    each output row and is found by inverting q; the x component is then
+    a(y)*x + b(y), inverted in closed form per row. Bilinear sampling with
+    the image minimum as background fill completes the resampling.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     px = img.pixels
     sy, sx = px.shape
     check_warp_family(coeffs, sx, sy)
     fill = float(px.min())
-    row_targets = np.arange(sy) + 0.5
-    col_targets = np.arange(sx) + 0.5
-
     ycol = coeffs[:, 1]
     dycol = _partial_poly(ycol, 1)
     y_src = _invert_monotone(
         lambda y: _eval_poly(ycol, np.zeros_like(y), y),
         lambda y: _eval_poly(dycol, np.zeros_like(y), y),
-        row_targets,
+        np.arange(sy) + 0.5,
         0.0,
         float(sy),
     )
-
-    xcol = coeffs[:, 0]
-    dxcol = _partial_poly(xcol, 0)
+    a = _eval_poly(_partial_poly(coeffs[:, 0], 0), np.zeros(sy), y_src)
+    b = _eval_poly(coeffs[:, 0], np.zeros(sy), y_src)
+    col_targets = np.arange(sx) + 0.5
     out = np.full((sy, sx), fill)
-    for r in range(sy):
-        y0 = y_src[r]
-        if not np.isfinite(y0):
-            continue
-        x_src = _invert_monotone(
-            lambda x: _eval_poly(xcol, x, np.full_like(x, y0)),
-            lambda x: _eval_poly(dxcol, x, np.full_like(x, y0)),
-            col_targets,
-            0.0,
-            float(sx),
-        )
-        out[r] = _bilinear(px, x_src, np.full(sx, y0), fill)
+    for r in np.flatnonzero(np.isfinite(y_src)):
+        x_src = (col_targets - b[r]) / a[r]
+        out[r] = _bilinear(px, x_src, np.full(sx, y_src[r]), fill)
     return GrayImage(pixels=np.maximum(out, 0.0))
 
 
@@ -365,6 +368,76 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
+    return rows
+
+
+def load_corpus(corpus_dir, polarity: Polarity, lam: float) -> list:
+    """(pair id, density field) of every image the manifest lists, in order."""
+    corpus_dir = Path(corpus_dir)
+    manifest = corpus_dir / "manifest.csv"
+    if not manifest.is_file():
+        raise ValueError(f"corpus incomplete: missing {manifest}")
+    entries = []
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            pair = int(row["pair"])
+            for key in ("file_a", "file_b"):
+                path = corpus_dir / row[key]
+                if not path.is_file():
+                    raise ValueError(f"corpus incomplete: missing {path}")
+                nimg = normalize(load_image(path), polarity)
+                entries.append((pair, make_density_field(nimg, lam)))
+    if len(entries) < 4:
+        raise ValueError("corpus incomplete: need at least two pairs")
+    return entries
+
+
+class SweepRow(NamedTuple):
+    """Band edges of one length factor; the four deltas are None if invalid."""
+
+    alpha: float
+    related_min: float | None
+    related_max: float | None
+    unrelated_min: float | None
+    unrelated_max: float | None
+    status: str  # "ok", or "invalid" when a code is shorter than the basis
+
+
+def sweep(
+    entries, alphas, alpha_max: float, degree: int, points: int | None = None
+) -> list[SweepRow]:
+    """Delta of every ordered image pair per alpha, split related/unrelated.
+
+    ``entries`` are (pair id, field) as from :func:`load_corpus`. Every
+    image is encoded once at ``alpha_max`` from a Halton sequence of
+    ``points`` (default: the longest code ``alpha_max`` needs); each alpha
+    then compares code prefixes, which equal the codes encoded at that
+    alpha bit for bit. Returns one :class:`SweepRow` per alpha.
+    """
+    masses = [field.foreground_mass for _, field in entries]
+    if points is None:
+        points = max(code_length(mass, alpha_max, 10**9) for mass in masses)
+    seq = halton(points, 2)
+    params = EncodeParams(alpha=alpha_max)
+    full_codes = [encode(field, seq, params).points for _, field in entries]
+    q = all_powers(2, degree).q
+    rows = []
+    for alpha in alphas:
+        codes = [
+            pts[: code_length(mass, alpha, points)]
+            for mass, pts in zip(masses, full_codes)
+        ]
+        if min(len(code) for code in codes) < q:
+            rows.append(SweepRow(alpha, None, None, None, None, "invalid"))
+            continue
+        related, unrelated = [], []
+        for i, (pair_i, _) in enumerate(entries):
+            for j, (pair_j, _) in enumerate(entries):
+                if i != j:
+                    delta = delta_median(codes[i], codes[j], degree).delta
+                    (related if pair_i == pair_j else unrelated).append(delta)
+        edges = (min(related), max(related), min(unrelated), max(unrelated))
+        rows.append(SweepRow(alpha, *edges, "ok"))
     return rows
 
 

@@ -25,16 +25,14 @@ CODE_FORMAT_TAG = "density-code v1"
 
 @dataclass(frozen=True)
 class EncodeParams:
-    """Encoding knobs: background lift, mass-proportional length, cap.
+    """Encoding knobs: background lift and mass-proportional length.
 
     ``alpha`` switches on mass-proportional code length; when absent the
-    whole available sequence is used. ``max_points`` caps how much of the
-    sequence may be consumed (defaults to its full length).
+    whole sequence is used; pass ``seq.prefix(k)`` to cap the length.
     """
 
     lam: float = 1e-4
     alpha: float | None = None
-    max_points: int | None = None
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ def code_length(
     return m
 
 
-def _invert(field: DensityField, u: np.ndarray) -> np.ndarray:
+def invert(field: DensityField, u) -> np.ndarray:
     """Map (m, 2) points of (0,1)^2 to continuous pixel coordinates (x, y).
 
     u[:, 1] inverts the row-marginal CDF (y), u[:, 0] the CDF of the row
@@ -94,6 +92,7 @@ def _invert(field: DensityField, u: np.ndarray) -> np.ndarray:
     sums. Columns are bisected for all points in lockstep by flat-index
     gathers, keeping C(lo) <= target < C(hi): no bracket has zero width.
     """
+    u = np.asarray(u, dtype=np.float64)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("points must lie strictly inside (0,1)^2")
     sy, sx = field.f.shape
@@ -123,12 +122,6 @@ def _invert(field: DensityField, u: np.ndarray) -> np.ndarray:
     return np.column_stack((lo + (target - c_lo) / (blended(hi) - c_lo), iy + wy))
 
 
-def invert_point(field: DensityField, u) -> tuple[float, float]:
-    """Map a single point of (0,1)^2 to continuous pixel coordinates (x, y)."""
-    x, y = _invert(field, np.array([[u[0], u[1]]], dtype=np.float64))[0]
-    return float(x), float(y)
-
-
 def encode(
     field: DensityField, seq: QuasiSequence, params: EncodeParams | None = None
 ) -> DensityCode:
@@ -142,14 +135,11 @@ def encode(
         params = EncodeParams()
     if seq.n != 2:
         raise ValueError("sequence dimension must be 2")
-    if params.max_points is not None and params.max_points > len(seq):
-        raise ValueError("sequence shorter than requested length")
-    available = len(seq) if params.max_points is None else params.max_points
-    m = code_length(field.foreground_mass, params.alpha, available)
+    m = code_length(field.foreground_mass, params.alpha, len(seq))
     sy, sx = field.f.shape
     polarity = field.polarity.value if field.polarity is not None else None
     return DensityCode(
-        points=_invert(field, seq.points[:m]),
+        points=invert(field, seq.points[:m]),
         sx=sx,
         sy=sy,
         lam=field.lam,

@@ -14,7 +14,6 @@ import pytest
 
 from densitycode import (
     CorpusSpec,
-    EncodeParams,
     GrayImage,
     NormalizedImage,
     Polarity,
@@ -27,11 +26,12 @@ from densitycode import (
     generate_figure,
     halton,
     least_squares_fit,
-    load_image,
+    load_corpus,
     make_density_field,
     normalize,
     radical_inverse,
     run_grid,
+    sweep,
 )
 
 
@@ -140,36 +140,12 @@ def test_criterion_05_separation_sweep(tmp_path):
     corpus_dir = tmp_path / "corpus"
     generate_corpus(corpus_dir, CorpusSpec(pair_count=6, size=128, seed=42))
 
-    entries = []
-    for k in range(6):
-        for suffix in ("A", "B"):
-            img = load_image(corpus_dir / f"pair{k}_{suffix}.pgm")
-            nimg = normalize(img, Polarity.LIGHT_ON_DARK)
-            entries.append((k, make_density_field(nimg, 1e-4)))
-    masses = [field.foreground_mass for _, field in entries]
-    seq_len = code_length(max(masses), 0.5, 10**9)
-    seq = halton(seq_len, 2)
-    full = [
-        encode(field, seq, EncodeParams(alpha=0.5)).points for _, field in entries
-    ]
-
+    entries = load_corpus(corpus_dir, Polarity.LIGHT_ON_DARK, 1e-4)
     alphas = [0.05 + 0.01 * i for i in range(46)]  # 0.05 .. 0.50
-    separated = []
-    for alpha in alphas:
-        lengths = [
-            min(code_length(mass, alpha, seq_len), pts.shape[0])
-            for mass, pts in zip(masses, full)
-        ]
-        related, unrelated = [], []
-        for i, (pair_i, _) in enumerate(entries):
-            for j, (pair_j, _) in enumerate(entries):
-                if i == j:
-                    continue
-                delta = delta_median(
-                    full[i][: lengths[i]], full[j][: lengths[j]], 3
-                ).delta
-                (related if pair_i == pair_j else unrelated).append(delta)
-        separated.append(max(related) < min(unrelated))
+    rows = sweep(entries, alphas, 0.5, 3)
+    separated = [
+        row.status == "ok" and row.related_max < row.unrelated_min for row in rows
+    ]
 
     best_run = 0
     current = 0

@@ -310,6 +310,20 @@ def test_bench_fit_on_synthetic_csv(tmp_path, capsys):
     assert float(parts["r"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "text, missing",
+    [("H,W\n16,16\n", "m, reps, median_ms"), ("", "H, W, m, reps, median_ms")],
+)
+def test_bench_fit_rejects_missing_columns(tmp_path, capsys, text, missing):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    rc = main(["bench", "fit", "--in", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"missing columns {missing}" in err
+
+
 def test_bench_requires_out(capsys):
     rc = main(["bench"])
     assert rc == 1

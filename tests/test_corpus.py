@@ -1,21 +1,72 @@
-"""Tests for figure generation and polynomial warping."""
+"""Tests for figure generation, polynomial warping and the corpus sweep."""
 
 import numpy as np
 import pytest
 
 from densitycode import (
     CorpusSpec,
+    EncodeParams,
     Polarity,
     check_warp_family,
+    code_length,
+    delta_median,
+    encode,
     generate_corpus,
     generate_figure,
+    halton,
     identity_warp,
+    load_corpus,
     load_pgm,
     normalize,
+    sweep,
     warp_image,
     wind_warp_coefficients,
 )
-from densitycode.corpus import figure_mass
+from densitycode.corpus import (
+    SweepRow,
+    _bilinear,
+    _eval_poly,
+    _invert_monotone,
+    _partial_poly,
+    figure_mass,
+)
+
+
+def root_finding_columns(xcol, y0, sx):
+    """Source x of every output column on source row y0: bisection, Newton."""
+    t = np.arange(sx) + 0.5
+    fn = lambda x: _eval_poly(xcol, x, y0)  # noqa: E731
+    lo, hi = np.zeros(sx), np.full(sx, float(sx))
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        right = fn(mid) < t
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        x = x - (fn(x) - t) / _eval_poly(_partial_poly(xcol, 0), x, y0)
+    outside = (t < fn(np.zeros(1))) | (t > fn(np.full(1, float(sx))))
+    return np.where(outside, np.nan, np.clip(x, 0.0, sx))
+
+
+def root_finding_warp(img, coeffs):
+    """Reference warp_image that root-finds the source x of every row."""
+    px = img.pixels
+    sy, sx = px.shape
+    fill = float(px.min())
+    ycol = coeffs[:, 1]
+    y_src = _invert_monotone(
+        lambda y: _eval_poly(ycol, 0.0, y),
+        lambda y: _eval_poly(_partial_poly(ycol, 1), 0.0, y),
+        np.arange(sy) + 0.5,
+        0.0,
+        float(sy),
+    )
+    out = np.full((sy, sx), fill)
+    for r, y0 in enumerate(y_src):
+        if np.isfinite(y0):
+            x_src = root_finding_columns(coeffs[:, 0], y0, sx)
+            out[r] = _bilinear(px, x_src, np.full(sx, y0), fill)
+    return np.maximum(out, 0.0)
 
 
 class TestGenerateFigure:
@@ -67,6 +118,23 @@ class TestWarp:
         flipped[2, 0] = -1.0  # x output decreasing in x
         with pytest.raises(ValueError, match="not in transformation family"):
             warp_image(img, flipped)
+        curved = identity_warp()
+        curved[5, 0] = 1e-3  # x^2 term: x output still increasing, not linear
+        with pytest.raises(ValueError, match="not in transformation family"):
+            warp_image(img, curved)
+
+    def test_closed_form_matches_root_finding(self):
+        warps = []
+        for seed in range(5):
+            rng = np.random.default_rng([seed, 1])
+            warps.append((seed, wind_warp_coefficients(rng, 128)))
+        scaled = wind_warp_coefficients(np.random.default_rng(99), 128)
+        scaled[4, 0] = 0.2 / 128  # x*y term: a(y) runs from 1 to 1.2
+        warps.append((99, scaled))
+        for seed, coeffs in warps:
+            img = generate_figure(seed, 128)
+            got = warp_image(img, coeffs).pixels
+            assert np.max(np.abs(got - root_finding_warp(img, coeffs))) <= 1e-9
 
     def test_wind_warp_is_in_family(self):
         rng = np.random.default_rng(4)
@@ -113,3 +181,32 @@ class TestGenerateCorpus:
             CorpusSpec(pair_count=1)
         with pytest.raises(ValueError):
             CorpusSpec(size=32)
+
+
+def test_sweep_rows_match_direct_delta_median(tmp_path):
+    generate_corpus(tmp_path, CorpusSpec(pair_count=2, size=64, seed=7))
+    entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
+    assert [pair for pair, _ in entries] == [0, 0, 1, 1]
+    rows = sweep(entries, [0.01, 0.2, 0.4], 0.4, 3)
+    # at alpha=0.01 a 64x64 figure's code is shorter than the cubic basis
+    assert rows[0] == SweepRow(0.01, None, None, None, None, "invalid")
+    assert [row.status for row in rows[1:]] == ["ok", "ok"]
+    alpha = rows[1].alpha
+    points = max(code_length(f.foreground_mass, 0.4, 10**9) for _, f in entries)
+    seq = halton(points, 2)
+    codes = [encode(f, seq, EncodeParams(alpha=alpha)).points for _, f in entries]
+    related, unrelated = [], []
+    for i, (pair_i, _) in enumerate(entries):
+        for j, (pair_j, _) in enumerate(entries):
+            if i != j:
+                delta = delta_median(codes[i], codes[j], 3).delta
+                (related if pair_i == pair_j else unrelated).append(delta)
+    want = (alpha, min(related), max(related), min(unrelated), max(unrelated), "ok")
+    assert rows[1] == want
+
+
+def test_load_corpus_reports_missing_image(tmp_path):
+    generate_corpus(tmp_path, CorpusSpec(pair_count=2, size=64, seed=7))
+    (tmp_path / "pair1_B.pgm").unlink()
+    with pytest.raises(ValueError, match="corpus incomplete: missing .*pair1_B.pgm"):
+        load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)

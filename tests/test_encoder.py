@@ -17,7 +17,7 @@ from densitycode import (
     generate_corpus,
     generate_figure,
     halton,
-    invert_point,
+    invert,
     load_image,
     make_density_field,
     normalize,
@@ -72,20 +72,22 @@ class TestCodeLength:
 class TestInvertPoint:
     def test_uniform_2x2_center(self):
         field = uniform_field(2, 2)
-        assert invert_point(field, (0.5, 0.5)) == (1.0, 1.0)
+        out = invert(field, np.array([[0.5, 0.5]]))
+        assert out.shape == (1, 2)
+        assert out.tolist() == [[1.0, 1.0]]
 
     def test_uniform_closed_form(self):
         field = uniform_field(16, 16)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            u = rng.uniform(0.01, 0.99, 2)
-            x, y = invert_point(field, u)
-            assert x == pytest.approx(u[0] * 16, abs=1e-9)
-            assert y == pytest.approx(u[1] * 16, abs=1e-9)
+            u = rng.uniform(0.01, 0.99, (1, 2))
+            (x, y), = invert(field, u)
+            assert x == pytest.approx(u[0, 0] * 16, abs=1e-9)
+            assert y == pytest.approx(u[0, 1] * 16, abs=1e-9)
 
     def test_uniform_closed_form_rectangular(self):
         field = uniform_field(8, 32)
-        x, y = invert_point(field, (0.3, 0.7))
+        (x, y), = invert(field, np.array([[0.3, 0.7]]))
         assert x == pytest.approx(0.3 * 32, abs=1e-9)
         assert y == pytest.approx(0.7 * 8, abs=1e-9)
 
@@ -97,16 +99,15 @@ class TestInvertPoint:
         )
         field = make_density_field(nimg, 1e-9)
         for u in ((0.2, 0.8), (0.5, 0.5), (0.9, 0.1)):
-            x, y = invert_point(field, u)
+            (x, y), = invert(field, np.array([u]))
             assert 0.0 <= x <= 1.0
             assert 0.0 <= y <= 1.0
 
     def test_rejects_point_on_boundary(self):
         field = uniform_field(4, 4)
-        with pytest.raises(ValueError):
-            invert_point(field, (0.0, 0.5))
-        with pytest.raises(ValueError):
-            invert_point(field, (0.5, 1.0))
+        for u in ((0.0, 0.5), (0.5, 1.0)):
+            with pytest.raises(ValueError, match=r"strictly inside \(0,1\)\^2"):
+                invert(field, np.array([u]))
 
 
 class TestEncode:
@@ -147,11 +148,6 @@ class TestEncode:
         field = uniform_field(4, 4)
         with pytest.raises(ValueError):
             encode(field, halton(16, 3))
-
-    def test_max_points_beyond_sequence_rejected(self):
-        field = uniform_field(4, 4)
-        with pytest.raises(ValueError, match="shorter"):
-            encode(field, halton(16, 2), EncodeParams(max_points=32))
 
     def test_two_blob_mass_fractions(self):
         img = np.zeros((64, 64))
