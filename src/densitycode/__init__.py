@@ -45,10 +45,12 @@ from .image_io import (
 from .matcher import (
     DissimilarityReport,
     ExponentSet,
+    FitStack,
     TransformFit,
     all_powers,
     basis_matrix,
     delta_median,
+    fit_stack,
     least_squares_fit,
 )
 from .quasirandom import QuasiSequence, first_primes, halton, radical_inverse
@@ -62,6 +64,7 @@ __all__ = [
     "DissimilarityReport",
     "EncodeParams",
     "ExponentSet",
+    "FitStack",
     "GrayImage",
     "NormalizedImage",
     "Polarity",
@@ -76,6 +79,7 @@ __all__ = [
     "delta_median",
     "encode",
     "first_primes",
+    "fit_stack",
     "fit_model",
     "generate_corpus",
     "generate_figure",

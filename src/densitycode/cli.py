@@ -59,6 +59,11 @@ def cmd_encode(args) -> int:
 def cmd_compare(args) -> int:
     code_v = read_code_csv(args.code_v)
     code_w = read_code_csv(args.code_w)
+    # points correspond only between codes of one sequence and one polarity
+    for header, attr in (("seq", "seq_name"), ("polarity", "polarity")):
+        v, w = (getattr(code, attr) or "none" for code in (code_v, code_w))
+        if v != w:
+            raise ValueError(f"codes differ in {header}: {v} vs {w}")
     report = delta_median(code_v, code_w, args.degree)
     print(f"delta={report.delta:.17g}")
     if args.residuals:

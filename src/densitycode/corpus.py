@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ from .image_io import (
     normalize,
     write_pgm,
 )
-from .matcher import all_powers, delta_median
+from .matcher import all_powers, fit_stack
 from .quasirandom import halton
 
 _CUBIC = all_powers(2, 3)
@@ -412,30 +413,40 @@ def sweep(
     image is encoded once at ``alpha_max`` from a Halton sequence of
     ``points`` (default: the longest code ``alpha_max`` needs); each alpha
     then compares code prefixes, which equal the codes encoded at that
-    alpha bit for bit. Returns one :class:`SweepRow` per alpha.
+    alpha bit for bit. The pairs of one alpha that share a common length
+    are fitted in one :func:`fit_stack` call, and each pair's delta equals
+    :func:`delta_median` on the same prefixes. Returns one
+    :class:`SweepRow` per alpha.
     """
     masses = [field.foreground_mass for _, field in entries]
     if points is None:
         points = max(code_length(mass, alpha_max, 10**9) for mass in masses)
     seq = halton(points, 2)
     params = EncodeParams(alpha=alpha_max)
-    full_codes = [encode(field, seq, params).points for _, field in entries]
+    full_codes = [  # coordinate-major (2, length), the layout fit_stack takes
+        np.ascontiguousarray(encode(field, seq, params).points.T)
+        for _, field in entries
+    ]
     q = all_powers(2, degree).q
     rows = []
     for alpha in alphas:
-        codes = [
-            pts[: code_length(mass, alpha, points)]
+        lengths = [
+            min(code_length(mass, alpha, points), pts.shape[1])
             for mass, pts in zip(masses, full_codes)
         ]
-        if min(len(code) for code in codes) < q:
+        if min(lengths) < q:
             rows.append(SweepRow(alpha, None, None, None, None, "invalid"))
             continue
+        by_length: dict[int, list[tuple[int, int]]] = {}
+        for i, j in permutations(range(len(entries)), 2):
+            by_length.setdefault(min(lengths[i], lengths[j]), []).append((i, j))
         related, unrelated = [], []
-        for i, (pair_i, _) in enumerate(entries):
-            for j, (pair_j, _) in enumerate(entries):
-                if i != j:
-                    delta = delta_median(codes[i], codes[j], degree).delta
-                    (related if pair_i == pair_j else unrelated).append(delta)
+        for m, pairs in by_length.items():
+            sources = np.stack([full_codes[i][:, :m] for i, _ in pairs])
+            targets = np.stack([full_codes[j][:, :m] for _, j in pairs])
+            deltas = fit_stack(sources, targets, degree).delta.tolist()
+            for (i, j), delta in zip(pairs, deltas):
+                (related if entries[i][0] == entries[j][0] else unrelated).append(delta)
         edges = (min(related), max(related), min(unrelated), max(unrelated))
         rows.append(SweepRow(alpha, *edges, "ok"))
     return rows

@@ -27,11 +27,13 @@ CODE_FORMAT_TAG = "density-code v1"
 class EncodeParams:
     """Encoding knobs: background lift and mass-proportional length.
 
-    ``alpha`` switches on mass-proportional code length; when absent the
-    whole sequence is used; pass ``seq.prefix(k)`` to cap the length.
+    The background lift is the density field's: ``lam``, when given, must
+    equal it. ``alpha`` switches on mass-proportional code length; when
+    absent the whole sequence is used; pass ``seq.prefix(k)`` to cap the
+    length.
     """
 
-    lam: float = 1e-4
+    lam: float | None = None
     alpha: float | None = None
 
 
@@ -135,6 +137,11 @@ def encode(
         params = EncodeParams()
     if seq.n != 2:
         raise ValueError("sequence dimension must be 2")
+    if params.lam is not None and params.lam != field.lam:
+        raise ValueError(
+            f"EncodeParams.lam {params.lam!r} does not match the density "
+            f"field's lambda {field.lam!r}"
+        )
     m = code_length(field.foreground_mass, params.alpha, len(seq))
     sy, sx = field.f.shape
     polarity = field.polarity.value if field.polarity is not None else None
@@ -171,7 +178,8 @@ def read_code_csv(path) -> DensityCode:
     """Parse a code file written by :func:`write_code_csv`.
 
     Unknown header keys are ignored so the format can grow. A point row
-    that is not two finite numbers is rejected with its line number.
+    that is not two finite numbers, or a point outside the image
+    (0, Sx) x (0, Sy) the header gives, is rejected with its line number.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
@@ -203,12 +211,22 @@ def read_code_csv(path) -> DensityCode:
         raise ValueError(f"{path}, line {lines[bad[0] + 1][0]}: non-finite coordinate")
     if "m" in meta and points.shape[0] != int(meta["m"]):
         raise ValueError("point count does not match header")
+    if "Sx" not in meta or "Sy" not in meta:
+        raise ValueError(f"{path}: header lacks the image size Sx, Sy")
+    sx, sy = int(meta["Sx"]), int(meta["Sy"])
+    outside = np.flatnonzero(~((points > 0.0) & (points < (sx, sy))).all(axis=1))
+    if outside.size:
+        x, y = points[outside[0]].tolist()
+        raise ValueError(
+            f"{path}, line {lines[outside[0] + 1][0]}: point ({x!r}, {y!r}) "
+            f"outside the image (0, {sx}) x (0, {sy})"
+        )
     alpha_s = meta.get("alpha", "none")
     polarity_s = meta.get("polarity", "none")
     return DensityCode(
         points=points,
-        sx=int(meta.get("Sx", "0")),
-        sy=int(meta.get("Sy", "0")),
+        sx=sx,
+        sy=sy,
         lam=float(meta.get("lambda", "nan")),
         alpha=None if alpha_s == "none" else float(alpha_s),
         polarity=None if polarity_s == "none" else polarity_s,

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densitycode
 from densitycode import generate_figure, read_code_csv, write_pgm
 from densitycode.cli import main
 
@@ -419,3 +424,64 @@ def test_compare_rejects_malformed_code_rows(tmp_path, capsys, row, message, deg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+GOOD_POINTS = ("1,1", "2,5", "6,3", "4,7")
+
+
+def write_code(path, polarity="light-on-dark", seq="halton", points=GOOD_POINTS):
+    path.write_text(
+        f"# density-code v1, n=2, m={len(points)}, Sx=8, Sy=8, lambda=0.0001, "
+        f"alpha=none, polarity={polarity}, seq={seq}\n" + "\n".join(points) + "\n"
+    )
+    return path
+
+
+def test_compare_rejects_point_outside_image(tmp_path, capsys):
+    good = write_code(tmp_path / "good.csv")
+    bad = write_code(tmp_path / "bad.csv", points=("1,1", "2,5", "6,8", "4,7"))
+    rc = main(["compare", str(good), str(bad), "--degree", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "line 4: point (6.0, 8.0) outside the image (0, 8) x (0, 8)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"polarity": "dark-on-light"}, "polarity: light-on-dark vs dark-on-light"),
+        ({"polarity": "none"}, "polarity: light-on-dark vs none"),
+        ({"seq": "sobol"}, "seq: halton vs sobol"),
+    ],
+)
+def test_compare_refuses_codes_of_different_headers(tmp_path, capsys, header, message):
+    v = write_code(tmp_path / "v.csv")
+    w = write_code(tmp_path / "w.csv", **header)
+    rc = main(["compare", str(v), str(w), "--degree", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: codes differ in {message}\n"
+
+
+def test_compare_checks_hold_without_asserts(tmp_path):
+    # the header and range checks must raise, not assert: -O strips asserts
+    v = write_code(tmp_path / "v.csv")
+    w = write_code(tmp_path / "w.csv", polarity="dark-on-light")
+    outside = write_code(tmp_path / "outside.csv", points=("1,1", "2,5", "6,3", "4,9"))
+    src = str(Path(densitycode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    cli = [sys.executable, "-O", "-m", "densitycode.cli", "compare", str(v)]
+    for target, message in ((w, "differ in polarity"), (outside, "outside the image")):
+        proc = subprocess.run(
+            [*cli, str(target), "--degree", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and message in proc.stderr

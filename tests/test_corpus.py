@@ -22,6 +22,7 @@ from densitycode import (
     warp_image,
     wind_warp_coefficients,
 )
+import densitycode.corpus as corpus_module
 from densitycode.corpus import (
     SweepRow,
     _bilinear,
@@ -203,6 +204,34 @@ def test_sweep_rows_match_direct_delta_median(tmp_path):
                 (related if pair_i == pair_j else unrelated).append(delta)
     want = (alpha, min(related), max(related), min(unrelated), max(unrelated), "ok")
     assert rows[1] == want
+
+
+def test_sweep_pairs_equal_delta_median_from_exactly_q_points(tmp_path, monkeypatch):
+    # where the shortest code has exactly q = 10 points the fit interpolates
+    # and delta is pure rounding, so a stacked fit must repeat a one-pair
+    # fit bit for bit to give the same row
+    generate_corpus(tmp_path, CorpusSpec(pair_count=3, size=64, seed=11))
+    entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
+    lightest = min(f.foreground_mass for _, f in entries)
+    alphas = [10.0 / lightest, 0.1, 0.2, 0.3]
+    stacks = []
+    fit = corpus_module.fit_stack
+
+    def recording_fit_stack(V, W, d):
+        result = fit(V, W, d)
+        stacks.append((V, W, d, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "fit_stack", recording_fit_stack)
+        rows = sweep(entries, alphas, 0.3, 3)
+    assert [row.status for row in rows] == ["ok"] * 4
+    assert min(stack[0].shape[2] for stack in stacks) == 10
+    n = len(entries)
+    assert sum(stack[0].shape[0] for stack in stacks) == len(alphas) * n * (n - 1)
+    for V, W, d, result in stacks:
+        for i in range(V.shape[0]):
+            assert result.delta[i] == delta_median(V[i].T, W[i].T, d).delta
 
 
 def test_load_corpus_reports_missing_image(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for code-length selection, CDF inversion, and the array encoder."""
 
 import bisect
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,15 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(field, halton(16, 3))
 
+    def test_lam_must_match_the_field(self):
+        field = figure_field(5, 64, lam=1e-4)
+        seq = halton(300, 2)
+        with pytest.raises(ValueError, match="EncodeParams.lam 5.0 does not match"):
+            encode(field, seq, EncodeParams(lam=5.0))
+        same = encode(field, seq, EncodeParams(lam=1e-4))
+        assert same.lam == 1e-4
+        assert np.array_equal(same.points, encode(field, seq).points)
+
     def test_two_blob_mass_fractions(self):
         img = np.zeros((64, 64))
         img[8:25, 8:25] = 1.0  # quarter of the mass
@@ -262,6 +272,31 @@ class TestCodeCsv:
             f"alpha=none, polarity=none, seq=halton\n\n1,2\n{row}\n3,1\n"
         )
         with pytest.raises(ValueError, match="line 4: "):
+            read_code_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, point",
+        [
+            ("0,2", "(0.0, 2.0)"),
+            ("4,2", "(4.0, 2.0)"),
+            ("1,-0.5", "(1.0, -0.5)"),
+            ("1,4.25", "(1.0, 4.25)"),
+        ],
+    )
+    def test_reader_rejects_point_outside_image(self, tmp_path, row, point):
+        path = tmp_path / "outside.csv"
+        path.write_text(
+            "# density-code v1, n=2, m=3, Sx=4, Sy=4, lambda=0.0001, "
+            f"alpha=none, polarity=none, seq=halton\n1,2\n{row}\n3,1\n"
+        )
+        message = f"line 3: point {point} outside the image (0, 4) x (0, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_code_csv(path)
+
+    def test_reader_requires_image_size(self, tmp_path):
+        path = tmp_path / "nosize.csv"
+        path.write_text("# density-code v1, n=2, m=1, Sx=4, seq=halton\n1,2\n")
+        with pytest.raises(ValueError, match="header lacks the image size"):
             read_code_csv(path)
 
 

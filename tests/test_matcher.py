@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitycode import (
+    CorpusSpec,
+    ExponentSet,
+    Polarity,
     all_powers,
     basis_matrix,
     delta_median,
+    encode,
+    fit_stack,
+    generate_corpus,
+    halton,
     least_squares_fit,
+    load_corpus,
 )
 
 
@@ -39,6 +47,9 @@ class TestAllPowers:
     def test_three_dimensions_count(self):
         assert all_powers(3, 2).q == 10  # C(5, 2)
 
+    def test_cached(self):
+        assert all_powers(2, 5) is all_powers(2, 5)
+
 
 class TestBasisMatrix:
     def test_monomial_row(self):
@@ -59,6 +70,11 @@ class TestBasisMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             basis_matrix(np.ones((3, 2)), all_powers(3, 1))
+
+    def test_rejects_exponent_set_not_from_all_powers(self):
+        exps = ExponentSet(n=2, d=2, vectors=((0, 0), (2, 0), (1, 1)))
+        with pytest.raises(ValueError, match="all_powers"):
+            basis_matrix(np.ones((3, 2)), exps)
 
 
 class TestLeastSquaresFit:
@@ -226,3 +242,131 @@ def test_affine_absorption_property(seed, scale, theta):
     W = V @ A.T + rng.uniform(-10.0, 10.0, 2)
     assert np.linalg.det(A) > 0
     assert delta_median(V, W, 1).delta <= 1e-6
+
+
+def mapped(v):
+    """Source points mapped into [-1, 1] per axis by their bounding box."""
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    return (2.0 * v - (lo + hi)) / (hi - lo)
+
+
+def reference_fit(v, w, d):
+    """Delta and residual sum of squares of an SVD fit on [-1, 1]-mapped points."""
+    m = min(len(v), len(w))
+    v, w = v[:m], w[:m]
+    s = mapped(v)
+    exps = [(i, k - i) for k in range(d + 1) for i in range(k + 1)]
+    B = np.column_stack([s[:, 0] ** i * s[:, 1] ** j for i, j in exps])
+    coef = np.linalg.lstsq(B, w, rcond=None)[0]
+    residuals = np.sqrt(((B @ coef - w) ** 2).sum(axis=1))
+    scale = np.median(np.sqrt(((w - w.mean(axis=0)) ** 2).sum(axis=1)))
+    return 100.0 * np.median(residuals) / scale, (residuals**2).sum()
+
+
+@pytest.fixture(scope="module")
+def large_codes(tmp_path_factory):
+    """(m=4097, 2) codes of both images of two 1024^2 corpus pairs."""
+    corpus = tmp_path_factory.mktemp("corpus1024")
+    generate_corpus(corpus, CorpusSpec(pair_count=2, size=1024, seed=1))
+    seq = halton(4097, 2)
+    entries = load_corpus(corpus, Polarity.LIGHT_ON_DARK, 1e-4)
+    return [encode(field, seq).points for _, field in entries]
+
+
+def test_large_codes_match_mapped_reference_at_every_degree(large_codes):
+    # pixel coordinates near 1024 made the raw monomial basis lose the fit
+    # from d = 3 on; on the mapped basis delta follows the SVD reference
+    for src, dst in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        sse = []
+        for d in range(1, 8):
+            report = delta_median(large_codes[src], large_codes[dst], d)
+            want, want_sse = reference_fit(large_codes[src], large_codes[dst], d)
+            assert report.delta == pytest.approx(want, rel=1e-9, abs=0.0), (src, dst, d)
+            assert report.rank == all_powers(2, d).q
+            sse.append((report.residuals**2).sum())
+            assert sse[-1] == pytest.approx(want_sse, rel=1e-9)
+        # nested families: a higher degree never fits worse
+        assert all(hi <= lo * (1.0 + 1e-9) for lo, hi in zip(sse, sse[1:]))
+
+
+class TestFitStack:
+    def test_items_equal_their_one_pair_fits(self):
+        rng = np.random.default_rng(14)
+        V = rng.uniform(0.0, 200.0, size=(5, 2, 40))
+        W = V + rng.normal(0.0, 3.0, size=V.shape)
+        for d in (0, 1, 3):
+            stack = fit_stack(V, W, d)
+            for i in range(5):
+                report = delta_median(V[i].T, W[i].T, d)
+                assert stack.delta[i] == report.delta
+                assert np.array_equal(stack.residuals[i], report.residuals)
+                assert stack.target_scale[i] == report.target_scale
+
+    def test_degenerate_item_leaves_the_rest_of_its_stack_alone(self):
+        rng = np.random.default_rng(18)
+        V = rng.uniform(0.0, 200.0, size=(3, 2, 40))
+        V[1, 0] = 7.0  # zero-width x: this item goes to the SVD
+        W = V + rng.normal(0.0, 3.0, size=V.shape)
+        with np.errstate(all="raise"):
+            with pytest.warns(RuntimeWarning, match="dropped rank for 1 of 3"):
+                stack = fit_stack(V, W, 3)
+            with pytest.warns(RuntimeWarning, match="dropped rank for 1 of 1"):
+                alone = delta_median(V[1].T, W[1].T, 3)
+        assert stack.rank.tolist() == [10, 4, 10]
+        assert stack.delta[1] == alone.delta
+        for i in (0, 2):
+            assert stack.delta[i] == delta_median(V[i].T, W[i].T, 3).delta
+
+    def test_rejects_stacks_of_other_shapes(self):
+        V = np.ones((3, 2, 20))
+        for W in (np.ones((3, 2, 19)), np.ones((2, 2, 20))):
+            with pytest.raises(ValueError, match="stacks of one shape"):
+                fit_stack(V, W, 1)
+        with pytest.raises(ValueError, match="stacks of one shape"):
+            fit_stack(np.ones((3, 20, 2)), np.ones((3, 20, 2)), 1)
+
+    def test_coefficients_apply_to_mapped_source(self):
+        rng = np.random.default_rng(15)
+        V = rng.uniform(10.0, 900.0, size=(50, 2))
+        W = V + 0.01 * V**2 / 900.0 + rng.normal(0.0, 1.0, size=V.shape)
+        report = delta_median(V, W, 2)
+        B = basis_matrix(mapped(V), all_powers(2, 2))
+        residuals = np.sqrt(((B @ report.transform.coefficients - W) ** 2).sum(axis=1))
+        assert np.allclose(residuals, report.residuals, rtol=0, atol=1e-9)
+
+    def test_report_records_lengths_and_rank(self):
+        rng = np.random.default_rng(16)
+        report = delta_median(random_code(rng, 120), random_code(rng, 75), 3)
+        assert (report.m_source, report.m_target, report.m_used) == (120, 75, 75)
+        assert report.rank == report.transform.rank == 10
+        direct = delta_median(random_code(rng, 20), random_code(rng, 30), 0)
+        assert (direct.m_source, direct.m_target, direct.m_used) == (20, 30, 20)
+        assert direct.rank is None and direct.transform is None
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [
+            ("zero-width x", 4),  # only 1, y, y^2, y^3 survive
+            ("collinear", 4),  # y = 2x + 1 maps x and y to one value
+        ],
+    )
+    def test_degenerate_source_takes_minimum_norm_path(self, shape, rank):
+        rng = np.random.default_rng(17)
+        t = rng.uniform(1.0, 50.0, size=60)
+        if shape == "zero-width x":
+            V = np.column_stack((np.full(60, 7.0), t))
+        else:
+            V = np.column_stack((t, 2.0 * t + 1.0))
+        W = np.column_stack((t, t**2 / 50.0)) + rng.normal(0.0, 0.5, size=(60, 2))
+        with np.errstate(all="raise"):  # a divide or invalid warning fails
+            with pytest.warns(RuntimeWarning, match="dropped rank") as record:
+                report = delta_median(V, W, 3)
+        assert len(record) == 1
+        assert np.isfinite(report.delta) and np.all(np.isfinite(report.residuals))
+        assert report.rank == report.transform.rank == rank
+        # the fitted values are the projection onto the same span as any
+        # minimum-norm fit of the raw monomials
+        B = basis_matrix(V, all_powers(2, 3))
+        raw = least_squares_fit(B, W)
+        raw_residuals = np.sqrt(((B @ raw.coefficients - W) ** 2).sum(axis=1))
+        assert np.allclose(report.residuals, raw_residuals, rtol=1e-7, atol=1e-7)
