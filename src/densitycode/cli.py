@@ -1,8 +1,6 @@
 """Command-line interface: encode, compare, sweep, bench, gen-corpus.
 
 Numeric output uses 17 significant digits so diffs catch real changes.
-Configuration precedence: flags > environment (DC_LAMBDA, DC_SEED) >
-built-in defaults.
 """
 
 from __future__ import annotations
@@ -10,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -27,14 +24,8 @@ DEFAULT_SEED = 42
 DEFAULT_GRID = "16,32,64,128,256,512"
 DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
 TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
-
-
-def _env_lambda() -> float:
-    return float(os.environ.get("DC_LAMBDA", DEFAULT_LAMBDA))
-
-
-def _env_seed() -> int:
-    return int(os.environ.get("DC_SEED", DEFAULT_SEED))
+# a sweep fits every ordered image pair at each alpha of its grid
+MAX_ALPHAS = 10**5
 
 
 def _int_list(text: str) -> list[int]:
@@ -42,14 +33,13 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_encode(args) -> int:
-    lam = args.lam if args.lam is not None else _env_lambda()
-    img = load_image(args.image, args.format)
+    img = load_image(args.image)
     polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
     nimg = normalize(img, polarity)
-    field = make_density_field(nimg, lam)
+    field = make_density_field(nimg, args.lam)
     seq = halton(args.points, 2)
-    code = encode(field, seq, EncodeParams(lam=lam, alpha=args.alpha))
+    code = encode(field, seq, EncodeParams(lam=args.lam, alpha=args.alpha))
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     write_code_csv(code, args.out)
     print(f"m={code.m} elapsed_ms={elapsed_ms:.17g}")
@@ -80,9 +70,11 @@ def cmd_sweep(args) -> int:
         raise ValueError("alpha grid must be finite with --alpha-step > 0")
     if lo > hi:
         raise ValueError("--alpha-min must not exceed --alpha-max")
-    lam = args.lam if args.lam is not None else _env_lambda()
-    entries = load_corpus(Path(args.corpus), Polarity(args.polarity), lam)
-    alphas = [lo + i * step for i in range(math.floor((hi - lo) / step + 0.5) + 1)]
+    count = (hi - lo) / step
+    if not count < MAX_ALPHAS:  # also true when the quotient overflows to inf
+        raise ValueError(f"alpha grid too fine: {count:.3g} steps, limit {MAX_ALPHAS}")
+    entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
+    alphas = [lo + i * step for i in range(math.floor(count + 0.5) + 1)]
     rows = sweep(entries, alphas, hi, args.degree, args.points)
     lines = [",".join(SweepRow._fields)]
     for *values, status in rows:  # an invalid row has no band edges
@@ -121,15 +113,13 @@ def cmd_bench(args) -> int:
         return 0
     if not args.out:
         raise ValueError("bench requires --out")
-    seed = args.seed if args.seed is not None else _env_seed()
-    lam = args.lam if args.lam is not None else _env_lambda()
     samples = bench_mod.run_grid(
         _int_list(args.heights),
         _int_list(args.widths),
         _int_list(args.lengths),
         reps=args.reps,
-        seed=seed,
-        lam=lam,
+        seed=args.seed,
+        lam=args.lam,
     )
     lines = [",".join(TIMING_COLUMNS)]
     for s in samples:
@@ -140,13 +130,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
-    spec = CorpusSpec(
-        pair_count=args.pairs,
-        size=args.size,
-        seed=seed,
-        blur_radius=args.blur,
-    )
+    spec = CorpusSpec(pair_count=args.pairs, size=args.size, seed=args.seed)
     rows = generate_corpus(args.out, spec)
     print(f"pairs={len(rows)} out={args.out}")
     return 0
@@ -179,10 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda",
         dest="lam",
         type=float,
-        default=None,
+        default=DEFAULT_LAMBDA,
         help="background lift constant (default 0.0001)",
     )
-    p.add_argument("--format", choices=["pgm", "png"], default=None)
     p.add_argument("--out", required=True, help="output code CSV")
     p.set_defaults(func=cmd_encode)
 
@@ -213,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[pol.value for pol in Polarity],
         default=Polarity.LIGHT_ON_DARK.value,
     )
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.add_argument(
         "--points",
         type=int,
@@ -237,16 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", default=DEFAULT_GRID)
     p.add_argument("--lengths", default=DEFAULT_LENGTHS)
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-corpus", help="generate the synthetic test corpus")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--pairs", type=int, default=6)
     p.add_argument("--size", type=int, default=128)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--blur", type=float, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_gen_corpus)
 
     return parser
@@ -257,7 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

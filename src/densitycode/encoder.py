@@ -79,7 +79,8 @@ def code_length(
         return available
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be finite and > 0")
-    m = min(available, math.floor(alpha * foreground_mass + 0.5))
+    # cap first: alpha * mass may overflow to inf, which has no floor
+    m = math.floor(min(alpha * foreground_mass + 0.5, available))
     if m < 1:
         raise ValueError("empty code: alpha too small for this image")
     return m

@@ -144,6 +144,9 @@ def load_pgm(path) -> GrayImage:
         raise ValueError(f"maxval {maxval} out of range [1, 65535]")
     count = width * height
     if magic == b"P2":
+        # each sample takes a digit and the separator before it
+        if len(data) - i < 2 * count:
+            raise ValueError("truncated P2 raster")
         values = np.empty(count, dtype=np.float64)
         j = i
         for k in range(count):
@@ -184,29 +187,18 @@ def load_png(path) -> GrayImage:
     return GrayImage(pixels=arr)
 
 
-def load_image(path, fmt: str | None = None) -> GrayImage:
-    """Load a grayscale image, sniffing PGM vs PNG from the file's magic.
-
-    ``fmt`` forces "pgm" or "png" regardless of content.
-    """
+def load_image(path) -> GrayImage:
+    """Load a grayscale image, sniffing PGM vs PNG from the file's magic."""
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"unreadable file: {path}")
-    if fmt is None:
-        with open(path, "rb") as fh:
-            head = fh.read(8)
-        if head[:2] in (b"P2", b"P5"):
-            fmt = "pgm"
-        elif head == b"\x89PNG\r\n\x1a\n":
-            fmt = "png"
-        else:
-            raise ValueError(f"unsupported image format in {path}")
-    fmt = fmt.lower()
-    if fmt == "pgm":
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+    if head[:2] in (b"P2", b"P5"):
         return load_pgm(path)
-    if fmt == "png":
+    if head == b"\x89PNG\r\n\x1a\n":
         return load_png(path)
-    raise ValueError(f"unsupported format {fmt!r} (expected pgm or png)")
+    raise ValueError(f"unsupported image format in {path}")
 
 
 def write_pgm(pixels, path, maxval: int = 255, binary: bool = True) -> None:

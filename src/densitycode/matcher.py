@@ -196,10 +196,10 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int) -> FitStack:
     if d == 0:
         diff = V - W
     else:
-        exps = all_powers(2, d)
-        q = exps.q
+        q = comb(d + 2, 2)  # before all_powers, which builds all q exponents
         if m < q:
             raise ValueError(f"code too short for degree {d}: m={m} < q={q}")
+        exps = all_powers(2, d)
         lo = V.min(axis=2, keepdims=True)
         hi = V.max(axis=2, keepdims=True)
         width = hi - lo

@@ -110,10 +110,7 @@ def test_encode_reruns_byte_identical(figure_pgm, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_encode_lambda_env_precedence(figure_pgm, tmp_path, monkeypatch):
-    env_out = tmp_path / "env.csv"
-    flag_out = tmp_path / "flag.csv"
-    monkeypatch.setenv("DC_LAMBDA", "0.01")
+def test_encode_lambda_comes_from_the_flag_only(figure_pgm, tmp_path, monkeypatch):
     base = [
         "encode",
         "--image",
@@ -123,11 +120,35 @@ def test_encode_lambda_env_precedence(figure_pgm, tmp_path, monkeypatch):
         "--points",
         "64",
     ]
+    plain_out = tmp_path / "plain.csv"
+    env_out = tmp_path / "env.csv"
+    flag_out = tmp_path / "flag.csv"
+    assert main(base + ["--out", str(plain_out)]) == 0
+    # the environment is not read
+    monkeypatch.setenv("DC_LAMBDA", "0.01")
     assert main(base + ["--out", str(env_out)]) == 0
-    assert read_code_csv(env_out).lam == 0.01
-    # explicit flag wins over the environment
-    assert main(base + ["--lambda", "0.0001", "--out", str(flag_out)]) == 0
-    assert read_code_csv(flag_out).lam == 0.0001
+    assert env_out.read_bytes() == plain_out.read_bytes()
+    assert read_code_csv(env_out).lam == 0.0001
+    assert main(base + ["--lambda", "0.01", "--out", str(flag_out)]) == 0
+    assert read_code_csv(flag_out).lam == 0.01
+
+
+def test_encode_rejects_p2_header_larger_than_the_file(tmp_path, capsys):
+    # a 10^12-sample header must fail before any raster is allocated
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
+    args = ["encode", "--image", str(path), "--polarity", "light-on-dark"]
+    assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: truncated P2 raster\n"
+
+
+def test_out_of_memory_ends_as_error(figure_pgm, tmp_path, capsys, monkeypatch):
+    def no_memory(m, n):
+        raise MemoryError(f"Unable to allocate {16 * m} bytes")
+
+    monkeypatch.setattr("densitycode.cli.halton", no_memory)
+    assert main(_encode_args(figure_pgm, tmp_path)) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 1024 bytes\n"
 
 
 def test_compare_self_is_zero(figure_pgm, tmp_path, capsys):
@@ -387,6 +408,8 @@ def small_corpus(tmp_path_factory):
         (["--alpha-step", "nan"], "--alpha-step > 0"),
         (["--alpha-max", "inf"], "alpha grid must be finite"),
         (["--alpha-min", "0.3", "--alpha-max", "0.2"], "must not exceed"),
+        (["--alpha-step", "1e-300"], "alpha grid too fine"),
+        (["--alpha-max", "1e308"], "alpha grid too fine"),
     ],
 )
 def test_sweep_rejects_bad_alpha_grid(small_corpus, tmp_path, capsys, grid, message):
@@ -396,6 +419,30 @@ def test_sweep_rejects_bad_alpha_grid(small_corpus, tmp_path, capsys, grid, mess
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def test_sweep_degree_beyond_every_code_gives_invalid_rows(small_corpus, tmp_path):
+    # q = C(30002, 2) basis terms: the sweep must not build them to find out
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--corpus", str(small_corpus), "--out", str(out)]
+    assert main([*args, "--degree", "30000"]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 50 and {row["status"] for row in rows} == {"invalid"}
+
+
+def test_huge_alpha_takes_the_whole_sequence(figure_pgm, small_corpus, tmp_path):
+    # alpha * mass overflows to inf; the code is then as long as the sequence
+    code_out = tmp_path / "code.csv"
+    args = ["encode", "--image", str(figure_pgm), "--polarity", "light-on-dark"]
+    args += ["--points", "64", "--alpha", "1e308", "--out", str(code_out)]
+    assert main(args) == 0
+    assert read_code_csv(code_out).m == 64
+    sweep_out = tmp_path / "s.csv"
+    grid = ["--alpha-min", "1e308", "--alpha-max", "1e308", "--points", "300"]
+    args = ["sweep", "--corpus", str(small_corpus), "--out", str(sweep_out), *grid]
+    assert main(args) == 0
+    rows = list(csv.DictReader(sweep_out.read_text().splitlines()))
+    assert [row["status"] for row in rows] == ["ok"]
 
 
 @pytest.mark.parametrize(
@@ -464,6 +511,13 @@ def test_compare_refuses_codes_of_different_headers(tmp_path, capsys, header, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: codes differ in {message}\n"
+
+
+def test_compare_rejects_degree_beyond_code_length(tmp_path, capsys):
+    v = write_code(tmp_path / "v.csv")
+    assert main(["compare", str(v), str(v), "--degree", "30000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: code too short for degree 30000: m=4 < q=450045001\n"
 
 
 def test_compare_checks_hold_without_asserts(tmp_path):

@@ -23,49 +23,39 @@ from densitycode import (
     wind_warp_coefficients,
 )
 import densitycode.corpus as corpus_module
-from densitycode.corpus import (
-    SweepRow,
-    _bilinear,
-    _eval_poly,
-    _invert_monotone,
-    _partial_poly,
-    figure_mass,
-)
+from densitycode.corpus import SweepRow, _bilinear, figure_mass
+from densitycode.matcher import all_powers, basis_matrix
 
 
-def root_finding_columns(xcol, y0, sx):
-    """Source x of every output column on source row y0: bisection, Newton."""
-    t = np.arange(sx) + 0.5
-    fn = lambda x: _eval_poly(xcol, x, y0)  # noqa: E731
-    lo, hi = np.zeros(sx), np.full(sx, float(sx))
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
+def cubic(column, x, y):
+    """One output of a cubic map at points (x, y), through the fitting basis."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    points = np.column_stack((x.ravel(), y.ravel()))
+    return (basis_matrix(points, all_powers(2, 3)) @ column).reshape(x.shape)
+
+
+def bisect(fn, t, hi):
+    """Solve fn(x) = t on [0, hi] for increasing fn; NaN outside its range."""
+    lo_x, hi_x = np.zeros(t.shape), np.full(t.shape, hi)
+    for _ in range(64):
+        mid = 0.5 * (lo_x + hi_x)
         right = fn(mid) < t
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        x = x - (fn(x) - t) / _eval_poly(_partial_poly(xcol, 0), x, y0)
-    outside = (t < fn(np.zeros(1))) | (t > fn(np.full(1, float(sx))))
-    return np.where(outside, np.nan, np.clip(x, 0.0, sx))
+        lo_x, hi_x = np.where(right, mid, lo_x), np.where(right, hi_x, mid)
+    outside = (t < fn(np.zeros(1))) | (t > fn(np.full(1, hi)))
+    return np.where(outside, np.nan, 0.5 * (lo_x + hi_x))
 
 
 def root_finding_warp(img, coeffs):
-    """Reference warp_image that root-finds the source x of every row."""
+    """Reference warp_image that bisects for the source y and x of every pixel."""
     px = img.pixels
     sy, sx = px.shape
     fill = float(px.min())
-    ycol = coeffs[:, 1]
-    y_src = _invert_monotone(
-        lambda y: _eval_poly(ycol, 0.0, y),
-        lambda y: _eval_poly(_partial_poly(ycol, 1), 0.0, y),
-        np.arange(sy) + 0.5,
-        0.0,
-        float(sy),
-    )
+    y_src = bisect(lambda y: cubic(coeffs[:, 1], 0.0, y), np.arange(sy) + 0.5, sy)
     out = np.full((sy, sx), fill)
     for r, y0 in enumerate(y_src):
         if np.isfinite(y0):
-            x_src = root_finding_columns(coeffs[:, 0], y0, sx)
+            fn = lambda x: cubic(coeffs[:, 0], x, y0)  # noqa: E731
+            x_src = bisect(fn, np.arange(sx) + 0.5, sx)
             out[r] = _bilinear(px, x_src, np.full(sx, y0), fill)
     return np.maximum(out, 0.0)
 
@@ -123,6 +113,10 @@ class TestWarp:
         curved[5, 0] = 1e-3  # x^2 term: x output still increasing, not linear
         with pytest.raises(ValueError, match="not in transformation family"):
             warp_image(img, curved)
+        slight = identity_warp()
+        slight[2, 1] = 1e-12  # y output depends on x, however little
+        with pytest.raises(ValueError, match="y output depends on x"):
+            warp_image(img, slight)
 
     def test_closed_form_matches_root_finding(self):
         warps = []
@@ -141,7 +135,7 @@ class TestWarp:
         rng = np.random.default_rng(4)
         for _ in range(10):
             coeffs = wind_warp_coefficients(rng, 128)
-            check_warp_family(coeffs, 128, 128)
+            check_warp_family(coeffs, 128)
 
     def test_wind_warp_moves_the_figure(self):
         img = generate_figure(5, 128)

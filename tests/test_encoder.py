@@ -53,6 +53,7 @@ class TestCodeLength:
 
     def test_sequence_cap(self):
         assert code_length(5000.0, 0.5, 100) == 100
+        assert code_length(5000.0, 1e308, 100) == 100  # alpha * mass is inf
 
     def test_empty_code_rejected(self):
         with pytest.raises(ValueError, match="empty code"):

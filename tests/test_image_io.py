@@ -84,7 +84,7 @@ def test_load_png_matches_independent_decoder(tmp_path):
     samples = rng.integers(0, 256, size=(256, 256), dtype=np.uint8)
     path = tmp_path / "gray.png"
     PIL.fromarray(samples, mode="L").save(path)
-    img = load_image(path, "png")
+    img = load_image(path)
     assert img.pixels.shape == (256, 256)
     assert img.pixels.size == 65536
     # pixel-by-pixel agreement with the reference decode
