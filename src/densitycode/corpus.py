@@ -393,8 +393,9 @@ def sweep(
     ``points`` (default: the longest code ``alpha_max`` needs); each alpha
     then compares code prefixes, which equal the codes encoded at that
     alpha bit for bit. The pairs of one alpha that share a common length
-    are fitted in one :func:`fit_stack` call, and each pair's delta equals
-    :func:`delta_median` on the same prefixes. Returns one
+    are fitted in one :func:`fit_stack` call that prepares each image of
+    the group once, as a source and as a target, and each pair's delta
+    equals :func:`delta_median` on the same prefixes. Returns one
     :class:`SweepRow` per alpha.
     """
     if degree < 0:
@@ -423,9 +424,12 @@ def sweep(
             by_length.setdefault(min(lengths[i], lengths[j]), []).append((i, j))
         related, unrelated = [], []
         for m, pairs in by_length.items():
-            sources = np.stack([full_codes[i][:, :m] for i, _ in pairs])
-            targets = np.stack([full_codes[j][:, :m] for _, j in pairs])
-            deltas = fit_stack(sources, targets, degree).delta.tolist()
+            # every image of the group is a source and a target in it
+            members = sorted({i for pair in pairs for i in pair})
+            slot = {image: s for s, image in enumerate(members)}
+            codes = np.stack([full_codes[i][:, :m] for i in members])
+            index = np.array([(slot[i], slot[j]) for i, j in pairs])
+            deltas = fit_stack(codes, codes, degree, pairs=index).delta.tolist()
             for (i, j), delta in zip(pairs, deltas):
                 (related if entries[i][0] == entries[j][0] else unrelated).append(delta)
         edges = (min(related), max(related), min(unrelated), max(unrelated))

@@ -8,6 +8,7 @@ All arithmetic is double precision.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -119,6 +120,25 @@ def _next_token(data: bytes, i: int) -> tuple[bytes, int]:
     return data[start:i], i
 
 
+def _p2_samples(raster: bytes, count: int) -> np.ndarray:
+    """The first ``count`` samples of a P2 raster, as doubles.
+
+    '#' comments run to end of line. Every sample must be all decimal
+    digits; one too large for int64 saturates, which every maxval rejects.
+    """
+    text = re.sub(rb"#[^\n\r]*", b"", raster)
+    byte = np.frombuffer(text, dtype=np.uint8)
+    space = (byte == 0x20) | (byte - 0x09 <= 4)  # space, or one of \t \n \v \f \r
+    # one past the last byte of each sample
+    ends = np.flatnonzero(~space & np.append(space[1:], True)) + 1
+    if len(ends) < count:
+        raise ValueError("truncated P2 raster")
+    end = ends[count - 1]
+    if not np.all(space[:end] | (byte[:end] - 0x30 <= 9)):
+        raise ValueError("malformed P2 raster: a sample is not a decimal number")
+    return np.fromstring(text[:end], dtype=np.int64, sep=" ").astype(np.float64)
+
+
 def load_pgm(path) -> GrayImage:
     """Decode a P2 (ASCII) or P5 (binary) PGM file bit-exactly.
 
@@ -147,14 +167,7 @@ def load_pgm(path) -> GrayImage:
         # each sample takes a digit and the separator before it
         if len(data) - i < 2 * count:
             raise ValueError("truncated P2 raster")
-        values = np.empty(count, dtype=np.float64)
-        j = i
-        for k in range(count):
-            tok, j = _next_token(data, j)
-            if not tok:
-                raise ValueError("truncated P2 raster")
-            values[k] = int(tok)
-        arr = values.reshape(height, width)
+        arr = _p2_samples(data[i:], count).reshape(height, width)
     else:
         j = i + 1  # exactly one whitespace byte separates header from raster
         bytes_per = 2 if maxval > 255 else 1

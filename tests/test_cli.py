@@ -142,6 +142,15 @@ def test_encode_rejects_p2_header_larger_than_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: truncated P2 raster\n"
 
 
+def test_encode_rejects_signed_p2_sample(tmp_path, capsys):
+    path = tmp_path / "signed.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n1 2 3 -4\n")
+    args = ["encode", "--image", str(path), "--polarity", "light-on-dark"]
+    assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
+    err = "error: malformed P2 raster: a sample is not a decimal number\n"
+    assert capsys.readouterr().err == err
+
+
 def test_out_of_memory_ends_as_error(figure_pgm, tmp_path, capsys, monkeypatch):
     def no_memory(m, n):
         raise MemoryError(f"Unable to allocate {16 * m} bytes")

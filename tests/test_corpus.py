@@ -1,5 +1,7 @@
 """Tests for figure generation, polynomial warping and the corpus sweep."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from densitycode import (
     wind_warp_coefficients,
 )
 import densitycode.corpus as corpus_module
+import densitycode.matcher as matcher_module
 from densitycode.corpus import SweepRow, _bilinear, figure_mass
 from densitycode.matcher import all_powers, basis_matrix
 
@@ -211,9 +214,9 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(tmp_path, monkeypa
     stacks = []
     fit = corpus_module.fit_stack
 
-    def recording_fit_stack(V, W, d):
-        result = fit(V, W, d)
-        stacks.append((V, W, d, result))
+    def recording_fit_stack(V, W, d, pairs):
+        result = fit(V, W, d, pairs=pairs)
+        stacks.append((V, W, d, pairs, result))
         return result
 
     with monkeypatch.context() as patch:
@@ -222,10 +225,35 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(tmp_path, monkeypa
     assert [row.status for row in rows] == ["ok"] * 4
     assert min(stack[0].shape[2] for stack in stacks) == 10
     n = len(entries)
-    assert sum(stack[0].shape[0] for stack in stacks) == len(alphas) * n * (n - 1)
-    for V, W, d, result in stacks:
-        for i in range(V.shape[0]):
-            assert result.delta[i] == delta_median(V[i].T, W[i].T, d).delta
+    assert sum(len(stack[3]) for stack in stacks) == len(alphas) * n * (n - 1)
+    for V, W, d, pairs, result in stacks:
+        for i, (a, b) in enumerate(pairs):
+            assert result.delta[i] == delta_median(V[a].T, W[b].T, d).delta
+
+
+def test_sweep_builds_one_basis_per_image_and_length(tmp_path, monkeypatch):
+    generate_corpus(tmp_path, CorpusSpec(pair_count=3, size=64, seed=11))
+    entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
+    alphas = [0.1, 0.2, 0.3]
+    built = []
+    power_basis = matcher_module._power_basis
+
+    def recording_power_basis(s, exps):
+        built.append(s.shape[0])
+        return power_basis(s, exps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matcher_module, "_power_basis", recording_power_basis)
+        rows = sweep(entries, alphas, 0.3, 3)
+    assert [row.status for row in rows] == ["ok"] * 3
+    points = max(code_length(f.foreground_mass, 0.3, 10**9) for _, f in entries)
+    n = len(entries)
+    keys = 0  # distinct (image, common length) per alpha
+    for alpha in alphas:
+        lengths = [code_length(f.foreground_mass, alpha, points) for _, f in entries]
+        pairs = permutations(range(n), 2)
+        keys += len({(i, min(lengths[i], lengths[j])) for i, j in pairs})
+    assert sum(built) == keys < len(alphas) * n * (n - 1)
 
 
 def test_load_corpus_reports_missing_image(tmp_path):

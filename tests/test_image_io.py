@@ -58,6 +58,38 @@ def test_pgm_ascii_round_trip(tmp_path):
     assert np.array_equal(load_pgm(path).pixels, samples.astype(float))
 
 
+def test_pgm_p2_equals_p5_on_a_16bit_image(tmp_path):
+    samples = np.random.default_rng(2).integers(0, 65536, size=(200, 300))
+    write_pgm(samples, tmp_path / "a.pgm", maxval=65535, binary=False)
+    write_pgm(samples, tmp_path / "b.pgm", maxval=65535, binary=True)
+    ascii_pixels = load_pgm(tmp_path / "a.pgm").pixels
+    assert np.array_equal(ascii_pixels, load_pgm(tmp_path / "b.pgm").pixels)
+    assert np.array_equal(ascii_pixels, samples.astype(float))
+
+
+def test_pgm_p2_comments_leading_zeros_and_trailing_text(tmp_path):
+    path = tmp_path / "odd.pgm"
+    path.write_bytes(
+        b"P2\n3 2\n65535#c\n0 00010#x 9\n 20\r\n\t30\x0b40\x0c0065535 -1 trailing text"
+    )
+    assert np.array_equal(load_pgm(path).pixels, [[0, 10, 20], [30, 40, 65535]])
+
+
+@pytest.mark.parametrize("sample", [b"-3", b"+3", b"1_0", b"1.5", b"0x1", b"\xff"])
+def test_pgm_p2_rejects_samples_that_are_not_decimal_numbers(tmp_path, sample):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n1 2 3 " + sample + b"\n")
+    with pytest.raises(ValueError, match="not a decimal number"):
+        load_pgm(path)
+
+
+def test_pgm_p2_sample_beyond_int64_exceeds_maxval(tmp_path):
+    path = tmp_path / "big.pgm"
+    path.write_bytes(b"P2\n2 2\n65535\n1 2 3 " + b"9" * 40 + b"\n")
+    with pytest.raises(ValueError, match="exceeds declared maxval"):
+        load_pgm(path)
+
+
 def test_pgm_rejects_truncated_and_tiny(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5\n4 4\n255\n\x00\x01")

@@ -19,6 +19,7 @@ from densitycode import (
     least_squares_fit,
     load_corpus,
 )
+from densitycode.matcher import _median
 
 
 class TestAllPowers:
@@ -325,6 +326,105 @@ class TestFitStack:
         with pytest.raises(ValueError, match="stacks of one shape"):
             fit_stack(np.ones((3, 20, 2)), np.ones((3, 20, 2)), 1)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        sources=st.integers(min_value=1, max_value=4),
+        targets=st.integers(min_value=1, max_value=4),
+        items=st.integers(min_value=1, max_value=12),
+        m=st.integers(min_value=10, max_value=41),
+        d=st.integers(min_value=0, max_value=3),
+    )
+    def test_indexed_items_equal_their_one_pair_fits(
+        self, seed, sources, targets, items, m, d
+    ):
+        # repeated sources and targets share their prepared work; each item
+        # must still give the bits of fitting its own pair alone
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(0.0, 300.0, size=(sources, 2, m))
+        W = rng.uniform(0.0, 300.0, size=(targets, 2, m))
+        W[0] = V[0] + rng.normal(0.0, 2.0, size=(2, m))
+        pairs = np.column_stack(
+            (rng.integers(0, sources, items), rng.integers(0, targets, items))
+        )
+        stack = fit_stack(V, W, d, pairs=pairs)
+        for i, (a, b) in enumerate(pairs):
+            report = delta_median(V[a].T, W[b].T, d)
+            assert stack.delta[i] == report.delta
+            assert np.array_equal(stack.residuals[i], report.residuals)
+            assert stack.target_scale[i] == report.target_scale
+            if d == 0:
+                assert stack.coefficients is stack.rank is stack.condition is None
+            else:
+                coefficients = report.transform.coefficients
+                assert np.array_equal(stack.coefficients[i], coefficients)
+                assert stack.rank[i] == report.rank
+                assert stack.condition[i] == report.condition
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (np.array([[0, 0], [2, 0]]), "index 2 sources and 3 targets"),
+            (np.array([[0, 3]]), "index 2 sources and 3 targets"),
+            (np.array([[-1, 0]]), "index 2 sources and 3 targets"),
+            (np.zeros((0, 2), dtype=int), "index 2 sources and 3 targets"),
+            (np.array([[0.0, 1.0]]), r"\(k, 2\) integer array"),
+            (np.array([[True, False]]), r"\(k, 2\) integer array"),
+            (np.array([0, 1]), r"\(k, 2\) integer array"),
+            (np.array([[0, 1, 2]]), r"\(k, 2\) integer array"),
+        ],
+    )
+    def test_rejects_bad_pairs(self, pairs, message):
+        V, W = np.ones((2, 2, 20)), np.ones((3, 2, 20))
+        with pytest.raises(ValueError, match=message):
+            fit_stack(V, W, 1, pairs=pairs)
+
+    def test_indexed_stacks_share_only_the_point_count(self):
+        pairs = np.array([[0, 2]])
+        rng = np.random.default_rng(22)
+        V, W = rng.uniform(0.0, 50.0, (1, 2, 20)), rng.uniform(0.0, 50.0, (3, 2, 20))
+        assert fit_stack(V, W, 1, pairs=pairs).delta.shape == (1,)
+        message = r"stacks of one shape \(with pairs: of one m\)"
+        with pytest.raises(ValueError, match=message):
+            fit_stack(np.ones((2, 2, 20)), np.ones((2, 2, 19)), 1, pairs=pairs)
+        with pytest.raises(ValueError, match=message):
+            fit_stack(np.ones((2, 20, 2)), np.ones((2, 20, 2)), 1, pairs=pairs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("side", ["V", "W"])
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_rejects_non_finite_and_huge_coordinates(self, bad, side, indexed):
+        rng = np.random.default_rng(19)
+        codes = {"V": rng.uniform(0.0, 100.0, (2, 2, 30)),
+                 "W": rng.uniform(0.0, 100.0, (2, 2, 30))}
+        codes[side][1, 0, 7] = bad
+        pairs = np.array([[0, 0], [1, 1]]) if indexed else None
+        with pytest.raises(ValueError, match="must be finite and at most 1e"):
+            fit_stack(codes["V"], codes["W"], 3, pairs=pairs)
+        with pytest.raises(ValueError, match="must be finite"):
+            delta_median(codes["V"][1].T, codes["W"][1].T, 0)
+
+    def test_condition_is_the_mapped_basis_singular_value_ratio(self):
+        rng = np.random.default_rng(20)
+        V = rng.uniform(0.0, 1024.0, size=(200, 2))
+        W = V + rng.normal(0.0, 1.0, size=V.shape)
+        for d in (1, 3, 5):
+            report = delta_median(V, W, d)
+            want = np.linalg.cond(basis_matrix(mapped(V), all_powers(2, d)))
+            assert report.condition == pytest.approx(want, rel=1e-6)
+        assert delta_median(V, W, 0).condition is None
+
+    def test_near_collinear_source_reports_its_svd_condition(self):
+        rng = np.random.default_rng(21)
+        t = rng.uniform(0.0, 100.0, size=80)
+        V = np.column_stack((t, t + 1e-7 * rng.normal(size=80)))
+        W = np.column_stack((t, t**2 / 100.0)) + rng.normal(0.0, 0.5, size=(80, 2))
+        report = delta_median(V, W, 1)
+        B = basis_matrix(mapped(V), all_powers(2, 1))
+        assert report.rank == 3 and report.condition > 1e6
+        # fitted by SVD: the ratio comes from lstsq, not from the Gram matrix
+        assert report.condition == pytest.approx(np.linalg.cond(B), rel=1e-6)
+
     def test_coefficients_apply_to_mapped_source(self):
         rng = np.random.default_rng(15)
         V = rng.uniform(10.0, 900.0, size=(50, 2))
@@ -342,6 +442,18 @@ class TestFitStack:
         direct = delta_median(random_code(rng, 20), random_code(rng, 30), 0)
         assert (direct.m_source, direct.m_target, direct.m_used) == (20, 30, 20)
         assert direct.rank is None and direct.transform is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=40),
+        levels=st.integers(min_value=1, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_one_pivot_median_equals_numpy(self, rows, m, levels, seed):
+        # few levels give ties, both parities of m are drawn
+        x = np.random.default_rng(seed).integers(0, levels, (rows, m)) / 7.0
+        assert np.array_equal(_median(x), np.median(x, axis=-1))
 
     @pytest.mark.parametrize(
         "shape, rank",
