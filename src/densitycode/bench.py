@@ -96,18 +96,40 @@ def run_grid(
     return samples
 
 
-def fit_model(samples: list[TimingSample]) -> TimingModel:
-    """Nonnegative least squares over the three timing regressors."""
-    from scipy.optimize import nnls
+def _nnls(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Exact nonnegative least squares for a few columns.
 
+    The optimum is the plain least-squares fit on its own support (Lawson &
+    Hanson, Solving Least Squares Problems, ch. 23), so it is the lowest
+    residual with no negative coefficient over all column subsets.
+    """
+    n = A.shape[1]
+    best, best_rss = np.zeros(n), float(t @ t)
+    for mask in range(1, 2**n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        x = np.linalg.lstsq(A[:, cols], t, rcond=None)[0]
+        rss = float(np.sum((t - A[:, cols] @ x) ** 2))
+        if np.all(x >= 0.0) and rss < best_rss:
+            best, best_rss = np.zeros(n), rss
+            best[cols] = x
+    return best
+
+
+def fit_model(samples: list[TimingSample]) -> TimingModel:
+    """Nonnegative least squares of the timings, exact by column-subset enumeration."""
     if len(samples) < 10:
         raise ValueError("need at least 10 samples")
+    for s in samples:
+        if min(s.H, s.W, s.m) < 1:
+            raise ValueError(f"H, W and m must be >= 1, got {s.H}, {s.W}, {s.m}")
+        if not 0.0 < s.median_ms < math.inf:
+            raise ValueError(f"median_ms must be finite and > 0, got {s.median_ms}")
     for name in ("H", "W", "m"):
         if len({getattr(s, name) for s in samples}) < 2:
             raise ValueError(f"degenerate design: factor {name} is constant")
     A = np.array([_regressors(s.H, s.W, s.m) for s in samples])
     t = np.array([s.median_ms for s in samples])
-    coeffs, _ = nnls(A, t)
+    coeffs = _nnls(A, t)
     predicted = A @ coeffs
     r = float(np.corrcoef(t, predicted)[0, 1])
     rmse = float(np.sqrt(np.mean((t - predicted) ** 2)))

@@ -121,25 +121,36 @@ def _render_segments(segments, size: int, width_scale: float) -> np.ndarray:
     return canvas
 
 
+def _blur_matrix(n: int, sigma: float) -> np.ndarray:
+    """Banded n x n K with K @ p = gaussian_filter1d(p, sigma, axis=0, mode="constant").
+
+    Taps are scipy's normalized exp(-x^2 / 2 sigma^2), |x| <= int(4 sigma + 0.5);
+    no taps fall past the edge, which is the zero padding.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = np.pad(taps / taps.sum(), 1)  # each end's 0 stands for all offsets past it
+    offset = np.subtract.outer(np.arange(n), np.arange(n)) + radius + 1
+    return taps[np.clip(offset, 0, 2 * radius + 2)]
+
+
 def generate_figure(seed, size: int) -> GrayImage:
     """Deterministic blurred branching figure, light on dark.
 
-    The Gaussian blur's sigma is size / 64 pixels. Stroke width is grown
-    until the normalized foreground mass clears 2% of the pixel count, so
-    every figure carries enough mass to encode at small length factors.
+    The Gaussian blur's sigma is size / 64 pixels (K p K^T, `_blur_matrix`).
+    Stroke width is grown until the normalized foreground mass clears 2% of
+    the pixel count, so every figure carries enough mass to encode.
     """
-    from scipy.ndimage import gaussian_filter
-
     if size < 64:
         raise ValueError("size must be >= 64")
     rng = np.random.default_rng(seed)
     segments = _grow_skeleton(rng, size)
+    blur = _blur_matrix(size, size / 64.0)
     floor = _MASS_FLOOR_FRACTION * size * size
     width_scale = 1.0
     canvas = None
     for _ in range(10):
-        canvas = _render_segments(segments, size, width_scale)
-        canvas = gaussian_filter(canvas, sigma=size / 64.0, mode="constant")
+        canvas = blur @ _render_segments(segments, size, width_scale) @ blur.T
         peak = float(canvas.max())
         if peak > 0.0 and float(canvas.sum()) / peak > floor:
             break
@@ -436,7 +447,3 @@ def sweep(
         rows.append(SweepRow(alpha, *edges, "ok"))
     return rows
 
-
-def figure_mass(img: GrayImage) -> float:
-    """Normalized foreground mass of a light-on-dark figure."""
-    return normalize(img, Polarity.LIGHT_ON_DARK).foreground_mass

@@ -58,10 +58,6 @@ class DensityCode:
     def m(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
 
 def code_length(
     foreground_mass: float, alpha: float | None, available: int

@@ -39,14 +39,6 @@ class GrayImage:
             raise ValueError("pixel values must be finite and >= 0")
         object.__setattr__(self, "pixels", px)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class NormalizedImage:
@@ -59,14 +51,6 @@ class NormalizedImage:
     pixels: np.ndarray
     foreground_mass: float
     polarity: Polarity
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
 
 
 @dataclass(frozen=True)
@@ -84,18 +68,6 @@ class DensityField:
     row_cdf: np.ndarray
     foreground_mass: float
     polarity: Polarity | None = None
-
-    @property
-    def height(self) -> int:
-        return self.f.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.f.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.f.shape
 
 
 def _next_token(data: bytes, i: int) -> tuple[bytes, int]:

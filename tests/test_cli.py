@@ -359,6 +359,30 @@ def test_bench_fit_rejects_missing_columns(tmp_path, capsys, text, missing):
     assert f"missing columns {missing}" in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("64,64,128,10,nan", "median_ms must be finite"),
+        ("64,64,128,10,inf", "median_ms must be finite"),
+        ("64,64,128,10,-5", "median_ms must be finite and > 0"),
+        ("0,64,128,10,1.5", "H, W and m must be >= 1"),
+    ],
+)
+def test_bench_fit_rejects_bad_timing_rows(tmp_path, capsys, row, message):
+    lines = ["H,W,m,reps,median_ms", row]
+    for h in (16, 64):
+        for w in (16, 64):
+            for m in (16, 128, 1024):
+                lines.append(f"{h},{w},{m},10,{1e-4 * h * w + 1e-3 * m:.17g}")
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["bench", "fit", "--in", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
 def test_bench_requires_out(capsys):
     rc = main(["bench"])
     assert rc == 1

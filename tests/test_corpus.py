@@ -26,8 +26,13 @@ from densitycode import (
 )
 import densitycode.corpus as corpus_module
 import densitycode.matcher as matcher_module
-from densitycode.corpus import SweepRow, _bilinear, figure_mass
+from densitycode.corpus import SweepRow, _bilinear
 from densitycode.matcher import all_powers, basis_matrix
+
+
+def figure_mass(img):
+    """Normalized foreground mass of a light-on-dark figure."""
+    return normalize(img, Polarity.LIGHT_ON_DARK).foreground_mass
 
 
 def cubic(column, x, y):
@@ -160,7 +165,7 @@ class TestGenerateCorpus:
                 path = tmp_path / f"pair{k}_{suffix}.pgm"
                 assert path.is_file()
                 img = load_pgm(path)
-                assert img.height == 64 and img.width == 64
+                assert img.pixels.shape == (64, 64)
                 # loaded images must normalize and carry mass
                 nimg = normalize(img, Polarity.LIGHT_ON_DARK)
                 assert nimg.foreground_mass > 0

@@ -310,7 +310,7 @@ def scalar_walk(field, u):
         return k, (t - c_lo) / (cdf[k] - c_lo)
 
     iy, wy = bracket(field.row_cdf, u[1])
-    above = field.f[iy - 1] if iy else np.zeros(field.width)
+    above = field.f[iy - 1] if iy else np.zeros(field.f.shape[1])
     col = np.cumsum(above + wy * (field.f[iy] - above))
     ix, wx = bracket(col / col[-1], u[0])
     return ix + wx, iy + wy
@@ -329,7 +329,7 @@ def corpus_pgms(tmp_path_factory):
 def test_encode_matches_scalar_walk_on_corpus_pgms(corpus_pgms):
     for path in corpus_pgms:
         img = load_image(path)
-        seq = halton(16385 if img.width == 1024 else 2049, 2)
+        seq = halton(16385 if img.pixels.shape[1] == 1024 else 2049, 2)
         for polarity in Polarity:
             field = make_density_field(normalize(img, polarity), 1e-4)
             got = encode(field, seq).points

@@ -30,7 +30,7 @@ def test_pgm_p5_2x2(tmp_path):
     path = tmp_path / "tiny.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0]))
     img = load_pgm(path)
-    assert img.height == 2 and img.width == 2
+    assert img.pixels.shape == (2, 2)
     assert np.array_equal(img.pixels, [[0.0, 255.0], [255.0, 0.0]])
 
 
