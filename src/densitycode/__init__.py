@@ -44,9 +44,7 @@ from .image_io import (
 )
 from .matcher import (
     DissimilarityReport,
-    ExponentSet,
     FitStack,
-    TransformFit,
     all_powers,
     basis_matrix,
     delta_median,
@@ -63,7 +61,6 @@ __all__ = [
     "DensityField",
     "DissimilarityReport",
     "EncodeParams",
-    "ExponentSet",
     "FitStack",
     "GrayImage",
     "NormalizedImage",
@@ -71,7 +68,6 @@ __all__ = [
     "QuasiSequence",
     "TimingModel",
     "TimingSample",
-    "TransformFit",
     "all_powers",
     "basis_matrix",
     "check_warp_family",

@@ -6,15 +6,21 @@ Numeric output uses 17 significant digits so diffs catch real changes.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .corpus import CorpusSpec, SweepRow, generate_corpus, load_corpus, sweep
-from .encoder import EncodeParams, encode, read_code_csv, write_code_csv
+from .corpus import (
+    CorpusSpec,
+    SweepRow,
+    generate_corpus,
+    load_corpus,
+    read_table,
+    sweep,
+)
+from .encoder import EncodeParams, code_length, encode, read_code_csv, write_code_csv
 from .image_io import Polarity, load_image, make_density_field, normalize
 from .matcher import delta_median
 from .quasirandom import halton
@@ -26,6 +32,9 @@ DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
 TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
 # a sweep fits every ordered image pair at each alpha of its grid
 MAX_ALPHAS = 10**5
+# without --points a sweep encodes every image at the longest code --alpha-max
+# asks for, 16 bytes a point per image and as much again for the sequence
+MAX_POINTS = 10**7
 
 
 def _int_list(text: str) -> list[int]:
@@ -74,8 +83,17 @@ def cmd_sweep(args) -> int:
     if not count < MAX_ALPHAS:  # also true when the quotient overflows to inf
         raise ValueError(f"alpha grid too fine: {count:.3g} steps, limit {MAX_ALPHAS}")
     entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
+    points = args.points
+    if points is None:  # sweep's default, found here so that it can be bounded
+        masses = [field.foreground_mass for _, field in entries]
+        points = max(code_length(mass, hi, MAX_POINTS + 1) for mass in masses)
+        if points > MAX_POINTS:
+            raise ValueError(
+                f"--alpha-max {hi:g} asks for codes over {MAX_POINTS} points; "
+                "set --points"
+            )
     alphas = [lo + i * step for i in range(math.floor(count + 0.5) + 1)]
-    rows = sweep(entries, alphas, hi, args.degree, args.points)
+    rows = sweep(entries, alphas, hi, args.degree, points)
     lines = [",".join(SweepRow._fields)]
     for *values, status in rows:  # an invalid row has no band edges
         cells = ["" if value is None else f"{value:.17g}" for value in values]
@@ -89,22 +107,16 @@ def cmd_bench(args) -> int:
     if args.mode == "fit":
         if not args.infile:
             raise ValueError("bench fit requires --in")
-        samples = []
-        with open(args.infile, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in TIMING_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"{args.infile}: missing columns {', '.join(missing)}")
-            for row in reader:
-                samples.append(
-                    bench_mod.TimingSample(
-                        H=int(row["H"]),
-                        W=int(row["W"]),
-                        m=int(row["m"]),
-                        reps=int(row["reps"]),
-                        median_ms=float(row["median_ms"]),
-                    )
-                )
+        samples = [
+            bench_mod.TimingSample(
+                H=int(row["H"]),
+                W=int(row["W"]),
+                m=int(row["m"]),
+                reps=int(row["reps"]),
+                median_ms=float(row["median_ms"]),
+            )
+            for row in read_table(args.infile, TIMING_COLUMNS)
+        ]
         model = bench_mod.fit_model(samples)
         print(
             f"a={model.a:.17g} b={model.b:.17g} c={model.c:.17g} "

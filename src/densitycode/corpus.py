@@ -30,13 +30,13 @@ from .image_io import (
 from .matcher import all_powers, fit_stack
 from .quasirandom import halton
 
-_CUBIC = all_powers(2, 3)
-_MONO_INDEX = {vec: t for t, vec in enumerate(_CUBIC.vectors)}
+_CUBIC = all_powers(3)
+_MONO_INDEX = {vec: t for t, vec in enumerate(_CUBIC)}
 # rows of x*y^k and of y^k, k ascending: a(y) comes from the first in the
 # x column, b(y) and q(y) from the second in the x and y columns
 _X_ROWS = [_MONO_INDEX[(1, k)] for k in range(3)]
 _Y_ROWS = [_MONO_INDEX[(0, k)] for k in range(4)]
-_X_POWER = np.array([a for a, _ in _CUBIC.vectors])  # the power of x of each row
+_X_POWER = np.array([a for a, _ in _CUBIC])  # the power of x of each row
 
 # minimum normalized foreground mass, as a fraction of the pixel count
 _MASS_FLOOR_FRACTION = 0.02
@@ -183,8 +183,8 @@ def check_warp_family(coeffs, sy: int) -> None:
     must be positive on 17 rows spread over [0, sy].
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (_CUBIC.q, 2):
-        raise ValueError(f"coefficients must be ({_CUBIC.q}, 2)")
+    if coeffs.shape != (len(_CUBIC), 2):
+        raise ValueError(f"coefficients must be ({len(_CUBIC)}, 2)")
     if np.any(coeffs[_X_POWER > 1, 0] != 0.0):
         raise ValueError("not in transformation family: x output not linear in x")
     if np.any(coeffs[_X_POWER > 0, 1] != 0.0):
@@ -200,7 +200,7 @@ def check_warp_family(coeffs, sy: int) -> None:
 
 def identity_warp() -> np.ndarray:
     """Coefficients of the identity map over the cubic basis."""
-    coeffs = np.zeros((_CUBIC.q, 2))
+    coeffs = np.zeros((len(_CUBIC), 2))
     coeffs[_MONO_INDEX[(1, 0)], 0] = 1.0
     coeffs[_MONO_INDEX[(0, 1)], 1] = 1.0
     return coeffs
@@ -331,7 +331,7 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
         spec = CorpusSpec()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    coeff_names = [f"{axis}_{a}{b}" for axis in ("x", "y") for a, b in _CUBIC.vectors]
+    coeff_names = [f"{axis}_{a}{b}" for axis in ("x", "y") for a, b in _CUBIC]
     rows: list[dict] = []
     for k in range(spec.pair_count):
         figure = generate_figure([spec.seed, k], spec.size)
@@ -362,6 +362,22 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
     return rows
 
 
+def read_table(path, columns) -> list[dict]:
+    """Rows of a CSV file with a header row; each must give every one of ``columns``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            if any(row[c] is None for c in columns):  # DictReader's fill value
+                line = reader.line_num
+                raise ValueError(f"{path}: line {line}: fewer fields than the header")
+            rows.append(row)
+    return rows
+
+
 def load_corpus(corpus_dir, polarity: Polarity, lam: float) -> list:
     """(pair id, density field) of every image the manifest lists, in order."""
     corpus_dir = Path(corpus_dir)
@@ -369,15 +385,14 @@ def load_corpus(corpus_dir, polarity: Polarity, lam: float) -> list:
     if not manifest.is_file():
         raise ValueError(f"corpus incomplete: missing {manifest}")
     entries = []
-    with open(manifest, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            pair = int(row["pair"])
-            for key in ("file_a", "file_b"):
-                path = corpus_dir / row[key]
-                if not path.is_file():
-                    raise ValueError(f"corpus incomplete: missing {path}")
-                nimg = normalize(load_image(path), polarity)
-                entries.append((pair, make_density_field(nimg, lam)))
+    for row in read_table(manifest, ("pair", "file_a", "file_b")):
+        pair = int(row["pair"])
+        for key in ("file_a", "file_b"):
+            path = corpus_dir / row[key]
+            if not path.is_file():
+                raise ValueError(f"corpus incomplete: missing {path}")
+            nimg = normalize(load_image(path), polarity)
+            entries.append((pair, make_density_field(nimg, lam)))
     if len(entries) < 4:
         raise ValueError("corpus incomplete: need at least two pairs")
     return entries
@@ -420,7 +435,7 @@ def sweep(
         np.ascontiguousarray(encode(field, seq, params).points.T)
         for _, field in entries
     ]
-    q = math.comb(degree + 2, 2)  # all_powers(2, degree).q, without building it
+    q = math.comb(degree + 2, 2)  # len(all_powers(degree)), without building it
     rows = []
     for alpha in alphas:
         lengths = [

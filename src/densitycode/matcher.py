@@ -34,123 +34,67 @@ MAX_CONDITION = 1e6
 MAX_COORDINATE = 1e100
 
 
-@dataclass(frozen=True)
-class ExponentSet:
-    """Ordered exponent n-tuples with component sum <= d."""
-
-    n: int
-    d: int
-    vectors: tuple[tuple[int, ...], ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.vectors)
-
-
 @lru_cache(maxsize=None)
-def all_powers(n: int, d: int) -> ExponentSet:
-    """Enumerate exponent n-tuples of total degree 0 through d.
+def all_powers(d: int) -> tuple[tuple[int, int], ...]:
+    """Exponent pairs (i, j) of the monomials x**i * y**j of degree 0 through d.
 
-    Within each total degree k the leading coordinate ascends, recursively,
-    so for n = 2 the order is (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), ...
-    The count is C(n+d, d). A degree-d set is always a prefix of the
-    degree-(d+1) set, which makes higher-degree bases supersets of lower.
-    Results are cached; the returned set is immutable.
+    Within each degree k the power of x ascends, so the order is (0,0),
+    (0,1), (1,0), (0,2), (1,1), (2,0), ... The count is C(d+2, 2). A
+    degree-d tuple is always a prefix of the degree-(d+1) tuple, which makes
+    higher-degree bases supersets of lower. Results are cached.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
-    vectors: list[tuple[int, ...]] = []
-
-    def build(prefix: tuple[int, ...], remaining: int) -> None:
-        if len(prefix) == n - 1:
-            vectors.append(prefix + (remaining,))
-            return
-        for p in range(remaining + 1):
-            build(prefix + (p,), remaining - p)
-
-    for k in range(d + 1):
-        build((), k)
-    assert len(vectors) == comb(n + d, d)
-    return ExponentSet(n=n, d=d, vectors=tuple(vectors))
+    return tuple((i, k - i) for k in range(d + 1) for i in range(k + 1))
 
 
 def _as_points(code) -> np.ndarray:
-    """Accept a DensityCode or a plain (m, n) array."""
+    """Accept a DensityCode or a plain (m, 2) array."""
     pts = getattr(code, "points", code)
     return np.asarray(pts, dtype=np.float64)
 
 
-@lru_cache(maxsize=None)
-def _power_steps(exps: ExponentSet) -> tuple[tuple[int, int, int], ...]:
-    """(t, lower, i) for each monomial row t after the first: row t is row
-    ``lower`` (its exponent with one unit fewer in its first nonzero place)
-    times coordinate i."""
-    row_of = {vec: t for t, vec in enumerate(exps.vectors)}
-    steps = []
-    for t, vec in enumerate(exps.vectors[1:], 1):
-        i = next(i for i, p in enumerate(vec) if p)
-        steps.append((t, row_of[vec[:i] + (vec[i] - 1,) + vec[i + 1 :]], i))
-    return tuple(steps)
+def _power_basis(s: np.ndarray, d: int) -> np.ndarray:
+    """Monomial rows of coordinate-major points: (k, 2, m) -> (k, q, m).
 
-
-def _power_basis(s: np.ndarray, exps: ExponentSet) -> np.ndarray:
-    """Monomial rows of coordinate-major points: (k, n, m) -> (k, q, m).
-
-    Row t is the product over coordinates i of s[:, i] ** exps[t][i], built
-    by repeated multiplication (see :func:`_power_steps`).
+    Rows follow :func:`all_powers`. Degree block j (rows j(j+1)/2 onward)
+    is y times the first row of block j-1, then x times each row of block
+    j-1: every row is one product of a lower row and a coordinate.
     """
-    k, n, m = s.shape
-    basis = np.empty((k, exps.q, m))
-    basis[:, 0] = 1.0  # the all-zeros exponent leads every set
-    for t, lower, i in _power_steps(exps):
-        np.multiply(basis[:, lower], s[:, i], out=basis[:, t])
+    k, _, m = s.shape
+    basis = np.empty((k, comb(d + 2, 2), m))
+    basis[:, 0] = 1.0  # the (0, 0) exponent leads every degree
+    for j in range(1, d + 1):
+        lower, start = j * (j - 1) // 2, j * (j + 1) // 2
+        np.multiply(basis[:, lower], s[:, 1], out=basis[:, start])
+        block = basis[:, start + 1 : start + j + 1]
+        np.multiply(basis[:, lower:start], s[:, :1], out=block)
     return basis
 
 
-def basis_matrix(code, exps: ExponentSet) -> np.ndarray:
-    """Monomial design matrix: entry (j, t) = prod_i points[j,i] ** exps[t][i].
+def basis_matrix(code, d: int) -> np.ndarray:
+    """Monomial design matrix of (x, y) points: entry (r, t) = x_r**i * y_r**j.
 
-    Exponent component i applies to code coordinate i, with coordinates
-    ordered (x, y). The all-zeros tuple yields a column of ones. ``exps``
-    must be a set :func:`all_powers` makes.
+    Column t has exponents (i, j) = all_powers(d)[t]; the (0, 0) exponent
+    yields a column of ones.
     """
     pts = _as_points(code)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("code must be a nonempty (m, n) matrix")
-    if pts.shape[1] != exps.n:
-        raise ValueError("exponent dimension does not match code dimension")
-    if exps != all_powers(exps.n, exps.d):
-        raise ValueError("exponent set must be one that all_powers makes")
-    return _power_basis(pts.T[None], exps)[0].T
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise ValueError("code must be a nonempty (m, 2) matrix")
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    return _power_basis(pts.T[None], d)[0].T
 
 
-@dataclass(frozen=True)
-class TransformFit:
-    """Least-squares polynomial-map coefficients, one column per output axis.
-
-    ``rank`` is the numerical rank of the basis: q unless the minimum-norm
-    fit dropped directions. ``condition`` is the basis condition number,
-    the ratio of its largest to its smallest singular value (inf when the
-    smallest is 0).
-    """
-
-    coefficients: np.ndarray  # (q, n)
-    degree: int | None
-    m: int
-    q: int
-    rank: int
-    condition: float | None = None
-
-
-def least_squares_fit(B, W, degree: int | None = None) -> TransformFit:
+def least_squares_fit(B, W) -> tuple[np.ndarray, int, float]:
     """Minimum-norm least-squares solution T of B @ T ~ W.
 
     Solved by SVD with rank tolerance max(m, q) * eps relative to the
     largest singular value, so rank-deficient bases still give the
-    minimum-norm coefficients. Underdetermined systems (m < q) are
-    rejected: they would interpolate noise instead of fitting.
+    minimum-norm coefficients. Returns (T, the numerical rank of B, the
+    ratio of its largest to its smallest singular value, inf when the
+    smallest is 0). Underdetermined systems (m < q) are rejected: they
+    would interpolate noise instead of fitting.
     """
     B = np.asarray(B, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -158,15 +102,11 @@ def least_squares_fit(B, W, degree: int | None = None) -> TransformFit:
         raise ValueError("B and W must be 2-D with matching row counts")
     m, q = B.shape
     if m < q:
-        if degree is not None:
-            raise ValueError(
-                f"code too short for degree {degree}: m={m} < q={q}"
-            )
         raise ValueError(f"underdetermined fit: m={m} < q={q}")
     rcond = max(m, q) * np.finfo(np.float64).eps
     T, _, rank, sv = np.linalg.lstsq(B, W, rcond=rcond)
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else inf
-    return TransformFit(T, degree=degree, m=m, q=q, rank=int(rank), condition=condition)
+    return T, int(rank), condition
 
 
 class FitStack(NamedTuple):
@@ -268,16 +208,15 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
     if d == 0:
         diff = V[a] - W[b]
     else:
-        q = comb(d + 2, 2)  # before all_powers, which builds all q exponents
+        q = comb(d + 2, 2)
         if m < q:
             raise ValueError(f"code too short for degree {d}: m={m} < q={q}")
-        exps = all_powers(2, d)
         # per source: basis, Gram matrix, its eigendecomposition and inverse
         lo = V.min(axis=2, keepdims=True)
         hi = V.max(axis=2, keepdims=True)
         width = hi - lo
         s = (2.0 * V - (lo + hi)) / np.where(width > 0, width, 1.0)
-        basis = _power_basis(s, exps)
+        basis = _power_basis(s, d)
         gram = basis @ basis.transpose(0, 2, 1)
         # gram = u diag(lam) u^T with lam ascending; cond(gram) = cond(B)^2,
         # and a NaN or non-positive smallest eigenvalue also means the SVD
@@ -297,9 +236,9 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
         rank = np.full(k, q)
         condition = source_condition[a]
         for i in np.flatnonzero(~solvable[a]):
-            fit = least_squares_fit(basis[i].T, target[i].T, degree=d)
-            coefficients[i], rank[i] = fit.coefficients, fit.rank
-            condition[i] = fit.condition
+            coefficients[i], rank[i], condition[i] = least_squares_fit(
+                basis[i].T, target[i].T
+            )
         if (rank < q).any():
             warnings.warn(
                 f"degree-{d} fit dropped rank for {int((rank < q).sum())} of {k} "
@@ -325,9 +264,12 @@ class DissimilarityReport:
     delta = 100 * median(residuals) / target_scale, where target_scale is
     the median distance of the target code's points to their centroid.
     ``m_source`` and ``m_target`` are the input code lengths before the
-    cut to the common prefix of ``m_used`` points. ``transform`` maps the
+    cut to the common prefix of ``m_used`` points. ``coefficients`` map the
     source mapped into [-1, 1] by its bounding box (see :func:`fit_stack`),
-    not raw pixel coordinates; it is None at degree 0.
+    not raw pixel coordinates. ``rank`` is q unless the minimum-norm fit
+    dropped directions; ``condition`` is the basis condition number,
+    sqrt(max/min eigenvalue of its Gram matrix), or the singular-value
+    ratio for a fit done by SVD. All three are None at degree 0.
     """
 
     delta: float
@@ -337,18 +279,9 @@ class DissimilarityReport:
     degree: int
     m_source: int
     m_target: int
-    transform: TransformFit | None = None
-
-    @property
-    def rank(self) -> int | None:
-        """The fit's rank: q unless the minimum-norm fit dropped directions."""
-        return None if self.transform is None else self.transform.rank
-
-    @property
-    def condition(self) -> float | None:
-        """The basis condition number: sqrt(max/min eigenvalue of its Gram
-        matrix), or the singular-value ratio for a fit done by SVD."""
-        return None if self.transform is None else self.transform.condition
+    coefficients: np.ndarray | None = None  # (q, 2)
+    rank: int | None = None
+    condition: float | None = None
 
 
 def delta_median(V, W, d: int) -> DissimilarityReport:
@@ -373,13 +306,6 @@ def delta_median(V, W, d: int) -> DissimilarityReport:
     fit = fit_stack(
         np.ascontiguousarray(v[:m].T)[None], np.ascontiguousarray(w[:m].T)[None], d
     )
-    transform = None
-    if d > 0:
-        q = fit.coefficients.shape[1]
-        rank, condition = int(fit.rank[0]), float(fit.condition[0])
-        transform = TransformFit(
-            fit.coefficients[0], degree=d, m=m, q=q, rank=rank, condition=condition
-        )
     return DissimilarityReport(
         delta=float(fit.delta[0]),
         residuals=fit.residuals[0],
@@ -388,5 +314,7 @@ def delta_median(V, W, d: int) -> DissimilarityReport:
         degree=d,
         m_source=v.shape[0],
         m_target=w.shape[0],
-        transform=transform,
+        coefficients=None if d == 0 else fit.coefficients[0],
+        rank=None if d == 0 else int(fit.rank[0]),
+        condition=None if d == 0 else float(fit.condition[0]),
     )

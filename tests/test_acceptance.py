@@ -215,18 +215,18 @@ def test_criterion_08_least_squares_correctness():
     for _ in range(100):
         B = rng.normal(size=(200, 10))
         W = rng.normal(size=(200, 2))
-        fit = least_squares_fit(B, W)
-        lhs = np.linalg.norm(B.T @ (B @ fit.coefficients - W))
+        T, _, _ = least_squares_fit(B, W)
+        lhs = np.linalg.norm(B.T @ (B @ T - W))
         bound = 1e-8 * (1.0 + np.linalg.norm(B.T) * np.linalg.norm(W))
         worst_orth = max(worst_orth, lhs / bound)
     worst_recovery = 0.0
     for _ in range(20):
         B = rng.normal(size=(200, 10))
         T0 = rng.normal(size=(10, 2))
-        fit = least_squares_fit(B, B @ T0)
+        T, _, _ = least_squares_fit(B, B @ T0)
         worst_recovery = max(
             worst_recovery,
-            np.linalg.norm(fit.coefficients - T0) / np.linalg.norm(T0),
+            np.linalg.norm(T - T0) / np.linalg.norm(T0),
         )
     _report(
         8,

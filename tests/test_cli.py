@@ -293,6 +293,22 @@ def test_sweep_missing_manifest(tmp_path, capsys):
     assert "corpus incomplete" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ("pair,file_a\n0,pair0_A.pgm\n", "missing columns file_b"),
+        ("size,seed\n64,7\n", "missing columns pair, file_a, file_b"),
+        ("pair,file_a,file_b\n0,pair0_A.pgm\n", "line 2: fewer fields than the header"),
+    ],
+)
+def test_sweep_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
+    (tmp_path / "manifest.csv").write_text(manifest)
+    rc = main(["sweep", "--corpus", str(tmp_path), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_bench_run_and_fit(tmp_path, capsys):
     timing = tmp_path / "timing.csv"
     rc = main(
@@ -366,6 +382,7 @@ def test_bench_fit_rejects_missing_columns(tmp_path, capsys, text, missing):
         ("64,64,128,10,inf", "median_ms must be finite"),
         ("64,64,128,10,-5", "median_ms must be finite and > 0"),
         ("0,64,128,10,1.5", "H, W and m must be >= 1"),
+        ("16,16", "line 2: fewer fields than the header"),
     ],
 )
 def test_bench_fit_rejects_bad_timing_rows(tmp_path, capsys, row, message):
@@ -461,6 +478,28 @@ def test_sweep_degree_beyond_every_code_gives_invalid_rows(small_corpus, tmp_pat
     assert main([*args, "--degree", "30000"]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 50 and {row["status"] for row in rows} == {"invalid"}
+
+
+def test_sweep_bounds_the_sequence_length_it_derives(
+    small_corpus, tmp_path, capsys, monkeypatch
+):
+    # without --points, alpha * mass overflows and would ask for the longest
+    # sequence there is; the stub stands in for halton, so nothing is built
+    requested = []
+
+    def halton_stub(m, n):
+        requested.append(m)
+        raise MemoryError(f"halton({m}, {n}) not built")
+
+    monkeypatch.setattr(densitycode.corpus, "halton", halton_stub)
+    out = tmp_path / "s.csv"
+    grid = ["--alpha-min", "1e308", "--alpha-max", "1e308"]
+    rc = main(["sweep", "--corpus", str(small_corpus), "--out", str(out), *grid])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert requested == []
+    assert err.startswith("error: ") and "set --points" in err
+    assert not out.exists()
 
 
 def test_huge_alpha_takes_the_whole_sequence(figure_pgm, small_corpus, tmp_path):

@@ -27,7 +27,7 @@ from densitycode import (
 import densitycode.corpus as corpus_module
 import densitycode.matcher as matcher_module
 from densitycode.corpus import SweepRow, _bilinear
-from densitycode.matcher import all_powers, basis_matrix
+from densitycode.matcher import basis_matrix
 
 
 def figure_mass(img):
@@ -39,7 +39,7 @@ def cubic(column, x, y):
     """One output of a cubic map at points (x, y), through the fitting basis."""
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     points = np.column_stack((x.ravel(), y.ravel()))
-    return (basis_matrix(points, all_powers(2, 3)) @ column).reshape(x.shape)
+    return (basis_matrix(points, 3) @ column).reshape(x.shape)
 
 
 def bisect(fn, t, hi):
@@ -243,9 +243,9 @@ def test_sweep_builds_one_basis_per_image_and_length(tmp_path, monkeypatch):
     built = []
     power_basis = matcher_module._power_basis
 
-    def recording_power_basis(s, exps):
+    def recording_power_basis(s, d):
         built.append(s.shape[0])
-        return power_basis(s, exps)
+        return power_basis(s, d)
 
     with monkeypatch.context() as patch:
         patch.setattr(matcher_module, "_power_basis", recording_power_basis)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from densitycode import (
     CorpusSpec,
-    ExponentSet,
     Polarity,
     all_powers,
     basis_matrix,
@@ -24,58 +23,50 @@ from densitycode.matcher import _median
 
 class TestAllPowers:
     def test_degree_one(self):
-        exps = all_powers(2, 1)
-        assert exps.vectors == ((0, 0), (0, 1), (1, 0))
-        assert exps.q == 3
+        assert all_powers(1) == ((0, 0), (0, 1), (1, 0))
 
     def test_degree_two_order(self):
-        exps = all_powers(2, 2)
-        assert exps.vectors == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+        assert all_powers(2) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
 
     def test_cubic_count(self):
-        assert all_powers(2, 3).q == 10
+        assert len(all_powers(3)) == 10
 
     def test_constant_only(self):
-        exps = all_powers(1, 0)
-        assert exps.vectors == ((0,),)
-        assert exps.q == 1
+        assert all_powers(0) == ((0, 0),)
 
     def test_lower_degree_is_prefix_of_higher(self):
-        low = all_powers(2, 2)
-        high = all_powers(2, 3)
-        assert high.vectors[: low.q] == low.vectors
-
-    def test_three_dimensions_count(self):
-        assert all_powers(3, 2).q == 10  # C(5, 2)
+        low = all_powers(2)
+        assert all_powers(3)[: len(low)] == low
 
     def test_cached(self):
-        assert all_powers(2, 5) is all_powers(2, 5)
+        assert all_powers(5) is all_powers(5)
 
 
 class TestBasisMatrix:
     def test_monomial_row(self):
-        exps = all_powers(2, 1)
-        B = basis_matrix(np.array([[2.0, 3.0]]), exps)
+        B = basis_matrix(np.array([[2.0, 3.0]]), 1)
         assert np.array_equal(B, [[1.0, 3.0, 2.0]])
 
     def test_constant_basis(self):
-        exps = all_powers(2, 0)
-        B = basis_matrix(np.random.default_rng(0).normal(size=(7, 2)), exps)
+        B = basis_matrix(np.random.default_rng(0).normal(size=(7, 2)), 0)
         assert np.array_equal(B, np.ones((7, 1)))
 
     def test_origin_row(self):
-        exps = all_powers(2, 2)
-        B = basis_matrix(np.array([[0.0, 0.0]]), exps)
+        B = basis_matrix(np.array([[0.0, 0.0]]), 2)
         assert np.array_equal(B, [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            basis_matrix(np.ones((3, 2)), all_powers(3, 1))
+        with pytest.raises(ValueError, match=r"\(m, 2\) matrix"):
+            basis_matrix(np.ones((3, 3)), 1)
 
-    def test_rejects_exponent_set_not_from_all_powers(self):
-        exps = ExponentSet(n=2, d=2, vectors=((0, 0), (2, 0), (1, 1)))
-        with pytest.raises(ValueError, match="all_powers"):
-            basis_matrix(np.ones((3, 2)), exps)
+    def test_columns_follow_all_powers_order_at_degree_six(self):
+        # small integers keep every product exact, and x != y tells the
+        # exponents of a column apart
+        pts = np.random.default_rng(23).integers(-4, 5, size=(40, 2)).astype(float)
+        x, y = pts[:, 0], pts[:, 1]
+        want = np.column_stack([x**i * y**j for i, j in all_powers(6)])
+        assert want.shape == (40, 28)
+        assert np.array_equal(basis_matrix(pts, 6), want)
 
 
 class TestLeastSquaresFit:
@@ -83,15 +74,15 @@ class TestLeastSquaresFit:
         rng = np.random.default_rng(1)
         B = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
         W = rng.normal(size=(4, 2))
-        fit = least_squares_fit(B, W)
-        assert np.allclose(B @ fit.coefficients, W, atol=1e-10)
+        T, _, _ = least_squares_fit(B, W)
+        assert np.allclose(B @ T, W, atol=1e-10)
 
     def test_planted_recovery(self):
         rng = np.random.default_rng(2)
         B = rng.normal(size=(50, 6))
         T0 = rng.normal(size=(6, 2))
-        fit = least_squares_fit(B, B @ T0)
-        assert np.linalg.norm(fit.coefficients - T0) <= 1e-9 * np.linalg.norm(T0)
+        T, _, _ = least_squares_fit(B, B @ T0)
+        assert np.linalg.norm(T - T0) <= 1e-9 * np.linalg.norm(T0)
 
     def test_rank_deficient_matches_ridge_oracle(self):
         # duplicated column makes B rank 3 of 4; the minimum-norm solution
@@ -100,32 +91,31 @@ class TestLeastSquaresFit:
         B = rng.normal(size=(10, 4))
         B[:, 2] = B[:, 0]
         W = rng.normal(size=(10, 2))
-        fit = least_squares_fit(B, W)
-        resid_orth = np.linalg.norm(B.T @ (B @ fit.coefficients - W))
+        T, rank, condition = least_squares_fit(B, W)
+        assert rank == 3 and condition > 1e14
+        resid_orth = np.linalg.norm(B.T @ (B @ T - W))
         assert resid_orth <= 1e-8 * (
             1.0 + np.linalg.norm(B.T) * np.linalg.norm(W)
         )
         ridge = 1e-10
         oracle = np.linalg.solve(B.T @ B + ridge * np.eye(4), B.T @ W)
-        assert np.allclose(fit.coefficients, oracle, atol=1e-5)
+        assert np.allclose(T, oracle, atol=1e-5)
         # equal share across the duplicated columns is the min-norm signature
-        assert np.allclose(fit.coefficients[0], fit.coefficients[2], atol=1e-8)
+        assert np.allclose(T[0], T[2], atol=1e-8)
 
     def test_underdetermined_rejected(self):
         B = np.ones((3, 5))
         W = np.ones((3, 2))
         with pytest.raises(ValueError, match="m=3 < q=5"):
             least_squares_fit(B, W)
-        with pytest.raises(ValueError, match="code too short for degree 4"):
-            least_squares_fit(B, W, degree=4)
 
     def test_normal_equation_orthogonality_random(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             B = rng.normal(size=(40, 7))
             W = rng.normal(size=(40, 2))
-            fit = least_squares_fit(B, W)
-            lhs = np.linalg.norm(B.T @ (B @ fit.coefficients - W))
+            T, _, _ = least_squares_fit(B, W)
+            lhs = np.linalg.norm(B.T @ (B @ T - W))
             rhs = 1e-8 * (1.0 + np.linalg.norm(B.T) * np.linalg.norm(W))
             assert lhs <= rhs
 
@@ -222,8 +212,7 @@ class TestDeltaMedian:
         assert report.residuals.shape == (30,)
         assert report.target_scale > 0
         assert report.degree == 1
-        assert report.transform is not None
-        assert report.transform.coefficients.shape == (3, 2)
+        assert report.coefficients.shape == (3, 2)
         expected = 100.0 * np.median(report.residuals) / report.target_scale
         assert report.delta == pytest.approx(expected, rel=1e-15)
 
@@ -283,7 +272,7 @@ def test_large_codes_match_mapped_reference_at_every_degree(large_codes):
             report = delta_median(large_codes[src], large_codes[dst], d)
             want, want_sse = reference_fit(large_codes[src], large_codes[dst], d)
             assert report.delta == pytest.approx(want, rel=1e-9, abs=0.0), (src, dst, d)
-            assert report.rank == all_powers(2, d).q
+            assert report.rank == len(all_powers(d))
             sse.append((report.residuals**2).sum())
             assert sse[-1] == pytest.approx(want_sse, rel=1e-9)
         # nested families: a higher degree never fits worse
@@ -356,8 +345,7 @@ class TestFitStack:
             if d == 0:
                 assert stack.coefficients is stack.rank is stack.condition is None
             else:
-                coefficients = report.transform.coefficients
-                assert np.array_equal(stack.coefficients[i], coefficients)
+                assert np.array_equal(stack.coefficients[i], report.coefficients)
                 assert stack.rank[i] == report.rank
                 assert stack.condition[i] == report.condition
 
@@ -410,7 +398,7 @@ class TestFitStack:
         W = V + rng.normal(0.0, 1.0, size=V.shape)
         for d in (1, 3, 5):
             report = delta_median(V, W, d)
-            want = np.linalg.cond(basis_matrix(mapped(V), all_powers(2, d)))
+            want = np.linalg.cond(basis_matrix(mapped(V), d))
             assert report.condition == pytest.approx(want, rel=1e-6)
         assert delta_median(V, W, 0).condition is None
 
@@ -420,7 +408,7 @@ class TestFitStack:
         V = np.column_stack((t, t + 1e-7 * rng.normal(size=80)))
         W = np.column_stack((t, t**2 / 100.0)) + rng.normal(0.0, 0.5, size=(80, 2))
         report = delta_median(V, W, 1)
-        B = basis_matrix(mapped(V), all_powers(2, 1))
+        B = basis_matrix(mapped(V), 1)
         assert report.rank == 3 and report.condition > 1e6
         # fitted by SVD: the ratio comes from lstsq, not from the Gram matrix
         assert report.condition == pytest.approx(np.linalg.cond(B), rel=1e-6)
@@ -430,18 +418,18 @@ class TestFitStack:
         V = rng.uniform(10.0, 900.0, size=(50, 2))
         W = V + 0.01 * V**2 / 900.0 + rng.normal(0.0, 1.0, size=V.shape)
         report = delta_median(V, W, 2)
-        B = basis_matrix(mapped(V), all_powers(2, 2))
-        residuals = np.sqrt(((B @ report.transform.coefficients - W) ** 2).sum(axis=1))
+        B = basis_matrix(mapped(V), 2)
+        residuals = np.sqrt(((B @ report.coefficients - W) ** 2).sum(axis=1))
         assert np.allclose(residuals, report.residuals, rtol=0, atol=1e-9)
 
     def test_report_records_lengths_and_rank(self):
         rng = np.random.default_rng(16)
         report = delta_median(random_code(rng, 120), random_code(rng, 75), 3)
         assert (report.m_source, report.m_target, report.m_used) == (120, 75, 75)
-        assert report.rank == report.transform.rank == 10
+        assert report.rank == 10 and report.coefficients.shape == (10, 2)
         direct = delta_median(random_code(rng, 20), random_code(rng, 30), 0)
         assert (direct.m_source, direct.m_target, direct.m_used) == (20, 30, 20)
-        assert direct.rank is None and direct.transform is None
+        assert direct.rank is direct.coefficients is direct.condition is None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -475,10 +463,10 @@ class TestFitStack:
                 report = delta_median(V, W, 3)
         assert len(record) == 1
         assert np.isfinite(report.delta) and np.all(np.isfinite(report.residuals))
-        assert report.rank == report.transform.rank == rank
+        assert report.rank == rank
         # the fitted values are the projection onto the same span as any
         # minimum-norm fit of the raw monomials
-        B = basis_matrix(V, all_powers(2, 3))
-        raw = least_squares_fit(B, W)
-        raw_residuals = np.sqrt(((B @ raw.coefficients - W) ** 2).sum(axis=1))
+        B = basis_matrix(V, 3)
+        raw, _, _ = least_squares_fit(B, W)
+        raw_residuals = np.sqrt(((B @ raw - W) ** 2).sum(axis=1))
         assert np.allclose(report.residuals, raw_residuals, rtol=1e-7, atol=1e-7)
