@@ -9,6 +9,7 @@ import argparse
 import math
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -32,8 +33,8 @@ DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
 TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
 # a sweep fits every ordered image pair at each alpha of its grid
 MAX_ALPHAS = 10**5
-# without --points a sweep encodes every image at the longest code --alpha-max
-# asks for, 16 bytes a point per image and as much again for the sequence
+# a sequence takes 16 bytes a point and each code as much again; without
+# --points a sweep encodes every image at the longest code --alpha-max asks for
 MAX_POINTS = 10**7
 
 
@@ -41,7 +42,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _check_points(points: int | None) -> None:
+    if points is not None and points > MAX_POINTS:
+        raise ValueError(f"--points {points} exceeds the limit of {MAX_POINTS}")
+
+
 def cmd_encode(args) -> int:
+    _check_points(args.points)
     img = load_image(args.image)
     polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
@@ -66,14 +73,15 @@ def cmd_compare(args) -> int:
     report = delta_median(code_v, code_w, args.degree)
     print(f"delta={report.delta:.17g}")
     if args.residuals:
-        lines = ["index,residual"]
-        for idx, value in enumerate(report.residuals):
-            lines.append(f"{idx},{value:.17g}")
-        Path(args.residuals).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        residuals = report.residuals.tolist()
+        cells = chain.from_iterable(enumerate(residuals))  # index, value, ...
+        rows = "%d,%.17g\n" * len(residuals) % tuple(cells)
+        Path(args.residuals).write_text("index,residual\n" + rows, encoding="utf-8")
     return 0
 
 
 def cmd_sweep(args) -> int:
+    _check_points(args.points)
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
         raise ValueError("alpha grid must be finite with --alpha-step > 0")

@@ -161,14 +161,14 @@ def write_code_csv(code: DensityCode, path) -> None:
     """
     alpha_s = "none" if code.alpha is None else f"{code.alpha:.17g}"
     polarity_s = code.polarity if code.polarity is not None else "none"
-    lines = [
+    header = (
         f"# {CODE_FORMAT_TAG}, n=2, m={code.m}, Sx={code.sx}, Sy={code.sy}, "
         f"lambda={code.lam:.17g}, alpha={alpha_s}, polarity={polarity_s}, "
-        f"seq={code.seq_name}"
-    ]
-    for x, y in code.points:
-        lines.append(f"{x:.17g},{y:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        f"seq={code.seq_name}\n"
+    )
+    # one format call over Python floats, not one f-string per numpy row
+    body = "%.17g,%.17g\n" * code.m % tuple(code.points.ravel().tolist())
+    Path(path).write_text(header + body, encoding="utf-8")
 
 
 def read_code_csv(path) -> DensityCode:

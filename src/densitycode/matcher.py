@@ -178,7 +178,8 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
     distance of its points to their centroid. Items do not interact: the
     tests check that each item's result is bit-identical to fitting its pair
     alone, which holds as long as numpy runs the stacked linear algebra item
-    by item. Warns (RuntimeWarning) when a fit had to drop rank.
+    by item. Warns (RuntimeWarning) once a call when any item went to the
+    SVD, naming how many and how many of those dropped rank.
     """
     V = np.asarray(V, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -235,15 +236,17 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
         coefficients -= inverse @ (basis @ diff.transpose(0, 2, 1))
         rank = np.full(k, q)
         condition = source_condition[a]
-        for i in np.flatnonzero(~solvable[a]):
+        by_svd = np.flatnonzero(~solvable[a])
+        for i in by_svd:
             coefficients[i], rank[i], condition[i] = least_squares_fit(
                 basis[i].T, target[i].T
             )
-        if (rank < q).any():
+        if by_svd.size:
             warnings.warn(
-                f"degree-{d} fit dropped rank for {int((rank < q).sum())} of {k} "
-                f"source codes (lowest rank {int(rank.min())} of q={q}): the source "
-                "points are degenerate (collinear, or one value on an axis)",
+                f"degree-{d} fit went to the SVD for {by_svd.size} of {k} items (basis "
+                f"condition above {MAX_CONDITION:g}: near-degenerate source points) "
+                f"and dropped rank for {int((rank < q).sum())} of {k} (lowest rank "
+                f"{int(rank.min())} of q={q}: collinear, or one value on an axis)",
                 RuntimeWarning,
                 stacklevel=2,
             )

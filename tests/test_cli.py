@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import densitycode
-from densitycode import generate_figure, read_code_csv, write_pgm
-from densitycode.cli import main
+from densitycode import delta_median, generate_figure, read_code_csv, write_pgm
+from densitycode.cli import MAX_POINTS, main
 
 
 @pytest.fixture()
@@ -208,28 +208,27 @@ def test_compare_truncates_to_common_prefix(figure_pgm, tmp_path, capsys):
 
 
 def test_compare_writes_residuals(figure_pgm, tmp_path, capsys):
-    out = tmp_path / "c.csv"
-    main(
-        [
-            "encode",
-            "--image",
-            str(figure_pgm),
-            "--polarity",
-            "light-on-dark",
-            "--points",
-            "64",
-            "--out",
-            str(out),
-        ]
-    )
+    other_pgm = tmp_path / "other.pgm"
+    pixels = generate_figure(22, 64).pixels
+    write_pgm(np.rint(pixels / pixels.max() * 65535.0), other_pgm, maxval=65535)
+    codes = []
+    for image in (figure_pgm, other_pgm):
+        codes.append(tmp_path / f"{image.stem}.csv")
+        args = ["encode", "--image", str(image), "--polarity", "light-on-dark"]
+        assert main([*args, "--points", "64", "--out", str(codes[-1])]) == 0
     residuals = tmp_path / "resid.csv"
-    rc = main(
-        ["compare", str(out), str(out), "--degree", "1", "--residuals", str(residuals)]
-    )
-    assert rc == 0
-    lines = residuals.read_text().splitlines()
-    assert lines[0] == "index,residual"
-    assert len(lines) == 65
+    for degree in (1, 0):
+        rc = main(
+            ["compare", *map(str, codes), "--degree", str(degree)]
+            + ["--residuals", str(residuals)]
+        )
+        assert rc == 0
+        report = delta_median(*map(read_code_csv, codes), degree)
+        reference = "".join(
+            f"{index},{value:.17g}\n" for index, value in enumerate(report.residuals)
+        )
+        assert residuals.read_bytes() == f"index,residual\n{reference}".encode()
+        assert len(reference.splitlines()) == 64
 
 
 def test_gen_corpus_and_sweep(tmp_path, capsys):
@@ -499,6 +498,33 @@ def test_sweep_bounds_the_sequence_length_it_derives(
     err = capsys.readouterr().err
     assert requested == []
     assert err.startswith("error: ") and "set --points" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "sweep"])
+def test_points_above_the_limit_are_refused(
+    figure_pgm, small_corpus, tmp_path, capsys, monkeypatch, command
+):
+    # the stub stands in for halton, so no sequence is built
+    requested = []
+
+    def halton_stub(m, n):
+        requested.append(m)
+        raise MemoryError(f"halton({m}, {n}) not built")
+
+    monkeypatch.setattr(densitycode.cli, "halton", halton_stub)
+    monkeypatch.setattr(densitycode.corpus, "halton", halton_stub)
+    out = tmp_path / "out.csv"
+    if command == "encode":
+        args = ["encode", "--image", str(figure_pgm), "--polarity", "light-on-dark"]
+    else:
+        args = ["sweep", "--corpus", str(small_corpus)]
+    rc = main([*args, "--points", str(MAX_POINTS + 1), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert requested == []
+    limit = MAX_POINTS
+    assert err == f"error: --points {limit + 1} exceeds the limit of {limit}\n"
     assert not out.exists()
 
 

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitycode import (
     CorpusSpec,
@@ -294,11 +296,145 @@ class TestCodeCsv:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_code_csv(path)
 
+    def test_body_matches_per_line_reference(self, tmp_path):
+        # whole numbers, 1e-05-scale values, values just under S, the
+        # smallest subnormal, and real code points
+        code = encode(figure_field(6, 64), halton(300, 2))
+        awkward = [
+            [1.0, 63.0],
+            [1.2345678901234567e-05, 3.0e-05],
+            [np.nextafter(64.0, 0.0), np.nextafter(64.0, 0.0)],
+            [5e-324, 0.5],
+            [10.0, np.nextafter(1.0, 2.0)],
+        ]
+        points = np.vstack((awkward, code.points))
+        path = tmp_path / "code.csv"
+        write_code_csv(DensityCode(points, 64, 64, 1e-4, None, None), path)
+        header, body = path.read_text(encoding="utf-8").split("\n", 1)
+        assert header.startswith("# density-code v1, n=2, m=305,")
+        assert body == "".join(f"{x:.17g},{y:.17g}\n" for x, y in points.tolist())
+        assert np.array_equal(read_code_csv(path).points, points)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(0.0, 17.0, exclude_min=True, exclude_max=True),
+                st.floats(0.0, 5.0, exclude_min=True, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_write_read_round_trip(self, tmp_path_factory, points):
+        path = tmp_path_factory.mktemp("round_trip") / "code.csv"
+        code = DensityCode(np.array(points), 17, 5, 1e-4, 0.25, "dark-on-light")
+        write_code_csv(code, path)
+        body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+        assert body == "".join(f"{x:.17g},{y:.17g}\n" for x, y in points)
+        loaded = read_code_csv(path)
+        assert np.array_equal(loaded.points, code.points)
+        assert (loaded.alpha, loaded.polarity) == (0.25, "dark-on-light")
+
+    @pytest.mark.parametrize(
+        "body, points",
+        [
+            ("1.5,2.5\r\n3.25,0.75\r\n", [[1.5, 2.5], [3.25, 0.75]]),  # CRLF
+            ("1.5,2.5\n   \n\t\n3.25,0.75\n", [[1.5, 2.5], [3.25, 0.75]]),
+            ("1.5,2.5\n3.25,0.75", [[1.5, 2.5], [3.25, 0.75]]),  # no final newline
+            (" 1.5 ,2.5\n3.25,\t0.75 \n", [[1.5, 2.5], [3.25, 0.75]]),  # padded
+            ("1_0,2\n3.25,1e0\n", [[10.0, 2.0], [3.25, 1.0]]),  # as float() reads
+        ],
+    )
+    def test_reader_accepts(self, tmp_path, body, points):
+        path = tmp_path / "code.csv"
+        path.write_bytes(
+            b"# density-code v1, n=2, m=2, Sx=16, Sy=4, lambda=0.0001, "
+            b"alpha=none, polarity=none, seq=halton\r\n" + body.encode()
+        )
+        assert read_code_csv(path).points.tolist() == points
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a long row and a short one: as many fields as two good rows
+            (["1,2", "1,2,3", "4", "3,1"], "line 6: expected 2 fields, found 3"),
+            (["1,2", "3,1", "2", "5,6,7"], "line 8: expected 2 fields, found 1"),
+            (["1,2", "# x, y", "3,1", "1,1"], "line 6: could not convert string"),
+            (["1,2", "3,1", " 2 ,inf", "1,1"], "line 8: non-finite coordinate"),
+            (["1,2", "3,1", "1,1", "2,4"], "line 9: point (2.0, 4.0) outside"),
+            # a row that does not parse is named before an earlier non-finite one
+            (["nan,1", "3,1", "1,x", "1,1"], "line 8: could not convert string"),
+        ],
+    )
+    def test_reader_names_bad_row_after_blank_lines(self, tmp_path, rows, message):
+        # lines 2 and 3 are empty, line 5 is whitespace, line 7 is empty
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# density-code v1, n=2, m=4, Sx=4, Sy=4, lambda=0.0001, "
+            "alpha=none, polarity=none, seq=halton\n\n\n"
+            f"{rows[0]}\n  \t\n{rows[1]}\n\n{rows[2]}\n{rows[3]}\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}, {message}")):
+            read_code_csv(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(
+            st.sampled_from(
+                ["1,2", " 3.5 ,\t4", "1_0,2", "1e-3,7", "", "  ", "\t", "1,2,3",
+                 "4", "x,1", "# a, b", "nan,1", "1,inf", "0,5", "5,11"]
+            ),
+            max_size=12,
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_reader_agrees_with_per_line_reference(
+        self, tmp_path_factory, rows, newline
+    ):
+        path = tmp_path_factory.mktemp("reader") / "code.csv"
+        header = "# density-code v1, n=2, Sx=10, Sy=10, seq=halton"
+        text = newline.join([header, *rows])
+        path.write_bytes(text.encode())
+        want = reference_read_points(path, text, 10, 10)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as excinfo:
+                read_code_csv(path)
+            assert str(excinfo.value) == want
+        else:
+            assert np.array_equal(read_code_csv(path).points, want)
+
     def test_reader_requires_image_size(self, tmp_path):
         path = tmp_path / "nosize.csv"
         path.write_text("# density-code v1, n=2, m=1, Sx=4, seq=halton\n1,2\n")
         with pytest.raises(ValueError, match="header lacks the image size"):
             read_code_csv(path)
+
+
+def reference_read_points(path, text, sx, sy):
+    """Reference: the point rows read line by line; the points or the error."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    rows = []
+    for lineno, line in lines[1:]:
+        fields = line.split(",")
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"expected 2 fields, found {len(fields)}")
+            rows.append((float(fields[0]), float(fields[1])))
+        except ValueError as exc:
+            return f"{path}, line {lineno}: {exc}"
+    points = np.array(rows).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        return f"{path}, line {lines[bad[0] + 1][0]}: non-finite coordinate"
+    outside = np.flatnonzero(~((points > 0.0) & (points < (sx, sy))).all(axis=1))
+    if outside.size:
+        x, y = points[outside[0]].tolist()
+        return (
+            f"{path}, line {lines[outside[0] + 1][0]}: point ({x!r}, {y!r}) "
+            f"outside the image (0, {sx}) x (0, {sy})"
+        )
+    return points
 
 
 def scalar_walk(field, u):

@@ -407,7 +407,10 @@ class TestFitStack:
         t = rng.uniform(0.0, 100.0, size=80)
         V = np.column_stack((t, t + 1e-7 * rng.normal(size=80)))
         W = np.column_stack((t, t**2 / 100.0)) + rng.normal(0.0, 0.5, size=(80, 2))
-        report = delta_median(V, W, 1)
+        message = "went to the SVD for 1 of 1 items"
+        with pytest.warns(RuntimeWarning, match=message) as record:
+            report = delta_median(V, W, 1)
+        assert len(record) == 1 and "dropped rank for 0 of 1" in str(record[0].message)
         B = basis_matrix(mapped(V), 1)
         assert report.rank == 3 and report.condition > 1e6
         # fitted by SVD: the ratio comes from lstsq, not from the Gram matrix
