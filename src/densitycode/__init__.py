@@ -12,6 +12,7 @@ wide family of geometric transformations.
 from .bench import TimingModel, TimingSample, fit_model, run_grid
 from .corpus import (
     CorpusSpec,
+    WindWarp,
     check_warp_family,
     generate_corpus,
     generate_figure,
@@ -68,6 +69,7 @@ __all__ = [
     "QuasiSequence",
     "TimingModel",
     "TimingSample",
+    "WindWarp",
     "all_powers",
     "basis_matrix",
     "check_warp_family",

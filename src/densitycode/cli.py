@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .corpus import (
+    MAX_POINTS,
     CorpusSpec,
     SweepRow,
     generate_corpus,
@@ -21,7 +22,7 @@ from .corpus import (
     read_table,
     sweep,
 )
-from .encoder import EncodeParams, code_length, encode, read_code_csv, write_code_csv
+from .encoder import EncodeParams, encode, read_code_csv, write_code_csv
 from .image_io import Polarity, load_image, make_density_field, normalize
 from .matcher import delta_median
 from .quasirandom import halton
@@ -33,22 +34,15 @@ DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
 TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
 # a sweep fits every ordered image pair at each alpha of its grid
 MAX_ALPHAS = 10**5
-# a sequence takes 16 bytes a point and each code as much again; without
-# --points a sweep encodes every image at the longest code --alpha-max asks for
-MAX_POINTS = 10**7
 
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _check_points(points: int | None) -> None:
-    if points is not None and points > MAX_POINTS:
-        raise ValueError(f"--points {points} exceeds the limit of {MAX_POINTS}")
-
-
 def cmd_encode(args) -> int:
-    _check_points(args.points)
+    if args.points > MAX_POINTS:  # sweep refuses the same, for its own sequence
+        raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
     img = load_image(args.image)
     polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
@@ -81,7 +75,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_points(args.points)
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
         raise ValueError("alpha grid must be finite with --alpha-step > 0")
@@ -91,17 +84,8 @@ def cmd_sweep(args) -> int:
     if not count < MAX_ALPHAS:  # also true when the quotient overflows to inf
         raise ValueError(f"alpha grid too fine: {count:.3g} steps, limit {MAX_ALPHAS}")
     entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
-    points = args.points
-    if points is None:  # sweep's default, found here so that it can be bounded
-        masses = [field.foreground_mass for _, field in entries]
-        points = max(code_length(mass, hi, MAX_POINTS + 1) for mass in masses)
-        if points > MAX_POINTS:
-            raise ValueError(
-                f"--alpha-max {hi:g} asks for codes over {MAX_POINTS} points; "
-                "set --points"
-            )
     alphas = [lo + i * step for i in range(math.floor(count + 0.5) + 1)]
-    rows = sweep(entries, alphas, hi, args.degree, points)
+    rows = sweep(entries, alphas, hi, args.degree, args.points)
     lines = [",".join(SweepRow._fields)]
     for *values, status in rows:  # an invalid row has no band edges
         cells = ["" if value is None else f"{value:.17g}" for value in values]

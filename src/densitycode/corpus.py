@@ -27,19 +27,14 @@ from .image_io import (
     normalize,
     write_pgm,
 )
-from .matcher import all_powers, fit_stack
+from .matcher import fit_stack
 from .quasirandom import halton
-
-_CUBIC = all_powers(3)
-_MONO_INDEX = {vec: t for t, vec in enumerate(_CUBIC)}
-# rows of x*y^k and of y^k, k ascending: a(y) comes from the first in the
-# x column, b(y) and q(y) from the second in the x and y columns
-_X_ROWS = [_MONO_INDEX[(1, k)] for k in range(3)]
-_Y_ROWS = [_MONO_INDEX[(0, k)] for k in range(4)]
-_X_POWER = np.array([a for a, _ in _CUBIC])  # the power of x of each row
 
 # minimum normalized foreground mass, as a fraction of the pixel count
 _MASS_FLOOR_FRACTION = 0.02
+# a sequence takes 16 bytes a point and each code as much again; without
+# --points a sweep encodes every image at the longest code --alpha-max asks for
+MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -175,85 +170,76 @@ def _derivative(coeffs):
     return np.arange(1, len(coeffs)) * coeffs[1:]
 
 
-def check_warp_family(coeffs, sy: int) -> None:
-    """Check that the map is x' = a(y)*x + b(y), y' = q(y), a > 0, q' > 0.
+class WindWarp(NamedTuple):
+    """The map x' = a(y)*x + b(y), y' = q(y): ascending coefficients in y."""
 
-    Every coefficient outside the family (a power of x above 1 in the x
-    output, any power of x in the y output) must be exactly 0; a and q'
-    must be positive on 17 rows spread over [0, sy].
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (len(_CUBIC), 2):
-        raise ValueError(f"coefficients must be ({len(_CUBIC)}, 2)")
-    if np.any(coeffs[_X_POWER > 1, 0] != 0.0):
-        raise ValueError("not in transformation family: x output not linear in x")
-    if np.any(coeffs[_X_POWER > 0, 1] != 0.0):
-        raise ValueError("not in transformation family: y output depends on x")
+    a: np.ndarray
+    b: np.ndarray
+    q: np.ndarray
+
+
+def check_warp_family(warp: WindWarp, sy: int) -> None:
+    """Check that a > 0 and q' > 0 on 17 rows spread over [0, sy]; NaN fails."""
     ys = np.linspace(0.0, sy, 17)
-    a = _poly(coeffs[_X_ROWS, 0], ys)
-    dq = _poly(_derivative(coeffs[_Y_ROWS, 1]), ys)
+    a = _poly(warp.a, ys)
+    dq = _poly(_derivative(warp.q), ys)
     if not (np.all(a > 0.0) and np.all(dq > 0.0)):
         raise ValueError(
             "not in transformation family: Jacobian diagonal not positive"
         )
 
 
-def identity_warp() -> np.ndarray:
-    """Coefficients of the identity map over the cubic basis."""
-    coeffs = np.zeros((len(_CUBIC), 2))
-    coeffs[_MONO_INDEX[(1, 0)], 0] = 1.0
-    coeffs[_MONO_INDEX[(0, 1)], 1] = 1.0
-    return coeffs
+def identity_warp() -> WindWarp:
+    """A new identity map, a = 1, b = 0, q = y, with a cubic's room in b and q."""
+    return WindWarp(
+        a=np.array([1.0, 0.0, 0.0]), b=np.zeros(4), q=np.array([0.0, 1.0, 0.0, 0.0])
+    )
 
 
-def wind_warp_coefficients(
-    rng: np.random.Generator, size: int, strength: float = 0.07
-) -> np.ndarray:
+def wind_warp_coefficients(rng: np.random.Generator, size: int) -> WindWarp:
     """Random gentle sway: x shifts by a cubic in y, y bends mildly.
 
     The peak x displacement over the rectangle is rescaled into
-    [strength/2, strength] * size so warps are visible but never extreme.
+    [0.035, 0.07] * size so warps are visible but never extreme.
     """
     s = float(size)
-    coeffs = identity_warp()
     sway = rng.uniform(-1.0, 1.0, size=3)  # coefficients of p(y/s), no constant
     ys = np.linspace(0.0, 1.0, 65)
     peak = float(np.max(np.abs(sway[0] * ys + sway[1] * ys**2 + sway[2] * ys**3)))
     if peak == 0.0:
         sway = np.array([1.0, 0.0, 0.0])
         peak = 1.0
-    target = rng.uniform(0.5 * strength, strength)
-    sway *= target / peak
-    coeffs[_MONO_INDEX[(0, 1)], 0] = sway[0]
-    coeffs[_MONO_INDEX[(0, 2)], 0] = sway[1] / s
-    coeffs[_MONO_INDEX[(0, 3)], 0] = sway[2] / s**2
+    sway *= rng.uniform(0.035, 0.07) / peak
     bend = rng.uniform(-0.04, 0.04, size=2)
-    coeffs[_MONO_INDEX[(0, 2)], 1] = bend[0] / s
-    coeffs[_MONO_INDEX[(0, 3)], 1] = bend[1] / s**2
-    return coeffs
+    return WindWarp(
+        a=np.array([1.0, 0.0, 0.0]),
+        b=np.array([0.0, sway[0], sway[1] / s, sway[2] / s**2]),
+        q=np.array([0.0, 1.0, bend[0] / s, bend[1] / s**2]),
+    )
 
 
-def _invert_monotone(fn, dfn, targets, lo: float, hi: float):
-    """Solve fn(x) = t for strictly increasing fn on [lo, hi], vectorized.
+def _invert_monotone(q, targets, lo: float, hi: float):
+    """Solve q(y) = t for a polynomial q increasing on [lo, hi], vectorized.
 
     Bisection localizes the root, a few Newton steps polish it to machine
-    precision. Targets outside [fn(lo), fn(hi)] come back NaN.
+    precision. Targets outside [q(lo), q(hi)] come back NaN.
     """
+    dq = _derivative(q)
     t = np.asarray(targets, dtype=np.float64)
-    flo = float(fn(np.array([lo]))[0])
-    fhi = float(fn(np.array([hi]))[0])
+    flo = float(_poly(q, np.array([lo]))[0])
+    fhi = float(_poly(q, np.array([hi]))[0])
     outside = (t < flo) | (t > fhi)
     a = np.full(t.shape, lo)
     b = np.full(t.shape, hi)
     for _ in range(52):
         mid = 0.5 * (a + b)
-        go_right = fn(mid) < t
+        go_right = _poly(q, mid) < t
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
     x = 0.5 * (a + b)
     for _ in range(3):
-        d = dfn(x)
-        x = x - (fn(x) - t) / np.where(d > 0.0, d, 1.0)
+        d = _poly(dq, x)
+        x = x - (_poly(q, x) - t) / np.where(d > 0.0, d, 1.0)
     x = np.clip(x, lo, hi)
     x[outside] = np.nan
     return x
@@ -289,30 +275,21 @@ def _bilinear(px: np.ndarray, x, y, fill: float):
     return np.where(ok, value, fill)
 
 
-def warp_image(img: GrayImage, coeffs) -> GrayImage:
-    """Apply a forward cubic map by inverse-mapping every output pixel.
+def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
+    """Apply a forward wind warp by inverse-mapping every output pixel.
 
     The y component depends only on y, so the source y is constant along
     each output row and is found by inverting q; the x component is then
     a(y)*x + b(y), inverted in closed form per row. Bilinear sampling with
     the image minimum as background fill completes the resampling.
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
     px = img.pixels
     sy, sx = px.shape
-    check_warp_family(coeffs, sy)
+    check_warp_family(warp, sy)
     fill = float(px.min())
-    q = coeffs[_Y_ROWS, 1]
-    dq = _derivative(q)
-    y_src = _invert_monotone(
-        lambda y: _poly(q, y),
-        lambda y: _poly(dq, y),
-        np.arange(sy) + 0.5,
-        0.0,
-        float(sy),
-    )
-    a = _poly(coeffs[_X_ROWS, 0], y_src)
-    b = _poly(coeffs[_Y_ROWS, 0], y_src)
+    y_src = _invert_monotone(warp.q, np.arange(sy) + 0.5, 0.0, float(sy))
+    a = _poly(warp.a, y_src)
+    b = _poly(warp.b, y_src)
     col_targets = np.arange(sx) + 0.5
     out = np.full((sy, sx), fill)
     for r in np.flatnonzero(np.isfinite(y_src)):
@@ -331,13 +308,12 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
         spec = CorpusSpec()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    coeff_names = [f"{axis}_{a}{b}" for axis in ("x", "y") for a, b in _CUBIC]
     rows: list[dict] = []
     for k in range(spec.pair_count):
         figure = generate_figure([spec.seed, k], spec.size)
         warp_rng = np.random.default_rng([spec.seed, k, 1])
-        coeffs = wind_warp_coefficients(warp_rng, spec.size)
-        warped = warp_image(figure, coeffs)
+        warp = wind_warp_coefficients(warp_rng, spec.size)
+        warped = warp_image(figure, warp)
         file_a = f"pair{k}_A.pgm"
         file_b = f"pair{k}_B.pgm"
         for image, name in ((figure, file_a), (warped, file_b)):
@@ -351,9 +327,8 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
             "file_a": file_a,
             "file_b": file_b,
         }
-        flat = np.concatenate([coeffs[:, 0], coeffs[:, 1]])
-        for name, value in zip(coeff_names, flat):
-            row[name] = f"{value:.17g}"
+        for name, coeffs in zip(WindWarp._fields, warp):  # a0..a2, b0..b3, q0..q3
+            row.update({f"{name}{i}": f"{c:.17g}" for i, c in enumerate(coeffs)})
         rows.append(row)
     with open(out_dir / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -416,19 +391,27 @@ def sweep(
 
     ``entries`` are (pair id, field) as from :func:`load_corpus`. Every
     image is encoded once at ``alpha_max`` from a Halton sequence of
-    ``points`` (default: the longest code ``alpha_max`` needs); each alpha
-    then compares code prefixes, which equal the codes encoded at that
-    alpha bit for bit. The pairs of one alpha that share a common length
-    are fitted in one :func:`fit_stack` call that prepares each image of
-    the group once, as a source and as a target, and each pair's delta
-    equals :func:`delta_median` on the same prefixes. Returns one
+    ``points`` (default: the longest code ``alpha_max`` needs; either way
+    at most :data:`MAX_POINTS`); each alpha then compares code prefixes,
+    which equal the codes encoded at that alpha bit for bit. The pairs of
+    one alpha that share a common length are fitted in one
+    :func:`fit_stack` call that prepares each image of the group once, as
+    a source and as a target, and each pair's delta equals
+    :func:`delta_median` on the same prefixes. Returns one
     :class:`SweepRow` per alpha.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     masses = [field.foreground_mass for _, field in entries]
     if points is None:
-        points = max(code_length(mass, alpha_max, 10**9) for mass in masses)
+        points = max(code_length(mass, alpha_max, MAX_POINTS + 1) for mass in masses)
+        if points > MAX_POINTS:
+            raise ValueError(
+                f"--alpha-max {alpha_max:g} asks for codes over {MAX_POINTS} points; "
+                "set --points"
+            )
+    elif points > MAX_POINTS:
+        raise ValueError(f"--points {points} exceeds the limit of {MAX_POINTS}")
     seq = halton(points, 2)
     params = EncodeParams(alpha=alpha_max)
     full_codes = [  # coordinate-major (2, length), the layout fit_stack takes

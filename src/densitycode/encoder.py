@@ -207,7 +207,9 @@ def read_code_csv(path) -> DensityCode:
     if bad.size:
         raise ValueError(f"{path}, line {lines[bad[0] + 1][0]}: non-finite coordinate")
     if "m" in meta and points.shape[0] != int(meta["m"]):
-        raise ValueError("point count does not match header")
+        raise ValueError(
+            f"{path}: header says m={meta['m']}, found {points.shape[0]} points"
+        )
     if "Sx" not in meta or "Sy" not in meta:
         raise ValueError(f"{path}: header lacks the image size Sx, Sy")
     sx, sy = int(meta["Sx"]), int(meta["Sy"])

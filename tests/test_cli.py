@@ -582,6 +582,17 @@ def write_code(path, polarity="light-on-dark", seq="halton", points=GOOD_POINTS)
     return path
 
 
+def test_compare_names_the_file_whose_point_count_disagrees(tmp_path, capsys):
+    ok = write_code(tmp_path / "ok.csv", points=GOOD_POINTS[:3])
+    short = write_code(tmp_path / "short.csv", points=GOOD_POINTS[:3])
+    short.write_text(short.read_text().replace("2,5\n", ""))  # header keeps m=3
+    rc = main(["compare", str(ok), str(short), "--degree", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {short}: header says m=3, found 2 points\n"
+    )
+
+
 def test_compare_rejects_point_outside_image(tmp_path, capsys):
     good = write_code(tmp_path / "good.csv")
     bad = write_code(tmp_path / "bad.csv", points=("1,1", "2,5", "6,8", "4,7"))

@@ -1,14 +1,17 @@
 """Tests for figure generation, polynomial warping and the corpus sweep."""
 
+import csv
 from itertools import permutations
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from densitycode import (
     CorpusSpec,
     EncodeParams,
     Polarity,
+    WindWarp,
     check_warp_family,
     code_length,
     delta_median,
@@ -23,23 +26,16 @@ from densitycode import (
     sweep,
     warp_image,
     wind_warp_coefficients,
+    write_pgm,
 )
 import densitycode.corpus as corpus_module
 import densitycode.matcher as matcher_module
 from densitycode.corpus import SweepRow, _bilinear
-from densitycode.matcher import basis_matrix
 
 
 def figure_mass(img):
     """Normalized foreground mass of a light-on-dark figure."""
     return normalize(img, Polarity.LIGHT_ON_DARK).foreground_mass
-
-
-def cubic(column, x, y):
-    """One output of a cubic map at points (x, y), through the fitting basis."""
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    points = np.column_stack((x.ravel(), y.ravel()))
-    return (basis_matrix(points, 3) @ column).reshape(x.shape)
 
 
 def bisect(fn, t, hi):
@@ -53,17 +49,17 @@ def bisect(fn, t, hi):
     return np.where(outside, np.nan, 0.5 * (lo_x + hi_x))
 
 
-def root_finding_warp(img, coeffs):
+def root_finding_warp(img, warp):
     """Reference warp_image that bisects for the source y and x of every pixel."""
     px = img.pixels
     sy, sx = px.shape
     fill = float(px.min())
-    y_src = bisect(lambda y: cubic(coeffs[:, 1], 0.0, y), np.arange(sy) + 0.5, sy)
+    y_src = bisect(lambda y: polyval(y, warp.q), np.arange(sy) + 0.5, sy)
     out = np.full((sy, sx), fill)
     for r, y0 in enumerate(y_src):
         if np.isfinite(y0):
-            fn = lambda x: cubic(coeffs[:, 0], x, y0)  # noqa: E731
-            x_src = bisect(fn, np.arange(sx) + 0.5, sx)
+            a, b = polyval(y0, warp.a), polyval(y0, warp.b)
+            x_src = bisect(lambda x: a * x + b, np.arange(sx) + 0.5, sx)
             out[r] = _bilinear(px, x_src, np.full(sx, y0), fill)
     return np.maximum(out, 0.0)
 
@@ -97,10 +93,10 @@ class TestWarp:
 
     def test_whole_pixel_translation(self):
         img = generate_figure(2, 96)
-        coeffs = identity_warp()
-        coeffs[0, 0] = 5.0  # constant x shift
-        coeffs[0, 1] = 3.0  # constant y shift
-        out = warp_image(img, coeffs)
+        warp = identity_warp()
+        warp.b[0] = 5.0  # constant x shift
+        warp.q[0] = 3.0  # constant y shift
+        out = warp_image(img, warp)
         # shifted input on the overlap, up to root-finding jitter in the
         # inverse map (sub-ulp coordinate error scaled by pixel gradients)
         assert np.allclose(out.pixels[3:, 5:], img.pixels[:-3, :-5], atol=1e-9)
@@ -109,22 +105,15 @@ class TestWarp:
 
     def test_family_violation_rejected(self):
         img = generate_figure(3, 96)
-        sheared = identity_warp()
-        sheared[2, 1] = -0.5  # y output picks up x dependence
-        with pytest.raises(ValueError, match="not in transformation family"):
-            warp_image(img, sheared)
         flipped = identity_warp()
-        flipped[2, 0] = -1.0  # x output decreasing in x
-        with pytest.raises(ValueError, match="not in transformation family"):
-            warp_image(img, flipped)
-        curved = identity_warp()
-        curved[5, 0] = 1e-3  # x^2 term: x output still increasing, not linear
-        with pytest.raises(ValueError, match="not in transformation family"):
-            warp_image(img, curved)
-        slight = identity_warp()
-        slight[2, 1] = 1e-12  # y output depends on x, however little
-        with pytest.raises(ValueError, match="y output depends on x"):
-            warp_image(img, slight)
+        flipped.a[0] = -1.0  # x output decreasing in x
+        falling = identity_warp()
+        falling.q[2] = -0.01  # q' = 1 - 0.02 y: y output decreasing past row 50
+        undefined = identity_warp()
+        undefined.a[1] = np.nan
+        for warp in (flipped, falling, undefined):
+            with pytest.raises(ValueError, match="not in transformation family"):
+                warp_image(img, warp)
 
     def test_closed_form_matches_root_finding(self):
         warps = []
@@ -132,18 +121,17 @@ class TestWarp:
             rng = np.random.default_rng([seed, 1])
             warps.append((seed, wind_warp_coefficients(rng, 128)))
         scaled = wind_warp_coefficients(np.random.default_rng(99), 128)
-        scaled[4, 0] = 0.2 / 128  # x*y term: a(y) runs from 1 to 1.2
+        scaled.a[1] = 0.2 / 128  # x*y term: a(y) runs from 1 to 1.2
         warps.append((99, scaled))
-        for seed, coeffs in warps:
+        for seed, warp in warps:
             img = generate_figure(seed, 128)
-            got = warp_image(img, coeffs).pixels
-            assert np.max(np.abs(got - root_finding_warp(img, coeffs))) <= 1e-9
+            got = warp_image(img, warp).pixels
+            assert np.max(np.abs(got - root_finding_warp(img, warp))) <= 1e-9
 
     def test_wind_warp_is_in_family(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            coeffs = wind_warp_coefficients(rng, 128)
-            check_warp_family(coeffs, 128)
+            check_warp_family(wind_warp_coefficients(rng, 128), 128)
 
     def test_wind_warp_moves_the_figure(self):
         img = generate_figure(5, 128)
@@ -177,6 +165,27 @@ class TestGenerateCorpus:
         for name in ("pair0_A.pgm", "pair1_B.pgm", "manifest.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize("spec", [CorpusSpec(2, 64, 9), CorpusSpec(2, 128, 3)])
+    def test_manifest_rebuilds_the_warped_images(self, tmp_path, spec):
+        generate_corpus(tmp_path / "corpus", spec)
+        with open(tmp_path / "corpus" / "manifest.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == spec.pair_count
+        for row in rows:
+            k = int(row["pair"])
+            warp = WindWarp(
+                *(
+                    np.array([float(row[f"{name}{i}"]) for i in range(n)])
+                    for name, n in (("a", 3), ("b", 4), ("q", 4))
+                )
+            )
+            warped = warp_image(generate_figure([spec.seed, k], spec.size), warp)
+            scaled = np.rint(warped.pixels / warped.pixels.max() * 65535.0)
+            write_pgm(scaled, tmp_path / "rebuilt.pgm", maxval=65535, binary=True)
+            assert (tmp_path / "rebuilt.pgm").read_bytes() == (
+                tmp_path / "corpus" / row["file_b"]
             ).read_bytes()
 
     def test_spec_validation(self):

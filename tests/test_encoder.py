@@ -181,6 +181,28 @@ class TestEncode:
         assert in_box1 == pytest.approx(0.25, abs=0.03)
         assert in_box2 == pytest.approx(0.75, abs=0.03)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 64), st.integers(2, 64)),
+        lam=st.floats(1e-8, 1.0),
+        polarity=st.sampled_from(list(Polarity)),
+        dark=st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefix_law_and_open_rectangle_at_every_size(
+        self, shape, lam, polarity, dark, seed
+    ):
+        # random pixels, a share `dark` of them at 0, one at 2 so none is flat
+        rng = np.random.default_rng(seed)
+        pixels = np.where(rng.random(shape) < dark, 0.0, rng.random(shape))
+        pixels.flat[rng.integers(pixels.size)] = 2.0
+        field = make_density_field(normalize(GrayImage(pixels), polarity), lam)
+        long_code = encode(field, halton(600, 2))
+        short_code = encode(field, halton(257, 2))
+        assert np.array_equal(long_code.points[:257], short_code.points)
+        sy, sx = shape
+        assert np.all((long_code.points > 0.0) & (long_code.points < (sx, sy)))
+
     def test_translation_equivariance(self):
         fig = generate_figure(9, 96).pixels
         dx, dy = 11, 5
