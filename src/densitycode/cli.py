@@ -21,6 +21,7 @@ from .corpus import (
     load_corpus,
     read_table,
     sweep,
+    sweep_length,
 )
 from .encoder import EncodeParams, encode, read_code_csv, write_code_csv
 from .image_io import Polarity, load_image, make_density_field, normalize
@@ -83,9 +84,19 @@ def cmd_sweep(args) -> int:
     count = (hi - lo) / step
     if not count < MAX_ALPHAS:  # also true when the quotient overflows to inf
         raise ValueError(f"alpha grid too fine: {count:.3g} steps, limit {MAX_ALPHAS}")
+    if args.points is not None and args.points > MAX_POINTS:
+        raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
     entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
     alphas = [lo + i * step for i in range(math.floor(count + 0.5) + 1)]
-    rows = sweep(entries, alphas, hi, args.degree, args.points)
+    points = args.points
+    if points is None:
+        points = sweep_length(entries, hi)
+        if points > MAX_POINTS:
+            raise ValueError(
+                f"--alpha-max {hi:g} asks for codes over {MAX_POINTS} points; "
+                "set --points"
+            )
+    rows = sweep(entries, alphas, hi, args.degree, points)
     lines = [",".join(SweepRow._fields)]
     for *values, status in rows:  # an invalid row has no band edges
         cells = ["" if value is None else f"{value:.17g}" for value in values]

@@ -171,19 +171,36 @@ def _derivative(coeffs):
 
 
 class WindWarp(NamedTuple):
-    """The map x' = a(y)*x + b(y), y' = q(y): ascending coefficients in y."""
+    """The map x' = a(y)*x + b(y), y' = q(y): ascending coefficients in y.
+
+    The corpus family: a is at most quadratic, b and q at most cubic.
+    """
 
     a: np.ndarray
     b: np.ndarray
     q: np.ndarray
 
 
+def _least_on(coeffs, hi: float):
+    """Least value on [0, hi] of a polynomial of degree <= 2; NaN fails.
+
+    It lies at an end, or at the vertex when that is a minimum inside.
+    """
+    c = [float(x) for x in coeffs] + [0.0] * (3 - len(coeffs))
+    ys = [0.0, float(hi)]
+    if c[2] > 0.0 and 0.0 < -c[1] < 2.0 * c[2] * hi:
+        ys.append(-c[1] / (2.0 * c[2]))
+    return np.min(_poly(coeffs, np.array(ys)))
+
+
 def check_warp_family(warp: WindWarp, sy: int) -> None:
-    """Check that a > 0 and q' > 0 on 17 rows spread over [0, sy]; NaN fails."""
-    ys = np.linspace(0.0, sy, 17)
-    a = _poly(warp.a, ys)
-    dq = _poly(_derivative(warp.q), ys)
-    if not (np.all(a > 0.0) and np.all(dq > 0.0)):
+    """Check the family's degrees, and a > 0 and q' > 0 on all of [0, sy]."""
+    if len(warp.a) > 3 or len(warp.b) > 4 or len(warp.q) > 4:
+        raise ValueError(
+            "not in transformation family: a(y) above degree 2, "
+            "or b(y) or q(y) above degree 3"
+        )
+    if not (_least_on(warp.a, sy) > 0.0 and _least_on(_derivative(warp.q), sy) > 0.0):
         raise ValueError(
             "not in transformation family: Jacobian diagonal not positive"
         )
@@ -384,6 +401,18 @@ class SweepRow(NamedTuple):
     status: str  # "ok", or "invalid" when a code is shorter than the basis
 
 
+def sweep_length(entries, alpha_max: float) -> int:
+    """Length of the longest code ``alpha_max`` asks of the entries' images.
+
+    Lengths are counted up to ``MAX_POINTS + 1``, so an overflowing
+    ``alpha_max * mass`` reads as just over the limit.
+    """
+    return max(
+        code_length(field.foreground_mass, alpha_max, MAX_POINTS + 1)
+        for _, field in entries
+    )
+
+
 def sweep(
     entries, alphas, alpha_max: float, degree: int, points: int | None = None
 ) -> list[SweepRow]:
@@ -391,8 +420,8 @@ def sweep(
 
     ``entries`` are (pair id, field) as from :func:`load_corpus`. Every
     image is encoded once at ``alpha_max`` from a Halton sequence of
-    ``points`` (default: the longest code ``alpha_max`` needs; either way
-    at most :data:`MAX_POINTS`); each alpha then compares code prefixes,
+    ``points`` (default: :func:`sweep_length`; either way at most
+    :data:`MAX_POINTS`); each alpha then compares code prefixes,
     which equal the codes encoded at that alpha bit for bit. The pairs of
     one alpha that share a common length are fitted in one
     :func:`fit_stack` call that prepares each image of the group once, as
@@ -402,16 +431,22 @@ def sweep(
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    masses = [field.foreground_mass for _, field in entries]
+    pair_ids = [pair for pair, _ in entries]
+    if not len(pair_ids) > len(set(pair_ids)) > 1:
+        raise ValueError(
+            "entries give no related or no unrelated pair: need two images "
+            "of one pair and images of two pairs"
+        )
     if points is None:
-        points = max(code_length(mass, alpha_max, MAX_POINTS + 1) for mass in masses)
+        points = sweep_length(entries, alpha_max)
         if points > MAX_POINTS:
             raise ValueError(
-                f"--alpha-max {alpha_max:g} asks for codes over {MAX_POINTS} points; "
-                "set --points"
+                f"alpha_max={alpha_max:g} asks for codes over {MAX_POINTS} points; "
+                "pass points"
             )
     elif points > MAX_POINTS:
-        raise ValueError(f"--points {points} exceeds the limit of {MAX_POINTS}")
+        raise ValueError(f"points={points} exceeds the limit of {MAX_POINTS}")
+    masses = [field.foreground_mass for _, field in entries]
     seq = halton(points, 2)
     params = EncodeParams(alpha=alpha_max)
     full_codes = [  # coordinate-major (2, length), the layout fit_stack takes

@@ -156,9 +156,15 @@ def encode(
 def write_code_csv(code: DensityCode, path) -> None:
     """Write a code file: one header line, then m lines of ``x,y``.
 
-    Floats are formatted with 17 significant digits, enough to round-trip
-    doubles exactly.
+    Each coordinate is written as ``"%.17g"`` writes it, enough digits to
+    round-trip a double exactly; coordinates in [1e-4, 1e9) are formatted
+    by array arithmetic, byte for byte the same text. A point that
+    :func:`read_code_csv` would reject (not finite, or outside the image)
+    raises ``ValueError`` naming its row, and no file is written.
     """
+    bad = _first_bad_point(code.points, code.sx, code.sy)
+    if bad is not None:
+        raise ValueError(f"{path}: points[{bad[0]}]: {bad[1]}")
     alpha_s = "none" if code.alpha is None else f"{code.alpha:.17g}"
     polarity_s = code.polarity if code.polarity is not None else "none"
     header = (
@@ -166,9 +172,118 @@ def write_code_csv(code: DensityCode, path) -> None:
         f"lambda={code.lam:.17g}, alpha={alpha_s}, polarity={polarity_s}, "
         f"seq={code.seq_name}\n"
     )
-    # one format call over Python floats, not one f-string per numpy row
-    body = "%.17g,%.17g\n" * code.m % tuple(code.points.ravel().tolist())
-    Path(path).write_text(header + body, encoding="utf-8")
+    Path(path).write_bytes(header.encode("utf-8") + _format_rows(code.points))
+
+
+def _first_bad_point(points, sx: int, sy: int):
+    """(row, reason) of the first point not finite or outside (0, sx) x (0, sy).
+
+    Every non-finite row is reported before any outside one; None when all
+    points are good.
+    """
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        return int(bad[0]), "non-finite coordinate"
+    outside = np.flatnonzero(~((points > 0.0) & (points < (sx, sy))).all(axis=1))
+    if outside.size:
+        x, y = points[outside[0]].tolist()
+        return int(outside[0]), (
+            f"point ({x!r}, {y!r}) outside the image (0, {sx}) x (0, {sy})"
+        )
+    return None
+
+
+# %.17g prints a positive double in fixed notation when its decimal exponent
+# is -4..16. _format_block takes the exponents -4..8: a value's text is then
+# at most "0.000" and 17 digits. No double below 10**e rounds up to 10**e at
+# 17 digits: its gap to 10**e exceeds half a unit of the 17th digit.
+_DECADES = np.array([float(f"1e{e}") for e in range(-4, 10)])  # least double >= 10**e
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)
+# ASCII of "0000".."9999", four bytes to a word
+_DIGITS4 = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+).view(np.uint32)[:, 0]
+
+
+def _layout_keep():
+    """Which bytes of a value's 24-byte frame %g prints.
+
+    A frame is "0.000", 18 body bytes and a separator. The body holds a
+    zero and the 17 digits; when e >= 0, the digits ahead of the point
+    move one byte left and the point follows them. Row (e + 4) * 18 + nd
+    serves a value whose last nonzero digit is digit nd - 1: %g drops
+    trailing zeros, and the point when no fraction is left; for e < 0 it
+    prints "0.", -e - 1 zeros and the digits.
+    """
+    e = np.arange(-4, 9)[:, None, None]
+    nd = np.arange(18)[None, :, None]
+    j = np.arange(24)
+    body = j - 5
+    printed = np.where(nd > e + 1, nd + 1, e + 1)  # body bytes printed, e >= 0
+    shown = np.where(e < 0, (1 <= body) & (body <= nd), body < printed)
+    keep = np.where(j < 5, j < np.where(e < 0, 1 - e, 0), shown | (j == 23))
+    return keep.reshape(13 * 18, 24)
+
+
+_KEEP = _layout_keep()
+
+
+def _format_rows(points) -> bytes:
+    """The bytes of ``"%.17g,%.17g\n"`` over the rows of finite positive points.
+
+    Values in [1e-4, 1e9) go to :func:`_format_block` a block at a time, so
+    that its temporaries stay small; any other value sends the whole body
+    to the format operator.
+    """
+    v = np.asarray(points, dtype=np.float64).ravel()
+    if not (v.size and _DECADES[0] <= v.min() and v.max() < _DECADES[-1]):
+        return ("%.17g,%.17g\n" * (v.size // 2) % tuple(v.tolist())).encode()
+    step = 4096  # values; an even count keeps each block's rows whole
+    return b"".join(_format_block(v[i : i + step]) for i in range(0, v.size, step))
+
+
+def _format_block(v) -> bytes:
+    """``"%.17g,%.17g\n"`` over values in [1e-4, 1e9), x and y alternating.
+
+    A value with decimal exponent e is M * 2**E, M a 53-bit integer. With
+    k = 16 - e its 17 digits are D = M * 5**k * 2**(E + k) rounded half to
+    even, and the product M * 5**k, up to 100 bits, is held in two uint64
+    words built from 32-bit halves.
+    """
+    n, u = v.size, np.uint64
+    e = np.searchsorted(_DECADES, v, side="right") - 5
+    frac, exp2 = np.frexp(v)
+    mant = (frac * 2.0**53).astype(u)
+    k = 16 - e
+    shift = (53 - k - exp2).astype(u)  # D = mant * 5**k / 2**shift, rounded
+    low32, n32, one = u(0xFFFFFFFF), u(32), u(1)
+    m0, m1 = mant & low32, mant >> n32
+    f0, f1 = _POW5[k] & low32, _POW5[k] >> n32
+    p00 = m0 * f0
+    mid = m0 * f1 + m1 * f0
+    lo = p00 + (mid << n32)  # mod 2**64; the carry goes to hi
+    hi = m1 * f1 + (mid >> n32) + (lo < p00)
+    digits = (hi << (u(64) - shift)) | (lo >> shift)
+    dropped = lo & ((one << shift) - one)
+    half = one << (shift - one)
+    digits += (dropped > half) | ((dropped == half) & ((digits & one) == one))
+    chunks = np.empty((n, 5), np.intp)  # d0, then d1..d16 four at a time
+    chunks[:, 0], tail = np.divmod(digits, u(10**16))
+    upper, lower = np.divmod(tail, u(10**8))
+    chunks[:, 1], chunks[:, 2] = np.divmod(upper, u(10**4))
+    chunks[:, 3], chunks[:, 4] = np.divmod(lower, u(10**4))
+    raw = _DIGITS4[chunks].view(np.uint8)  # "000", d0..d16 as ASCII
+    nonzero = np.ascontiguousarray(raw[:, 3:].T) != ord("0")  # (17, n)
+    nd = (nonzero * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    frame = np.empty((n, 24), np.uint8)  # bytes %g does not print stay unset
+    frame[e < 0, :5] = np.frombuffer(b"0.000", np.uint8)
+    frame[:, 5:23] = raw[:, 2:]  # "0" and the digits: their place after a point
+    for j in range(e.max() + 1):  # digit j ahead of the point, the point after it
+        np.copyto(frame[:, 5 + j], raw[:, 3 + j], where=e >= j)
+        np.copyto(frame[:, 6 + j], ord("."), where=e == j)
+    frame[0::2, 23] = ord(",")
+    frame[1::2, 23] = ord("\n")
+    return frame[np.take(_KEEP, (e + 4) * 18 + nd, axis=0)].tobytes()
 
 
 def read_code_csv(path) -> DensityCode:
@@ -203,9 +318,6 @@ def read_code_csv(path) -> DensityCode:
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
     points = np.array(rows).reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}, line {lines[bad[0] + 1][0]}: non-finite coordinate")
     if "m" in meta and points.shape[0] != int(meta["m"]):
         raise ValueError(
             f"{path}: header says m={meta['m']}, found {points.shape[0]} points"
@@ -213,13 +325,9 @@ def read_code_csv(path) -> DensityCode:
     if "Sx" not in meta or "Sy" not in meta:
         raise ValueError(f"{path}: header lacks the image size Sx, Sy")
     sx, sy = int(meta["Sx"]), int(meta["Sy"])
-    outside = np.flatnonzero(~((points > 0.0) & (points < (sx, sy))).all(axis=1))
-    if outside.size:
-        x, y = points[outside[0]].tolist()
-        raise ValueError(
-            f"{path}, line {lines[outside[0] + 1][0]}: point ({x!r}, {y!r}) "
-            f"outside the image (0, {sx}) x (0, {sy})"
-        )
+    bad = _first_bad_point(points, sx, sy)
+    if bad is not None:
+        raise ValueError(f"{path}, line {lines[bad[0] + 1][0]}: {bad[1]}")
     alpha_s = meta.get("alpha", "none")
     polarity_s = meta.get("polarity", "none")
     return DensityCode(

@@ -22,6 +22,7 @@ from densitycode import (
     identity_warp,
     load_corpus,
     load_pgm,
+    make_density_field,
     normalize,
     sweep,
     warp_image,
@@ -127,6 +128,34 @@ class TestWarp:
             img = generate_figure(seed, 128)
             got = warp_image(img, warp).pixels
             assert np.max(np.abs(got - root_finding_warp(img, warp))) <= 1e-9
+
+    def test_family_is_checked_between_sample_rows(self):
+        # q' = 0.008 - 0.006 y + 0.000999 y^2 dips below 0 on 2 < y < 4,
+        # between rows 0 and 6 of a 17-row sample of [0, 96]
+        dipping = WindWarp(
+            np.array([1.0]), np.zeros(1), np.array([0, 0.008, -0.003, 0.000333])
+        )
+        with pytest.raises(ValueError, match="Jacobian diagonal not positive"):
+            check_warp_family(dipping, 96)
+        # the same bend with q'(3.003) = +0.000991 is in the family
+        check_warp_family(dipping._replace(q=np.array([0, 0.01, -0.003, 0.000333])), 96)
+        # a(y) = 1 - 0.0401 y + 0.0004 y^2 has its least value, -0.005, at y = 50.125
+        sagging = WindWarp(
+            np.array([1.0, -0.0401, 0.0004]), np.zeros(1), np.array([0, 1.0])
+        )
+        with pytest.raises(ValueError, match="Jacobian diagonal not positive"):
+            check_warp_family(sagging, 96)
+        # outside [0, sy] the same dips do not count
+        check_warp_family(dipping, 1)
+        check_warp_family(sagging, 45)
+
+    @pytest.mark.parametrize("field", ["a", "b", "q"])
+    def test_family_degrees_are_bounded(self, field):
+        # one more coefficient than the family allows, even a zero one
+        warp = identity_warp()
+        warp = warp._replace(**{field: np.append(getattr(warp, field), 0.0)})
+        with pytest.raises(ValueError, match="above degree"):
+            check_warp_family(warp, 64)
 
     def test_wind_warp_is_in_family(self):
         rng = np.random.default_rng(4)
@@ -268,6 +297,33 @@ def test_sweep_builds_one_basis_per_image_and_length(tmp_path, monkeypatch):
         pairs = permutations(range(n), 2)
         keys += len({(i, min(lengths[i], lengths[j])) for i, j in pairs})
     assert sum(built) == keys < len(alphas) * n * (n - 1)
+
+
+@pytest.mark.parametrize("pairs", [[], [0, 0], [0, 1, 2]])
+def test_sweep_needs_a_related_and_an_unrelated_pair(pairs):
+    field = small_field()
+    with pytest.raises(ValueError, match="no related or no unrelated pair"):
+        sweep([(pair, field) for pair in pairs], [0.1], 1e308, 3)
+
+
+def test_sweep_names_its_own_parameters(monkeypatch):
+    # the stub stands in for halton, so no sequence is built
+    def halton_stub(m, n):
+        raise MemoryError(f"halton({m}, {n}) not built")
+
+    monkeypatch.setattr(corpus_module, "halton", halton_stub)
+    entries = [(pair, small_field()) for pair in (0, 0, 1)]
+    with pytest.raises(ValueError, match=r"^alpha_max=1e\+308 asks for codes over"):
+        sweep(entries, [0.1], 1e308, 3)
+    limit = corpus_module.MAX_POINTS
+    with pytest.raises(ValueError, match=f"^points={limit + 1} exceeds the limit"):
+        sweep(entries, [0.1], 0.5, 3, points=limit + 1)
+
+
+def small_field():
+    """The density field of one small figure."""
+    img = normalize(generate_figure(3, 64), Polarity.LIGHT_ON_DARK)
+    return make_density_field(img, 1e-4)
 
 
 def test_load_corpus_reports_missing_image(tmp_path):

@@ -2,6 +2,7 @@
 
 import bisect
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from densitycode import (
     write_code_csv,
     write_pgm,
 )
+from densitycode import encoder
 
 
 def uniform_field(sy, sx, lam=1e-4, value=1.0):
@@ -431,6 +433,125 @@ class TestCodeCsv:
         path.write_text("# density-code v1, n=2, m=1, Sx=4, seq=halton\n1,2\n")
         with pytest.raises(ValueError, match="header lacks the image size"):
             read_code_csv(path)
+
+
+HEADER_64 = (
+    "# density-code v1, n=2, m=3, Sx=64, Sy=64, lambda=0.0001, "
+    "alpha=none, polarity=none, seq=halton\n"
+)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ([np.nan, 1.0], "non-finite coordinate"),
+        ([1.0, -np.inf], "non-finite coordinate"),
+        ([70.0, 1.0], "point (70.0, 1.0) outside the image (0, 64) x (0, 64)"),
+        ([0.0, 1.0], "point (0.0, 1.0) outside the image (0, 64) x (0, 64)"),
+        ([1.0, 64.0], "point (1.0, 64.0) outside the image (0, 64) x (0, 64)"),
+    ],
+)
+def test_writer_refuses_what_the_reader_refuses(tmp_path, row, reason):
+    points = np.array([[1.0, 2.0], row, [3.0, 4.0]])
+    path = tmp_path / "code.csv"
+    code = DensityCode(points, 64, 64, 1e-4, None, None)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: points[1]: {reason}")):
+        write_code_csv(code, path)
+    assert not path.exists()
+    # the same rows written by hand: the reader names the same point
+    path.write_text(HEADER_64 + "".join(f"{x!r},{y!r}\n" for x, y in points.tolist()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {reason}")):
+        read_code_csv(path)
+
+
+def assert_body_is_reference(tmp_path, values):
+    """The code file's rows are ``f"{x:.17g},{y:.17g}"`` one by one.
+
+    Rows entirely within [1e-4, 1e9) are also given to the array formatter
+    itself, which the writer bypasses for a body with one value outside.
+    Rows are compared as lists, so that a failure names its first row.
+    """
+    points = np.asarray(values, dtype=np.float64).reshape(-1, 2)
+    want = [f"{x:.17g},{y:.17g}" for x, y in points.tolist()]
+    path = tmp_path / "code.csv"
+    size = 2 * 10**9
+    write_code_csv(DensityCode(points, size, size, 1e-4, None, None), path)
+    body = path.read_bytes().decode().split("\n", 1)[1]
+    assert body.split("\n") == [*want, ""]
+    inside = ((points >= 1e-4) & (points < 1e9)).all(axis=1)
+    if inside.any():
+        body = encoder._format_block(points[inside].ravel()).decode()
+        assert body.split("\n") == [*np.array(want)[inside].tolist(), ""]
+
+
+class TestCodeFormatter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.floats(-6.0, 9.0, exclude_max=True)] * 2),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_body_matches_reference_over_magnitudes(self, tmp_path_factory, rows):
+        # log-uniform magnitudes in [1e-6, 1e9): below 1e-4 the writer
+        # formats the whole body with the format operator, above it with
+        # array arithmetic
+        values = 10.0 ** np.array(rows)
+        assert_body_is_reference(tmp_path_factory.mktemp("formatter"), values)
+
+    @pytest.mark.parametrize("e", range(-4, 9))
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path, e):
+        power = float(f"1e{e}")
+        below, above = np.nextafter(power, 0.0), np.nextafter(power, np.inf)
+        assert_body_is_reference(tmp_path, [[below, power], [above, power]])
+
+    def test_decade_bounds_are_the_least_doubles_at_each_power(self):
+        for e, bound in zip(range(-4, 10), encoder._DECADES.tolist()):
+            assert Fraction(bound) >= Fraction(10) ** e
+            assert Fraction(np.nextafter(bound, 0.0)) < Fraction(10) ** e
+
+    @pytest.mark.parametrize("e", range(-4, 10))
+    def test_no_double_rounds_up_into_the_next_decade(self, tmp_path, e):
+        # the largest double below 10**e lies more than half a unit of the
+        # 17th digit below it, so %.17g never prints it as 10**e
+        power = Fraction(10) ** e
+        below = np.nextafter(encoder._DECADES[e + 4], 0.0)
+        assert power - Fraction(below) > power / 10**16 / 2
+        assert_body_is_reference(tmp_path, [[below, below]])
+
+    def test_ties_round_half_to_even(self, tmp_path):
+        # a / 2**18 for odd a lies in [0.1, 1) and has 18 significant
+        # digits ending in 5: each is a tie at 17 digits, as
+        # 131073 / 2**18 = 0.500003814697265625 -> 0.50000381469726562
+        ties = np.arange(26215, 262144, 2) / 2.0**18
+        assert_body_is_reference(tmp_path, ties[:-1])  # whole rows
+        assert f"{131073 / 2**18:.17g}" == "0.50000381469726562"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (512.0, "512"),
+            (1.0, "1"),
+            (100.0, "100"),
+            (1e8, "100000000"),
+            (123456789.0, "123456789"),
+            (0.5, "0.5"),
+            (1e-4, "0.0001"),
+            (0.0009765625, "0.0009765625"),  # 2**-10
+            (20.25, "20.25"),
+        ],
+    )
+    def test_whole_and_short_numbers(self, tmp_path, value, text):
+        assert_body_is_reference(tmp_path, [value, value])
+        assert encoder._format_block(np.array([value, value])).decode() == (
+            f"{text},{text}\n"
+        )
+
+    @pytest.mark.parametrize("m", [0, 1, 16385])
+    def test_row_counts(self, tmp_path, m):
+        points = encode(figure_field(6, 64), halton(max(m, 1), 2)).points[:m]
+        assert_body_is_reference(tmp_path, points)
 
 
 def reference_read_points(path, text, sx, sy):

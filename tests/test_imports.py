@@ -56,3 +56,14 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     codes, loaded = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0], out.stderr
     assert loaded == []
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded(tmp_path):
+    # both cost milliseconds on every cold command
+    probe = (
+        "import sys\nimport densitycode.cli\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    out = run_blocked(probe, tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
