@@ -27,7 +27,7 @@ from .image_io import (
     normalize,
     write_pgm,
 )
-from .matcher import fit_stack
+from .matcher import _check_coordinates, _fit, _mapped_basis
 from .quasirandom import halton
 
 # minimum normalized foreground mass, as a fraction of the pixel count
@@ -413,6 +413,18 @@ def sweep_length(entries, alpha_max: float) -> int:
     )
 
 
+def _box_runs(code: np.ndarray) -> np.ndarray:
+    """Ascending ends of the runs of prefix lengths that share one bounding box.
+
+    ``code`` is coordinate-major (2, L). Prefix length t ends a run when
+    point t lies outside the box of the first t points; L ends the last.
+    """
+    lo = np.minimum.accumulate(code, axis=1)
+    hi = np.maximum.accumulate(code, axis=1)
+    grows = ((lo[:, 1:] < lo[:, :-1]) | (hi[:, 1:] > hi[:, :-1])).any(axis=0)
+    return np.append(np.flatnonzero(grows) + 1, code.shape[1])
+
+
 def sweep(
     entries, alphas, alpha_max: float, degree: int, points: int | None = None
 ) -> list[SweepRow]:
@@ -421,13 +433,21 @@ def sweep(
     ``entries`` are (pair id, field) as from :func:`load_corpus`. Every
     image is encoded once at ``alpha_max`` from a Halton sequence of
     ``points`` (default: :func:`sweep_length`; either way at most
-    :data:`MAX_POINTS`); each alpha then compares code prefixes,
-    which equal the codes encoded at that alpha bit for bit. The pairs of
-    one alpha that share a common length are fitted in one
-    :func:`fit_stack` call that prepares each image of the group once, as
-    a source and as a target, and each pair's delta equals
-    :func:`delta_median` on the same prefixes. Returns one
-    :class:`SweepRow` per alpha.
+    :data:`MAX_POINTS`); each alpha then compares code prefixes, which
+    equal the codes encoded at that alpha bit for bit.
+
+    The plan is the (alphas x ordered pairs) array of common lengths
+    min(L_i, L_j), walked once in ascending length. Each distinct (pair,
+    length) is one item, so a pair tied at several alphas is fitted once.
+    The items of one length go to the solver of
+    :func:`~densitycode.matcher.fit_stack` in runs of n * max(L) / (2 m),
+    which keeps the item bases a fit gathers to half the size of the live
+    bases; a source is prepared once per fit that holds its items. Each
+    image keeps one live [-1, 1]-mapped basis, built for its prefix's
+    bounding box over every prefix length that shares that box: a length
+    takes its first columns, and a new basis is built only when the box
+    grows. Every delta is :func:`delta_median`'s on the same prefixes, bit
+    for bit. Returns one :class:`SweepRow` per alpha, in the order given.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -446,37 +466,74 @@ def sweep(
             )
     elif points > MAX_POINTS:
         raise ValueError(f"points={points} exceeds the limit of {MAX_POINTS}")
-    masses = [field.foreground_mass for _, field in entries]
+    # images by mass: lengths then ascend at every alpha, so the images that
+    # share a common length are always a run of consecutive rows
+    by_mass = sorted(entries, key=lambda entry: entry[1].foreground_mass)
     seq = halton(points, 2)
     params = EncodeParams(alpha=alpha_max)
-    full_codes = [  # coordinate-major (2, length), the layout fit_stack takes
-        np.ascontiguousarray(encode(field, seq, params).points.T)
-        for _, field in entries
-    ]
+    codes = [encode(field, seq, params).points.T for _, field in by_mass]
+    _check_coordinates(*codes)
+    n, sizes = len(codes), [code.shape[1] for code in codes]
+    longest = max(sizes)
+    full = np.zeros((n, 2, longest))  # coordinate-major, the fit's layout
+    for row, code in zip(full, codes):
+        row[:, : code.shape[1]] = code
+    pairs = np.array(list(permutations(range(n), 2)))
+    related = np.array([by_mass[i][0] == by_mass[j][0] for i, j in pairs])
+    lengths = np.array(
+        [
+            min(code_length(field.foreground_mass, alpha, points), size)
+            for alpha in alphas
+            for (_, field), size in zip(by_mass, sizes)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, n)
+    # an alpha is invalid when a code is shorter than the basis
     q = math.comb(degree + 2, 2)  # len(all_powers(degree)), without building it
-    rows = []
-    for alpha in alphas:
-        lengths = [
-            min(code_length(mass, alpha, points), pts.shape[1])
-            for mass, pts in zip(masses, full_codes)
-        ]
-        if min(lengths) < q:
+    valid = lengths.min(axis=1) >= q
+    ok = lengths[valid]
+    plan = np.minimum(ok[:, pairs[:, 0]], ok[:, pairs[:, 1]])
+    # one key per distinct (length, pair), in walking order; a pair tied at
+    # several alphas is one key, fitted once
+    keys, cell_key = np.unique(
+        plan * len(pairs) + np.arange(len(pairs)), return_inverse=True
+    )
+    key_m, key_pair = np.divmod(keys, len(pairs))
+    walked, starts = np.unique(key_m, return_index=True)
+    bounds = [*starts.tolist(), len(keys)]
+    found = np.empty(len(keys))
+    if degree and len(keys):  # each image's live basis, the last length it serves
+        runs = [_box_runs(code) for code in codes]
+        live, live_end = np.empty((n, q, longest)), [0] * n
+    for m, start, stop in zip(walked.tolist(), bounds, bounds[1:]):
+        # keys run source by source; every source is also a target, and
+        # they are the images of length m and up: rows first.. of full
+        source, target = pairs[key_pair[start:stop]].T
+        first = source[0]
+        W = full[first:, :, :m]
+        # a fit gathers each item's basis; n * L / (2m) items keep that to
+        # half the cells of the live bases
+        per_fit = max(1, n * longest // (2 * m))
+        for i0 in range(0, stop - start, per_fit):
+            a, b = source[i0 : i0 + per_fit], target[i0 : i0 + per_fit]
+            s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
+            basis = None
+            if degree:
+                for r in range(s0, s1):
+                    if live_end[r] < m:  # the prefix box grew: map its next run
+                        end = live_end[r] = runs[r][np.searchsorted(runs[r], m)]
+                        live[r, :, :end] = _mapped_basis(full[r, None, :, :end], degree)
+                basis = live[s0:s1, :, :m]
+            fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
+            found[start + i0 : start + i0 + len(a)] = fit.delta
+    deltas = found[cell_key].reshape(plan.shape)
+    rows, ok_rows = [], iter(deltas)
+    for alpha, is_valid in zip(alphas, valid.tolist()):
+        if not is_valid:
             rows.append(SweepRow(alpha, None, None, None, None, "invalid"))
             continue
-        by_length: dict[int, list[tuple[int, int]]] = {}
-        for i, j in permutations(range(len(entries)), 2):
-            by_length.setdefault(min(lengths[i], lengths[j]), []).append((i, j))
-        related, unrelated = [], []
-        for m, pairs in by_length.items():
-            # every image of the group is a source and a target in it
-            members = sorted({i for pair in pairs for i in pair})
-            slot = {image: s for s, image in enumerate(members)}
-            codes = np.stack([full_codes[i][:, :m] for i in members])
-            index = np.array([(slot[i], slot[j]) for i, j in pairs])
-            deltas = fit_stack(codes, codes, degree, pairs=index).delta.tolist()
-            for (i, j), delta in zip(pairs, deltas):
-                (related if entries[i][0] == entries[j][0] else unrelated).append(delta)
-        edges = (min(related), max(related), min(unrelated), max(unrelated))
+        row = next(ok_rows)
+        bands = (row[related], row[~related])
+        edges = [float(f(band)) for band in bands for f in (np.min, np.max)]
         rows.append(SweepRow(alpha, *edges, "ok"))
     return rows
-

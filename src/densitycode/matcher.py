@@ -159,6 +159,28 @@ def _pair_columns(pairs, ks: int, kt: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _check_coordinates(*stacks: np.ndarray) -> None:
+    # far beyond any image, and small enough that no product in the fit
+    # overflows: the residuals stay finite, which keeps _median exact
+    if not all(np.abs(X).max() <= MAX_COORDINATE for X in stacks):
+        raise ValueError(
+            f"code coordinates must be finite and at most {MAX_COORDINATE:g}"
+        )
+
+
+def _mapped_basis(V: np.ndarray, d: int) -> np.ndarray:
+    """Degree-d basis of each source mapped into [-1, 1]: (k, 2, m) -> (k, q, m).
+
+    Each axis maps by the source's bounding box, s = (2 v - (lo + hi)) /
+    (hi - lo), with a zero-width axis mapped to 0. Entry-wise, the basis of
+    a prefix with the same bounding box is a column prefix of this one.
+    """
+    lo = V.min(axis=2, keepdims=True)
+    hi = V.max(axis=2, keepdims=True)
+    width = hi - lo
+    return _power_basis((2.0 * V - (lo + hi)) / np.where(width > 0, width, 1.0), d)
+
+
 def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
     """Median dissimilarity of k source codes against k targets in one pass.
 
@@ -192,32 +214,32 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
         )
     if pairs is None:
         a = b = slice(None)  # item i pairs V[i] with W[i]: views, no copies
-        k = len(V)
     else:
         a, b = _pair_columns(pairs, len(V), len(W))
-        k = len(a)
-    # far beyond any image, and small enough that no product in the fit
-    # overflows: the residuals stay finite, which keeps _median exact
-    if not all(np.abs(X).max() <= MAX_COORDINATE for X in (V, W)):
-        raise ValueError(
-            f"code coordinates must be finite and at most {MAX_COORDINATE:g}"
-        )
+    _check_coordinates(V, W)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    m = V.shape[2]
+    m, q = V.shape[2], comb(d + 2, 2)
+    if d > 0 and m < q:
+        raise ValueError(f"code too short for degree {d}: m={m} < q={q}")
+    return _fit(V, W, d, a, b)
+
+
+def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
+    """:func:`fit_stack` on checked stacks, items (V[a], W[b]), from the basis on.
+
+    ``basis`` is the sources' :func:`_mapped_basis`, built here when None;
+    at degree 0 there is none and V is compared directly. Gram matrix,
+    batched ``eigh``, solve, refinement, SVD fallback and both medians.
+    """
     coefficients = rank = condition = None
     if d == 0:
         diff = V[a] - W[b]
     else:
         q = comb(d + 2, 2)
-        if m < q:
-            raise ValueError(f"code too short for degree {d}: m={m} < q={q}")
-        # per source: basis, Gram matrix, its eigendecomposition and inverse
-        lo = V.min(axis=2, keepdims=True)
-        hi = V.max(axis=2, keepdims=True)
-        width = hi - lo
-        s = (2.0 * V - (lo + hi)) / np.where(width > 0, width, 1.0)
-        basis = _power_basis(s, d)
+        if basis is None:
+            basis = _mapped_basis(V, d)
+        # per source: Gram matrix, its eigendecomposition and inverse
         gram = basis @ basis.transpose(0, 2, 1)
         # gram = u diag(lam) u^T with lam ascending; cond(gram) = cond(B)^2,
         # and a NaN or non-positive smallest eigenvalue also means the SVD
@@ -228,11 +250,13 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
         inverse = (u / lam[:, None, :]) @ u.transpose(0, 2, 1)
         # per item: each picks up its source's basis and inverse
         basis, inverse, target = basis[a], inverse[a], W[b]
+        k = len(target)
         coefficients = inverse @ (basis @ target.transpose(0, 2, 1))
         # One step of iterative refinement, on residuals taken from the basis
         # itself, wins back most of what squaring cond(B) in the normal
         # equations costs (1024^2 codes, d=7: about 2e-10 off an SVD fit).
-        diff = coefficients.transpose(0, 2, 1) @ basis - target
+        diff = coefficients.transpose(0, 2, 1) @ basis
+        diff -= target
         coefficients -= inverse @ (basis @ diff.transpose(0, 2, 1))
         rank = np.full(k, q)
         condition = source_condition[a]
@@ -248,9 +272,11 @@ def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
                 f"and dropped rank for {int((rank < q).sum())} of {k} (lowest rank "
                 f"{int(rank.min())} of q={q}: collinear, or one value on an axis)",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        diff = coefficients.transpose(0, 2, 1) @ basis - target
+        np.matmul(coefficients.transpose(0, 2, 1), basis, out=diff)
+        diff -= target
+        del basis, target  # the per-item bases are the largest arrays of a fit
     # per target: the median distance of its points to their centroid
     target_scale = _median(_norms(W - W.mean(axis=2, keepdims=True)))[b]
     if not np.all(target_scale > 0.0):

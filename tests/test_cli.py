@@ -2,8 +2,10 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -648,3 +650,72 @@ def test_compare_checks_hold_without_asserts(tmp_path):
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+# tokens a mutated header or row may take: empty, signed, non-finite, past
+# every limit, or of the wrong kind
+HOSTILE = [b"", b"0", b"-1", b"1", b"-0", b"0.5", b"nan", b"inf", b"-inf", b"1e309"]
+HOSTILE += [b"255", b"256", b"65536", b"4294967297", b"99999999999", b"x", b"P5", b"#"]
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """One seeded mutation: overwrite, truncate, cut, repeat or swap a token."""
+    kind = rng.integers(5)
+    if kind == 0:
+        out = bytearray(data)
+        for k in rng.integers(0, len(out), rng.integers(1, 4)):
+            out[k] = rng.integers(256)
+        return bytes(out)
+    if kind == 1:
+        return data[: rng.integers(len(data))]
+    i, j = sorted(rng.integers(0, len(data), 2))
+    if kind == 2:
+        return data[:i] + data[j:]
+    if kind == 3:
+        return data[:j] + data[i:]
+    tokens = re.split(rb"([\s,=]+)", data)  # separators at odd indices
+    # half the swaps land in the first tokens: the magic, header or first row
+    k = rng.integers(min(len(tokens), 16) if rng.integers(2) else len(tokens))
+    tokens[k] = HOSTILE[rng.integers(len(HOSTILE))]
+    return b"".join(tokens)
+
+
+def test_mutated_inputs_end_as_a_result_or_an_error(tmp_path, capsys):
+    # 300 seeded mutations of P5, P2 and code files; every run must end with
+    # exit 0, or with "error: ..." and exit 1, never a traceback or a
+    # RuntimeWarning (raised here as an error)
+    px = np.rint(generate_figure(8, 64).pixels)
+    write_pgm(px, tmp_path / "p5.pgm", binary=True)
+    write_pgm(px, tmp_path / "p2.pgm", binary=False)
+    write_pgm(np.rint(generate_figure(9, 64).pixels), tmp_path / "partner.pgm")
+    for name in ("p5", "partner"):
+        image, out = tmp_path / f"{name}.pgm", tmp_path / f"{name}.csv"
+        argv = ["encode", "--image", str(image), "--polarity", "light-on-dark"]
+        assert main([*argv, "--points", "64", "--out", str(out)]) == 0
+    rng = np.random.default_rng(20261018)
+    names = ("p5.pgm", "p2.pgm", "p5.csv")
+    bases = {name: (tmp_path / name).read_bytes() for name in names}
+    capsys.readouterr()
+    for run in range(300):
+        name = names[run % 3]
+        mutant = tmp_path / f"mutant{run}{Path(name).suffix}"
+        mutant.write_bytes(mutate(bases[name], rng))
+        if name.endswith(".pgm"):
+            out = tmp_path / "out.csv"
+            argv = ["encode", "--image", str(mutant), "--polarity", "light-on-dark"]
+            argv += ["--points", "64", "--out", str(out)]
+        else:
+            codes = [str(mutant), str(tmp_path / "partner.csv")]
+            if run % 2:  # the mutant as the target
+                codes.reverse()
+            argv = ["compare", *codes, "--degree", str(run % 4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rc = main(argv)
+            except Exception as exc:  # it would escape the CLI as a traceback
+                pytest.fail(f"{mutant.name}: {type(exc).__name__}: {exc}")
+        err = capsys.readouterr().err
+        assert (rc, err) == (0, "") or rc == 1 and err.startswith("error: "), (
+            mutant.name, rc, err
+        )

@@ -1,7 +1,9 @@
 """Tests for figure generation, polynomial warping and the corpus sweep."""
 
 import csv
+import warnings
 from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from numpy.polynomial.polynomial import polyval
 from densitycode import (
     CorpusSpec,
     EncodeParams,
+    GrayImage,
     Polarity,
     WindWarp,
     check_warp_family,
@@ -224,6 +227,44 @@ class TestGenerateCorpus:
             CorpusSpec(size=32)
 
 
+def prefix_plan(entries, alphas, alpha_max, points=None):
+    """Each image's code at alpha_max and, per alpha, the lengths a sweep cuts."""
+    masses = [f.foreground_mass for _, f in entries]
+    if points is None:
+        points = max(code_length(mass, alpha_max, 10**9) for mass in masses)
+    seq = halton(points, 2)
+    codes = [encode(f, seq, EncodeParams(alpha=alpha_max)).points for _, f in entries]
+    lengths = [
+        [min(code_length(mass, a, points), len(c)) for mass, c in zip(masses, codes)]
+        for a in alphas
+    ]
+    return codes, lengths
+
+
+def delta_median_rows(entries, alphas, alpha_max, degree, points=None):
+    """Sweep rows rebuilt one pair and one alpha at a time with delta_median."""
+    codes, lengths = prefix_plan(entries, alphas, alpha_max, points)
+    rows = []
+    for alpha, cut in zip(alphas, lengths):
+        if min(cut) < comb(degree + 2, 2):
+            rows.append(SweepRow(alpha, None, None, None, None, "invalid"))
+            continue
+        bands = {True: [], False: []}
+        for i, j in permutations(range(len(entries)), 2):
+            delta = delta_median(codes[i][: cut[i]], codes[j][: cut[j]], degree).delta
+            bands[entries[i][0] == entries[j][0]].append(delta)
+        edges = [f(bands[key]) for key in (True, False) for f in (min, max)]
+        rows.append(SweepRow(alpha, *edges, "ok"))
+    return rows
+
+
+def image_of(codes, points):
+    """Index of the one code whose prefix is ``points``."""
+    matches = [np.array_equal(c[: len(points)], points) for c in codes]
+    (index,) = np.flatnonzero(matches)
+    return index
+
+
 def test_sweep_rows_match_direct_delta_median(tmp_path):
     generate_corpus(tmp_path, CorpusSpec(pair_count=2, size=64, seed=7))
     entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
@@ -232,51 +273,57 @@ def test_sweep_rows_match_direct_delta_median(tmp_path):
     # at alpha=0.01 a 64x64 figure's code is shorter than the cubic basis
     assert rows[0] == SweepRow(0.01, None, None, None, None, "invalid")
     assert [row.status for row in rows[1:]] == ["ok", "ok"]
-    alpha = rows[1].alpha
-    points = max(code_length(f.foreground_mass, 0.4, 10**9) for _, f in entries)
-    seq = halton(points, 2)
-    codes = [encode(f, seq, EncodeParams(alpha=alpha)).points for _, f in entries]
-    related, unrelated = [], []
-    for i, (pair_i, _) in enumerate(entries):
-        for j, (pair_j, _) in enumerate(entries):
-            if i != j:
-                delta = delta_median(codes[i], codes[j], 3).delta
-                (related if pair_i == pair_j else unrelated).append(delta)
-    want = (alpha, min(related), max(related), min(unrelated), max(unrelated), "ok")
-    assert rows[1] == want
+    assert rows == delta_median_rows(entries, [0.01, 0.2, 0.4], 0.4, 3)
 
 
-def test_sweep_pairs_equal_delta_median_from_exactly_q_points(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def six_images(tmp_path_factory):
+    """Entries of a 3-pair 64x64 corpus."""
+    out = tmp_path_factory.mktemp("corpus")
+    generate_corpus(out, CorpusSpec(pair_count=3, size=64, seed=11))
+    return load_corpus(out, Polarity.LIGHT_ON_DARK, 1e-4)
+
+
+def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, monkeypatch):
     # where the shortest code has exactly q = 10 points the fit interpolates
-    # and delta is pure rounding, so a stacked fit must repeat a one-pair
-    # fit bit for bit to give the same row
-    generate_corpus(tmp_path, CorpusSpec(pair_count=3, size=64, seed=11))
-    entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
+    # and delta is pure rounding, so a fit of many items must repeat a
+    # one-pair fit bit for bit to give the same row
+    entries = six_images
     lightest = min(f.foreground_mass for _, f in entries)
     alphas = [10.0 / lightest, 0.1, 0.2, 0.3]
-    stacks = []
-    fit = corpus_module.fit_stack
+    fits = []
+    fit = corpus_module._fit
 
-    def recording_fit_stack(V, W, d, pairs):
-        result = fit(V, W, d, pairs=pairs)
-        stacks.append((V, W, d, pairs, result))
+    def recording_fit(V, W, d, a, b, basis=None):
+        result = fit(V, W, d, a, b, basis)
+        fits.append((V, W, d, a, b, result))
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "fit_stack", recording_fit_stack)
+        patch.setattr(corpus_module, "_fit", recording_fit)
         rows = sweep(entries, alphas, 0.3, 3)
     assert [row.status for row in rows] == ["ok"] * 4
-    assert min(stack[0].shape[2] for stack in stacks) == 10
-    n = len(entries)
-    assert sum(len(stack[3]) for stack in stacks) == len(alphas) * n * (n - 1)
-    for V, W, d, pairs, result in stacks:
-        for i, (a, b) in enumerate(pairs):
-            assert result.delta[i] == delta_median(V[a].T, W[b].T, d).delta
+    walked = [W.shape[2] for _, W, *_ in fits]
+    assert walked == sorted(walked) and walked[0] == 10  # one walk, up from q
+    codes, lengths = prefix_plan(entries, alphas, 0.3)
+    fitted = []
+    for V, W, d, a, b, result in fits:
+        for i, (s, t) in enumerate(zip(a, b)):
+            assert result.delta[i] == delta_median(V[s].T, W[t].T, d).delta
+            source, target = image_of(codes, V[s].T), image_of(codes, W[t].T)
+            fitted.append((source, target, V.shape[2]))
+    # every (alpha, pair) has its delta from one fitted item, and no
+    # (source, target, length) is fitted twice
+    pairs = list(permutations(range(len(entries)), 2))
+    want = {(i, j, min(cut[i], cut[j])) for cut in lengths for i, j in pairs}
+    assert len(fitted) == len(set(fitted)) and set(fitted) == want
+    assert len(set(walked)) == len({m for *_, m in want})
 
 
-def test_sweep_builds_one_basis_per_image_and_length(tmp_path, monkeypatch):
-    generate_corpus(tmp_path, CorpusSpec(pair_count=3, size=64, seed=11))
-    entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
+def test_sweep_builds_one_basis_per_image_and_length(six_images, monkeypatch):
+    # one basis per (image, prefix bounding box) over the whole sweep: a
+    # box serves every length up to the point that widens it
+    entries = six_images
     alphas = [0.1, 0.2, 0.3]
     built = []
     power_basis = matcher_module._power_basis
@@ -289,14 +336,90 @@ def test_sweep_builds_one_basis_per_image_and_length(tmp_path, monkeypatch):
         patch.setattr(matcher_module, "_power_basis", recording_power_basis)
         rows = sweep(entries, alphas, 0.3, 3)
     assert [row.status for row in rows] == ["ok"] * 3
-    points = max(code_length(f.foreground_mass, 0.3, 10**9) for _, f in entries)
-    n = len(entries)
-    keys = 0  # distinct (image, common length) per alpha
-    for alpha in alphas:
-        lengths = [code_length(f.foreground_mass, alpha, points) for _, f in entries]
-        pairs = permutations(range(n), 2)
-        keys += len({(i, min(lengths[i], lengths[j])) for i, j in pairs})
-    assert sum(built) == keys < len(alphas) * n * (n - 1)
+    codes, lengths = prefix_plan(entries, alphas, 0.3)
+    boxes, sources = set(), set()
+    for cut in lengths:
+        for i, j in permutations(range(len(entries)), 2):
+            prefix = codes[i][: min(cut[i], cut[j])]
+            boxes.add((i, *prefix.min(axis=0), *prefix.max(axis=0)))
+            sources.add((i, len(prefix)))
+    assert sum(built) == len(boxes) < len(sources)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 5])
+def test_sweep_rows_equal_delta_median_rows(six_images, degree):
+    # unsorted and repeated alphas; at degree 5 (q = 21) alpha 0.05 is invalid
+    alphas = [0.3, 0.05, 0.2, 0.05, 0.3, 0.12]
+    rows = sweep(six_images, alphas, 0.3, degree)
+    assert rows == delta_median_rows(six_images, alphas, 0.3, degree)
+    assert [row.alpha for row in rows] == alphas
+
+
+def test_sweep_fits_tied_lengths_once(six_images, monkeypatch):
+    # points=60 caps every code at 60 from alpha 0.2 on, so pairs of several
+    # alphas share one length; each distinct (pair, length) is fitted once
+    alphas = [0.05, 0.2, 0.25, 0.3]
+    codes, lengths = prefix_plan(six_images, alphas, 0.3, points=60)
+    assert [max(cut) for cut in lengths] == [max(lengths[0]), 60, 60, 60]
+    items = []
+    fit = corpus_module._fit
+
+    def recording_fit(V, W, d, a, b, basis=None):
+        items.extend((V.shape[2], s, t) for s, t in zip(a, b))
+        return fit(V, W, d, a, b, basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_fit", recording_fit)
+        rows = sweep(six_images, alphas, 0.3, 3, points=60)
+    assert rows == delta_median_rows(six_images, alphas, 0.3, 3, points=60)
+    pairs = list(permutations(range(len(six_images)), 2))
+    keys = {(min(cut[i], cut[j]), i, j) for cut in lengths for i, j in pairs}
+    assert len(items) == len(keys)
+    assert sweep(six_images, [], 0.3, 3) == []
+
+
+def diagonal_field(shift):
+    """A one-pixel diagonal line at 128x128: its code is a strip 1/128 wide."""
+    px = np.zeros((128, 128))
+    np.fill_diagonal(px[:, shift:], 255.0)
+    img = normalize(GrayImage(pixels=px), Polarity.LIGHT_ON_DARK)
+    return make_density_field(img, 1e-4)
+
+
+def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
+    # the diagonals' cubic bases are past MAX_CONDITION, so their items go to
+    # the SVD inside fits that also hold well-conditioned figure items; each
+    # fit warns once, counting its own SVD items
+    figures = [
+        normalize(generate_figure(s, 128), Polarity.LIGHT_ON_DARK) for s in (5, 6)
+    ]
+    entries = [(0, diagonal_field(0)), (0, diagonal_field(3))]
+    entries += [(1, make_density_field(img, 1e-4)) for img in figures]
+    alphas = [0.1, 0.2, 0.3]
+    expected = []
+    fit = corpus_module._fit
+
+    def recording_fit(V, W, d, a, b, basis=None):
+        result = fit(V, W, d, a, b, basis)
+        alone = 0
+        for i, (s, t) in enumerate(zip(a, b)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert result.delta[i] == delta_median(V[s].T, W[t].T, d).delta
+            alone += len(caught)
+        if alone:
+            expected.append(f"went to the SVD for {alone} of {len(a)} items")
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_fit", recording_fit)
+        with pytest.warns(RuntimeWarning) as record:
+            rows = sweep(entries, alphas, 0.3, 3)
+    assert expected and len(record) == len(expected)
+    for warning, want in zip(record, expected):
+        assert want in str(warning.message)
+    with pytest.warns(RuntimeWarning, match="went to the SVD"):
+        assert rows == delta_median_rows(entries, alphas, 0.3, 3)
 
 
 @pytest.mark.parametrize("pairs", [[], [0, 0], [0, 1, 2]])
