@@ -45,11 +45,9 @@ from .image_io import (
 )
 from .matcher import (
     DissimilarityReport,
-    FitStack,
     all_powers,
     basis_matrix,
     delta_median,
-    fit_stack,
     least_squares_fit,
 )
 from .quasirandom import QuasiSequence, first_primes, halton, radical_inverse
@@ -62,7 +60,6 @@ __all__ = [
     "DensityField",
     "DissimilarityReport",
     "EncodeParams",
-    "FitStack",
     "GrayImage",
     "NormalizedImage",
     "Polarity",
@@ -77,7 +74,6 @@ __all__ = [
     "delta_median",
     "encode",
     "first_primes",
-    "fit_stack",
     "fit_model",
     "generate_corpus",
     "generate_figure",

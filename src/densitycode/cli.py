@@ -87,7 +87,12 @@ def cmd_sweep(args) -> int:
     if args.points is not None and args.points > MAX_POINTS:
         raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
     entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
-    alphas = [lo + i * step for i in range(math.floor(count + 0.5) + 1)]
+    # the grid ends at the last step within --alpha-max; a count a rounding
+    # error short of an integer (decimal flags rounded to binary) takes that step
+    steps = math.floor(count)
+    if math.isclose(count, steps + 1, rel_tol=1e-9):
+        steps += 1
+    alphas = [min(lo + i * step, hi) for i in range(steps + 1)]
     points = args.points
     if points is None:
         points = sweep_length(entries, hi)

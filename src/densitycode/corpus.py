@@ -434,20 +434,21 @@ def sweep(
     image is encoded once at ``alpha_max`` from a Halton sequence of
     ``points`` (default: :func:`sweep_length`; either way at most
     :data:`MAX_POINTS`); each alpha then compares code prefixes, which
-    equal the codes encoded at that alpha bit for bit.
+    equal the codes encoded at that alpha bit for bit, so an alpha that
+    asks any image for a longer code than that encoding holds is refused.
 
     The plan is the (alphas x ordered pairs) array of common lengths
     min(L_i, L_j), walked once in ascending length. Each distinct (pair,
     length) is one item, so a pair tied at several alphas is fitted once.
-    The items of one length go to the solver of
-    :func:`~densitycode.matcher.fit_stack` in runs of n * max(L) / (2 m),
-    which keeps the item bases a fit gathers to half the size of the live
-    bases; a source is prepared once per fit that holds its items. Each
-    image keeps one live [-1, 1]-mapped basis, built for its prefix's
-    bounding box over every prefix length that shares that box: a length
-    takes its first columns, and a new basis is built only when the box
-    grows. Every delta is :func:`delta_median`'s on the same prefixes, bit
-    for bit. Returns one :class:`SweepRow` per alpha, in the order given.
+    The items of one length go to the solver :func:`delta_median` runs, in
+    runs of n * max(L) / (2 m), which keeps the item bases a fit gathers to
+    half the size of the live bases; a source is prepared once per fit that
+    holds its items. Each image keeps one live [-1, 1]-mapped basis, built
+    for its prefix's bounding box over every prefix length that shares that
+    box: a length takes its first columns, and a new basis is built only
+    when the box grows. Every delta is :func:`delta_median`'s on the same
+    prefixes, bit for bit. Returns one :class:`SweepRow` per alpha, in the
+    order given.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -482,12 +483,18 @@ def sweep(
     related = np.array([by_mass[i][0] == by_mass[j][0] for i, j in pairs])
     lengths = np.array(
         [
-            min(code_length(field.foreground_mass, alpha, points), size)
+            code_length(field.foreground_mass, alpha, points)
             for alpha in alphas
-            for (_, field), size in zip(by_mass, sizes)
+            for _, field in by_mass
         ],
         dtype=np.intp,
     ).reshape(-1, n)
+    longer = (lengths > np.array(sizes)).any(axis=1)
+    if longer.any():
+        raise ValueError(
+            f"alpha={alphas[longer.argmax()]:g} asks for longer codes than "
+            f"alpha_max={alpha_max:g} encodes"
+        )
     # an alpha is invalid when a code is shorter than the basis
     q = math.comb(degree + 2, 2)  # len(all_powers(degree)), without building it
     valid = lengths.min(axis=1) >= q

@@ -30,7 +30,7 @@ import numpy as np
 # digits; beyond it the item is fitted by the SVD instead.
 MAX_CONDITION = 1e6
 
-# Largest code coordinate magnitude fit_stack accepts.
+# Largest code coordinate magnitude delta_median and the corpus sweep accept.
 MAX_COORDINATE = 1e100
 
 
@@ -110,10 +110,10 @@ def least_squares_fit(B, W) -> tuple[np.ndarray, int, float]:
 
 
 class FitStack(NamedTuple):
-    """Per-item results of :func:`fit_stack` for k items of m points each.
+    """Per-item results of :func:`_fit` for k items of m points each.
 
     ``coefficients`` apply to the source mapped into [-1, 1] (see
-    :func:`fit_stack`); they, ``rank`` and ``condition`` (the basis
+    :func:`_mapped_basis`); they, ``rank`` and ``condition`` (the basis
     condition number) are None at degree 0.
     """
 
@@ -146,19 +146,6 @@ def _norms(offsets: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _pair_columns(pairs, ks: int, kt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target index columns of a (k, 2) integer pair array."""
-    pairs = np.asarray(pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
-        raise ValueError("pairs must be a (k, 2) integer array")
-    a, b = pairs[:, 0], pairs[:, 1]
-    if len(pairs) == 0 or min(a.min(), b.min()) < 0 or a.max() >= ks or b.max() >= kt:
-        raise ValueError(
-            f"pairs must index {ks} sources and {kt} targets, at least one pair"
-        )
-    return a, b
-
-
 def _check_coordinates(*stacks: np.ndarray) -> None:
     # far beyond any image, and small enough that no product in the fit
     # overflows: the residuals stay finite, which keeps _median exact
@@ -181,56 +168,32 @@ def _mapped_basis(V: np.ndarray, d: int) -> np.ndarray:
     return _power_basis((2.0 * V - (lo + hi)) / np.where(width > 0, width, 1.0), d)
 
 
-def fit_stack(V: np.ndarray, W: np.ndarray, d: int, pairs=None) -> FitStack:
-    """Median dissimilarity of k source codes against k targets in one pass.
+def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
+    """Median dissimilarity of the items (V[a], W[b]): the matcher's one solver.
 
     ``V`` and ``W`` are coordinate-major stacks of codes of m points each,
-    shape (ks, 2, m) and (kt, 2, m). Without ``pairs``, ks = kt = k and item
-    i compares source points V[i].T with target points W[i].T. With a (k, 2)
-    integer array ``pairs``, item i compares V[a].T with W[b].T for
-    (a, b) = pairs[i], so a source or target shared by several items is
-    prepared once. Each source is mapped into [-1, 1] per axis by its
-    bounding box, s = (2 v - (lo + hi)) / (hi - lo), with a zero-width axis
-    mapped to 0. The degree-d monomials of s form the basis B. Each source's
-    Gram matrix G = B B^T is factored once, G = U diag(lam) U^T, and its
+    shape (ks, 2, m) and (kt, 2, m), already checked; item i compares source
+    points V[a][i].T with target points W[b][i].T. ``a`` and ``b`` are index
+    arrays, so a source or target shared by several items is prepared once,
+    or slices, which pair stacks item for item as views. :func:`delta_median`
+    fits one pair, :func:`densitycode.corpus.sweep` a grid of them.
+
+    Each source is mapped into [-1, 1] per axis by its bounding box, and the
+    degree-d monomials of the mapped points form the basis B (``basis`` is
+    the sources' :func:`_mapped_basis`, built here when None); at degree 0
+    there is none and V is compared directly. Each source's Gram matrix
+    G = B B^T is factored once by ``eigh``, G = U diag(lam) U^T, and its
     inverse formed from that. An item whose basis condition number
     sqrt(max lam / min lam) is at most MAX_CONDITION is solved with that
     inverse, followed by one refinement step that reuses it, and the rest go
-    through :func:`least_squares_fit`. Each target's scale is the median
-    distance of its points to their centroid. Items do not interact: the
-    tests check that each item's result is bit-identical to fitting its pair
-    alone, which holds as long as numpy runs the stacked linear algebra item
-    by item. Warns (RuntimeWarning) once a call when any item went to the
-    SVD, naming how many and how many of those dropped rank.
-    """
-    V = np.asarray(V, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    # with pairs, V and W need only share (2, m)
-    one_shape = V.shape == W.shape if pairs is None else V.shape[1:] == W.shape[1:]
-    if V.ndim != 3 or V.shape[1] != 2 or not one_shape or V.size == 0 or W.size == 0:
-        raise ValueError(
-            "V and W must be nonempty (k, 2, m) stacks of one shape "
-            "(with pairs: of one m)"
-        )
-    if pairs is None:
-        a = b = slice(None)  # item i pairs V[i] with W[i]: views, no copies
-    else:
-        a, b = _pair_columns(pairs, len(V), len(W))
-    _check_coordinates(V, W)
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    m, q = V.shape[2], comb(d + 2, 2)
-    if d > 0 and m < q:
-        raise ValueError(f"code too short for degree {d}: m={m} < q={q}")
-    return _fit(V, W, d, a, b)
-
-
-def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
-    """:func:`fit_stack` on checked stacks, items (V[a], W[b]), from the basis on.
-
-    ``basis`` is the sources' :func:`_mapped_basis`, built here when None;
-    at degree 0 there is none and V is compared directly. Gram matrix,
-    batched ``eigh``, solve, refinement, SVD fallback and both medians.
+    through :func:`least_squares_fit`. A call that sends any item to the SVD
+    warns once, at the line that called delta_median or the sweep
+    (RuntimeWarning), naming how many and how many of those dropped rank.
+    Each target's scale is the median distance of its points to their
+    centroid. Items do not interact: each item's result is bit-identical to
+    fitting its pair alone, which holds as long as numpy runs the stacked
+    linear algebra item by item. The tests check this, and the sweep relies
+    on it to equal delta_median.
     """
     coefficients = rank = condition = None
     if d == 0:
@@ -294,8 +257,8 @@ class DissimilarityReport:
     the median distance of the target code's points to their centroid.
     ``m_source`` and ``m_target`` are the input code lengths before the
     cut to the common prefix of ``m_used`` points. ``coefficients`` map the
-    source mapped into [-1, 1] by its bounding box (see :func:`fit_stack`),
-    not raw pixel coordinates. ``rank`` is q unless the minimum-norm fit
+    source mapped into [-1, 1] by its bounding box (see :func:`_fit`), not
+    raw pixel coordinates. ``rank`` is q unless the minimum-norm fit
     dropped directions; ``condition`` is the basis condition number,
     sqrt(max/min eigenvalue of its Gram matrix), or the singular-value
     ratio for a fit done by SVD. All three are None at degree 0.
@@ -321,9 +284,9 @@ def delta_median(V, W, d: int) -> DissimilarityReport:
     correspond point for point. With d = 0 the residuals are the direct
     per-point Euclidean distances; with d >= 1 they are the errors of the
     fitted degree-d polynomial map applied to V. The median of an even
-    count is the mean of the two central order statistics. This is the
-    one-item case of :func:`fit_stack`, and the tests check that the result
-    is bit-identical to that pair's inside a stack.
+    count is the mean of the two central order statistics. The fit is the
+    solver :func:`densitycode.corpus.sweep` runs on a grid of pairs, and the
+    tests check that the sweep's deltas equal this function's bit for bit.
     """
     v = _as_points(V)
     w = _as_points(W)
@@ -332,9 +295,15 @@ def delta_median(V, W, d: int) -> DissimilarityReport:
     if v.shape[0] == 0 or w.shape[0] == 0:
         raise ValueError("codes must be nonempty")
     m = min(v.shape[0], w.shape[0])
-    fit = fit_stack(
-        np.ascontiguousarray(v[:m].T)[None], np.ascontiguousarray(w[:m].T)[None], d
-    )
+    source = np.ascontiguousarray(v[:m].T)[None]
+    target = np.ascontiguousarray(w[:m].T)[None]
+    _check_coordinates(source, target)
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    q = comb(d + 2, 2)
+    if d > 0 and m < q:
+        raise ValueError(f"code too short for degree {d}: m={m} < q={q}")
+    fit = _fit(source, target, d, slice(None), slice(None))
     return DissimilarityReport(
         delta=float(fit.delta[0]),
         residuals=fit.residuals[0],

@@ -472,6 +472,24 @@ def test_sweep_rejects_bad_alpha_grid(small_corpus, tmp_path, capsys, grid, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid, alphas",
+    [
+        ([], [0.01 + i * 0.01 for i in range(50)]),  # the default grid
+        (["--alpha-min", "0.1", "--alpha-max", "0.3", "--alpha-step", "0.1"],
+         [0.1, 0.2, 0.3]),  # 0.2 / 0.1 falls an ulp short of 2 steps
+        (["--alpha-min", "0.1", "--alpha-max", "0.36", "--alpha-step", "0.1"],
+         [0.1, 0.2, 0.1 + 2 * 0.1]),  # 2.6 steps: the grid stops at 2
+    ],
+)
+def test_sweep_grid_ends_within_alpha_max(small_corpus, tmp_path, grid, alphas):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--corpus", str(small_corpus), "--out", str(out), *grid])
+    assert rc == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["alpha"] for row in rows] == [f"{alpha:.17g}" for alpha in alphas]
+
+
 def test_sweep_degree_beyond_every_code_gives_invalid_rows(small_corpus, tmp_path):
     # q = C(30002, 2) basis terms: the sweep must not build them to find out
     out = tmp_path / "s.csv"

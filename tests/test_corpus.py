@@ -420,6 +420,20 @@ def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
         assert want in str(warning.message)
     with pytest.warns(RuntimeWarning, match="went to the SVD"):
         assert rows == delta_median_rows(entries, alphas, 0.3, 3)
+    # unpatched, each warning names the sweep's caller
+    with pytest.warns(RuntimeWarning, match="went to the SVD") as record:
+        assert sweep(entries, alphas, 0.3, 3) == rows
+    assert {warning.filename for warning in record} == {__file__}
+
+
+def test_sweep_refuses_alphas_above_alpha_max(six_images):
+    # a prefix of the alpha_max code is the code of a smaller alpha only
+    message = r"^alpha=0.4 asks for longer codes than alpha_max=0.36 encodes"
+    with pytest.raises(ValueError, match=message):
+        sweep(six_images, [0.1, 0.4], 0.36, 3)
+    # where the sequence caps both lengths, the codes are the same
+    capped = sweep(six_images, [0.4, 0.36], 0.36, 3, points=60)
+    assert capped[0][1:] == capped[1][1:] and capped[0].status == "ok"
 
 
 @pytest.mark.parametrize("pairs", [[], [0, 0], [0, 1, 2]])

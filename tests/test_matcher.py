@@ -12,13 +12,12 @@ from densitycode import (
     basis_matrix,
     delta_median,
     encode,
-    fit_stack,
     generate_corpus,
     halton,
     least_squares_fit,
     load_corpus,
 )
-from densitycode.matcher import _median
+from densitycode.matcher import _fit, _median
 
 
 class TestAllPowers:
@@ -198,6 +197,19 @@ class TestDeltaMedian:
         with pytest.raises(ValueError, match="code too short"):
             delta_median(V, W, 3)
 
+    def test_rejects_malformed_codes_and_degrees(self):
+        rng = np.random.default_rng(23)
+        V = random_code(rng, 20)
+        for bad in (np.ones((20, 3)), np.ones((2, 20)), np.ones(40)):
+            with pytest.raises(ValueError, match=r"codes must be \(m, 2\) matrices"):
+                delta_median(bad, V, 1)
+            with pytest.raises(ValueError, match=r"codes must be \(m, 2\) matrices"):
+                delta_median(V, bad, 1)
+        with pytest.raises(ValueError, match="codes must be nonempty"):
+            delta_median(V, np.ones((0, 2)), 0)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            delta_median(V, V, -1)
+
     def test_degenerate_target_scale(self):
         V = np.array([[1.0, 2.0], [3.0, 4.0]])
         W = np.array([[5.0, 5.0], [5.0, 5.0]])
@@ -280,12 +292,13 @@ def test_large_codes_match_mapped_reference_at_every_degree(large_codes):
 
 
 class TestFitStack:
+    # the solver delta_median and the corpus sweep share, and its results
     def test_items_equal_their_one_pair_fits(self):
         rng = np.random.default_rng(14)
         V = rng.uniform(0.0, 200.0, size=(5, 2, 40))
         W = V + rng.normal(0.0, 3.0, size=V.shape)
         for d in (0, 1, 3):
-            stack = fit_stack(V, W, d)
+            stack = _fit(V, W, d, slice(None), slice(None))
             for i in range(5):
                 report = delta_median(V[i].T, W[i].T, d)
                 assert stack.delta[i] == report.delta
@@ -297,23 +310,16 @@ class TestFitStack:
         V = rng.uniform(0.0, 200.0, size=(3, 2, 40))
         V[1, 0] = 7.0  # zero-width x: this item goes to the SVD
         W = V + rng.normal(0.0, 3.0, size=V.shape)
+        items = np.arange(3)
         with np.errstate(all="raise"):
             with pytest.warns(RuntimeWarning, match="dropped rank for 1 of 3"):
-                stack = fit_stack(V, W, 3)
+                stack = _fit(V, W, 3, items, items)
             with pytest.warns(RuntimeWarning, match="dropped rank for 1 of 1"):
                 alone = delta_median(V[1].T, W[1].T, 3)
         assert stack.rank.tolist() == [10, 4, 10]
         assert stack.delta[1] == alone.delta
         for i in (0, 2):
             assert stack.delta[i] == delta_median(V[i].T, W[i].T, 3).delta
-
-    def test_rejects_stacks_of_other_shapes(self):
-        V = np.ones((3, 2, 20))
-        for W in (np.ones((3, 2, 19)), np.ones((2, 2, 20))):
-            with pytest.raises(ValueError, match="stacks of one shape"):
-                fit_stack(V, W, 1)
-        with pytest.raises(ValueError, match="stacks of one shape"):
-            fit_stack(np.ones((3, 20, 2)), np.ones((3, 20, 2)), 1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -333,11 +339,10 @@ class TestFitStack:
         V = rng.uniform(0.0, 300.0, size=(sources, 2, m))
         W = rng.uniform(0.0, 300.0, size=(targets, 2, m))
         W[0] = V[0] + rng.normal(0.0, 2.0, size=(2, m))
-        pairs = np.column_stack(
-            (rng.integers(0, sources, items), rng.integers(0, targets, items))
-        )
-        stack = fit_stack(V, W, d, pairs=pairs)
-        for i, (a, b) in enumerate(pairs):
+        source = rng.integers(0, sources, items)
+        target = rng.integers(0, targets, items)
+        stack = _fit(V, W, d, source, target)
+        for i, (a, b) in enumerate(zip(source, target)):
             report = delta_median(V[a].T, W[b].T, d)
             assert stack.delta[i] == report.delta
             assert np.array_equal(stack.residuals[i], report.residuals)
@@ -349,48 +354,17 @@ class TestFitStack:
                 assert stack.rank[i] == report.rank
                 assert stack.condition[i] == report.condition
 
-    @pytest.mark.parametrize(
-        "pairs, message",
-        [
-            (np.array([[0, 0], [2, 0]]), "index 2 sources and 3 targets"),
-            (np.array([[0, 3]]), "index 2 sources and 3 targets"),
-            (np.array([[-1, 0]]), "index 2 sources and 3 targets"),
-            (np.zeros((0, 2), dtype=int), "index 2 sources and 3 targets"),
-            (np.array([[0.0, 1.0]]), r"\(k, 2\) integer array"),
-            (np.array([[True, False]]), r"\(k, 2\) integer array"),
-            (np.array([0, 1]), r"\(k, 2\) integer array"),
-            (np.array([[0, 1, 2]]), r"\(k, 2\) integer array"),
-        ],
-    )
-    def test_rejects_bad_pairs(self, pairs, message):
-        V, W = np.ones((2, 2, 20)), np.ones((3, 2, 20))
-        with pytest.raises(ValueError, match=message):
-            fit_stack(V, W, 1, pairs=pairs)
-
-    def test_indexed_stacks_share_only_the_point_count(self):
-        pairs = np.array([[0, 2]])
-        rng = np.random.default_rng(22)
-        V, W = rng.uniform(0.0, 50.0, (1, 2, 20)), rng.uniform(0.0, 50.0, (3, 2, 20))
-        assert fit_stack(V, W, 1, pairs=pairs).delta.shape == (1,)
-        message = r"stacks of one shape \(with pairs: of one m\)"
-        with pytest.raises(ValueError, match=message):
-            fit_stack(np.ones((2, 2, 20)), np.ones((2, 2, 19)), 1, pairs=pairs)
-        with pytest.raises(ValueError, match=message):
-            fit_stack(np.ones((2, 20, 2)), np.ones((2, 20, 2)), 1, pairs=pairs)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize("side", ["V", "W"])
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_rejects_non_finite_and_huge_coordinates(self, bad, side, indexed):
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_rejects_non_finite_and_huge_coordinates(self, bad, side, fitted):
+        # refused before any arithmetic, at d = 3 and at d = 0 (no fit)
         rng = np.random.default_rng(19)
-        codes = {"V": rng.uniform(0.0, 100.0, (2, 2, 30)),
-                 "W": rng.uniform(0.0, 100.0, (2, 2, 30))}
-        codes[side][1, 0, 7] = bad
-        pairs = np.array([[0, 0], [1, 1]]) if indexed else None
+        codes = {"V": rng.uniform(0.0, 100.0, (30, 2)),
+                 "W": rng.uniform(0.0, 100.0, (30, 2))}
+        codes[side][7, 0] = bad
         with pytest.raises(ValueError, match="must be finite and at most 1e"):
-            fit_stack(codes["V"], codes["W"], 3, pairs=pairs)
-        with pytest.raises(ValueError, match="must be finite"):
-            delta_median(codes["V"][1].T, codes["W"][1].T, 0)
+            delta_median(codes["V"], codes["W"], 3 if fitted else 0)
 
     def test_condition_is_the_mapped_basis_singular_value_ratio(self):
         rng = np.random.default_rng(20)
@@ -411,6 +385,7 @@ class TestFitStack:
         with pytest.warns(RuntimeWarning, match=message) as record:
             report = delta_median(V, W, 1)
         assert len(record) == 1 and "dropped rank for 0 of 1" in str(record[0].message)
+        assert record[0].filename == __file__  # the warning names the caller
         B = basis_matrix(mapped(V), 1)
         assert report.rank == 3 and report.condition > 1e6
         # fitted by SVD: the ratio comes from lstsq, not from the Gram matrix
