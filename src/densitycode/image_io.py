@@ -35,7 +35,8 @@ class GrayImage:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.shape[0] < 2 or px.shape[1] < 2:
             raise ValueError("image smaller than 2x2")
-        if not np.all(np.isfinite(px)) or np.any(px < 0):
+        lo, hi = px.min(), px.max()  # NaN propagates, and fails both tests
+        if not (lo >= 0 and hi < math.inf):
             raise ValueError("pixel values must be finite and >= 0")
         object.__setattr__(self, "pixels", px)
 
@@ -93,7 +94,7 @@ def _next_token(data: bytes, i: int) -> tuple[bytes, int]:
 
 
 def _p2_samples(raster: bytes, count: int) -> np.ndarray:
-    """The first ``count`` samples of a P2 raster, as doubles.
+    """The first ``count`` samples of a P2 raster, as int64.
 
     '#' comments run to end of line. Every sample must be all decimal
     digits; one too large for int64 saturates, which every maxval rejects.
@@ -108,7 +109,7 @@ def _p2_samples(raster: bytes, count: int) -> np.ndarray:
     end = ends[count - 1]
     if not np.all(space[:end] | (byte[:end] - 0x30 <= 9)):
         raise ValueError("malformed P2 raster: a sample is not a decimal number")
-    return np.fromstring(text[:end], dtype=np.int64, sep=" ").astype(np.float64)
+    return np.fromstring(text[:end], dtype=np.int64, sep=" ")
 
 
 def load_pgm(path) -> GrayImage:
@@ -139,19 +140,15 @@ def load_pgm(path) -> GrayImage:
         # each sample takes a digit and the separator before it
         if len(data) - i < 2 * count:
             raise ValueError("truncated P2 raster")
-        arr = _p2_samples(data[i:], count).reshape(height, width)
+        samples = _p2_samples(data[i:], count)
     else:
         j = i + 1  # exactly one whitespace byte separates header from raster
         bytes_per = 2 if maxval > 255 else 1
-        raster = data[j : j + count * bytes_per]
-        if len(raster) < count * bytes_per:
+        if len(data) - j < count * bytes_per:
             raise ValueError("truncated P5 raster")
         dtype = ">u2" if bytes_per == 2 else "u1"
-        arr = (
-            np.frombuffer(raster, dtype=dtype, count=count)
-            .astype(np.float64)
-            .reshape(height, width)
-        )
+        samples = np.frombuffer(data, dtype=dtype, count=count, offset=j)
+    arr = samples.astype(np.float64).reshape(height, width)
     if arr.max() > maxval:
         raise ValueError("sample value exceeds declared maxval")
     return GrayImage(pixels=arr)
@@ -221,11 +218,12 @@ def normalize(img: GrayImage, polarity: Polarity) -> NormalizedImage:
     if hi == lo:
         raise ValueError("degenerate contrast: image is flat (max == min)")
     if polarity is Polarity.LIGHT_ON_DARK:
-        g = (h - lo) / (hi - lo)
+        g = h - lo
     elif polarity is Polarity.DARK_ON_LIGHT:
-        g = (hi - h) / (hi - lo)
+        g = hi - h
     else:
         raise ValueError(f"unknown polarity {polarity!r}")
+    g /= hi - lo
     return NormalizedImage(
         pixels=g, foreground_mass=float(g.sum()), polarity=polarity
     )
@@ -251,7 +249,7 @@ def make_density_field(nimg: NormalizedImage, lam: float = 1e-4) -> DensityField
     total = float(f.sum())
     if not math.isfinite(total):
         raise ValueError("lambda too large: the background lift overflows")
-    f = f / total
+    f /= total
     row_cdf = np.cumsum(f.sum(axis=1))
     row_cdf = row_cdf / row_cdf[-1]
     return DensityField(

@@ -25,20 +25,48 @@ def first_primes(n: int) -> list[int]:
     return primes
 
 
+def _mirror_table(base: int, h: int) -> np.ndarray:
+    """The h-digit mirror of every integer in [0, base**h), as int64."""
+    table = np.arange(base, dtype=np.int64)
+    for digits in range(1, h):
+        table = (table[:, None] + np.arange(base) * base**digits).ravel()
+    return table
+
+
 def _radical_inverses(t: np.ndarray, base: int) -> np.ndarray:
     """Mirror the base-`base` digits of each index in t across the radix point.
 
     Every index is mirrored over the k digits of the largest, so each value
     is the exact ratio R / base**k, divided once. While base * max(t) <
     2**53 both integers are exact doubles and the quotient is correctly
-    rounded; beyond that the digits stay Python integers.
+    rounded; R is then assembled from blocks of h low digits, h about k / 2
+    but base**h at most 2**16 (or h = 1), each block mirrored by one lookup
+    in a table of the h-digit mirrors. Beyond 2**53 the digits stay Python
+    integers and are mirrored one at a time.
     """
-    rest = t.astype(np.int64 if int(t.max()) < 2**53 // base else object)
-    mirrored, scale = np.zeros_like(rest), 1
-    while rest.any():
-        mirrored = mirrored * base + rest % base
-        rest, scale = rest // base, scale * base
-    return (mirrored / scale).astype(np.float64)
+    top = int(t.max())
+    k = 0
+    while base**k <= top:
+        k += 1
+    if top >= 2**53 // base:
+        rest, mirrored = t.astype(object), 0
+        for _ in range(k):
+            mirrored = mirrored * base + rest % base
+            rest = rest // base
+        return (mirrored / base**k).astype(np.float64)
+    h = 1
+    while h < (k + 1) // 2 and base ** (h + 1) <= 2**16:
+        h += 1
+    table = _mirror_table(base, h)
+    rest, mirrored, left = t.astype(np.int64), np.zeros(len(t), np.int64), k
+    while left > 0:
+        take = min(h, left)
+        rest, block = np.divmod(rest, base**take)
+        left -= take
+        # the take-digit mirrors are the h-digit ones of [0, base**take), shifted
+        mirror = table if take == h else table[: base**take] // base ** (h - take)
+        mirrored += mirror[block] * base**left
+    return mirrored / base**k
 
 
 def radical_inverse(t: int, base: int) -> float:

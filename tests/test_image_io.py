@@ -20,10 +20,11 @@ from densitycode import (
 def test_gray_image_validation():
     with pytest.raises(ValueError):
         GrayImage(pixels=np.zeros((1, 5)))
-    with pytest.raises(ValueError):
-        GrayImage(pixels=np.array([[1.0, -2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        GrayImage(pixels=np.array([[1.0, np.nan], [0.0, 1.0]]))
+    for bad in (-2.0, -1e-300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            GrayImage(pixels=np.array([[1.0, bad], [0.0, 1.0]]))
+    negative_zero = GrayImage(pixels=np.array([[1.0, -0.0], [0.0, 1.0]]))
+    assert np.signbit(negative_zero.pixels[0, 1])
 
 
 def test_pgm_p5_2x2(tmp_path):
@@ -101,6 +102,34 @@ def test_pgm_rejects_truncated_and_tiny(tmp_path):
         load_pgm(tiny)
 
 
+@pytest.mark.parametrize(
+    "header, raster",
+    [
+        (b"P5\n2 2\n200\n", bytes([0, 200, 255, 1])),
+        (b"P5\n2 2\n1000\n", bytes.fromhex("0000 03e8 ffff 0001")),
+    ],
+    ids=["8-bit", "16-bit"],
+)
+def test_pgm_p5_rejects_samples_above_maxval(tmp_path, header, raster):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(header + raster)
+    with pytest.raises(ValueError, match="exceeds declared maxval"):
+        load_pgm(path)
+    path.write_bytes(header + raster.replace(b"\xff", b"\x00"))
+    assert load_pgm(path).pixels.max() == int(header.split()[-1])
+
+
+@pytest.mark.parametrize("maxval, width", [(255, 1), (65535, 2)])
+def test_pgm_p5_raster_one_byte_short_is_truncated(tmp_path, maxval, width):
+    path = tmp_path / "short.pgm"
+    header = b"P5\n3 2\n%d\n" % maxval
+    path.write_bytes(header + bytes(6 * width))
+    assert load_pgm(path).pixels.shape == (2, 3)
+    path.write_bytes(header + bytes(6 * width - 1))
+    with pytest.raises(ValueError, match="truncated"):
+        load_pgm(path)
+
+
 def test_load_image_sniffs_format(tmp_path):
     path = tmp_path / "noext"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]))
@@ -138,6 +167,22 @@ def test_normalize_polarity_complement():
     light = normalize(img, Polarity.LIGHT_ON_DARK)
     dark = normalize(img, Polarity.DARK_ON_LIGHT)
     assert np.allclose(dark.pixels, 1.0 - light.pixels, atol=1e-15)
+
+
+def test_normalize_and_field_are_the_plain_formulas_and_leave_inputs_alone():
+    h = np.random.default_rng(8).uniform(3.0, 250.0, (31, 17))
+    img = GrayImage(pixels=h.copy())
+    lo, hi = h.min(), h.max()
+    light = normalize(img, Polarity.LIGHT_ON_DARK)
+    dark = normalize(img, Polarity.DARK_ON_LIGHT)
+    assert np.array_equal(light.pixels, (h - lo) / (hi - lo))
+    assert np.array_equal(dark.pixels, (hi - h) / (hi - lo))
+    for nimg in (light, dark):
+        g = nimg.pixels.copy()
+        field = make_density_field(nimg, 1e-4)
+        assert np.array_equal(field.f, (g + field.c) / (g + field.c).sum())
+        assert np.array_equal(nimg.pixels, g)
+    assert np.array_equal(img.pixels, h)
 
 
 def test_normalize_rejects_flat_image():

@@ -1,5 +1,6 @@
 """Tests for the Halton sequence and radical inverses."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,20 @@ def brute_force_radical_inverse(t: int, base: int) -> float:
     for j, digit in enumerate(digits):
         acc += Fraction(digit, base ** (j + 1))
     return float(acc)
+
+
+def digit_loop_radical_inverses(t: np.ndarray, base: int) -> np.ndarray:
+    """Oracle: the digit loop the table-driven generator replaced.
+
+    Every index is mirrored one digit at a time over the k digits of the
+    largest, then divided once by base**k; exact while base * max(t) < 2**53.
+    """
+    rest = t.astype(np.int64)
+    mirrored, scale = np.zeros_like(rest), 1
+    while rest.any():
+        mirrored = mirrored * base + rest % base
+        rest, scale = rest // base, scale * base
+    return mirrored / scale
 
 
 def test_first_primes():
@@ -118,3 +133,28 @@ def test_halton_65536_matches_exact_oracle():
 @pytest.mark.parametrize("base", [2, 3, 7, 101])
 def test_radical_inverse_exact_beyond_double_precision(t, base):
     assert radical_inverse(t, base) == brute_force_radical_inverse(t, base)
+
+
+POWERS = {b**k for b in (2, 3) for k in range(1, 18) if b**k <= 3**11}
+
+
+@pytest.mark.parametrize(
+    "m", sorted({p + e for p in POWERS for e in (-1, 0, 1)}) + [10**6]
+)
+def test_halton_matches_the_digit_loop(m):
+    index = np.arange(1, m + 1)
+    points = halton(m, 2).points
+    assert np.array_equal(points[:, 0], digit_loop_radical_inverses(index, 2))
+    assert np.array_equal(points[:, 1], digit_loop_radical_inverses(index, 3))
+
+
+@pytest.mark.parametrize("t, base", [(2**52 - 1, 2), (2**53 // 101 - 1, 101)])
+def test_radical_inverse_near_the_exact_limit_is_exact_and_small(t, base):
+    tracemalloc.start()
+    try:
+        value = radical_inverse(t, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == brute_force_radical_inverse(t, base)
+    assert peak < 2**20
