@@ -41,9 +41,16 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _check_points(points: int) -> None:
+    """Refuse a --points value outside 1 .. MAX_POINTS, naming the flag."""
+    if points < 1:
+        raise ValueError(f"--points must be >= 1, got {points}")
+    if points > MAX_POINTS:
+        raise ValueError(f"--points {points} exceeds the limit of {MAX_POINTS}")
+
+
 def cmd_encode(args) -> int:
-    if args.points > MAX_POINTS:  # sweep refuses the same, for its own sequence
-        raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
+    _check_points(args.points)
     img = load_image(args.image)
     polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
@@ -79,13 +86,15 @@ def cmd_sweep(args) -> int:
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
         raise ValueError("alpha grid must be finite with --alpha-step > 0")
+    if lo <= 0:
+        raise ValueError(f"--alpha-min must be > 0, got {lo:g}")
     if lo > hi:
         raise ValueError("--alpha-min must not exceed --alpha-max")
     count = (hi - lo) / step
     if not count < MAX_ALPHAS:  # also true when the quotient overflows to inf
         raise ValueError(f"alpha grid too fine: {count:.3g} steps, limit {MAX_ALPHAS}")
-    if args.points is not None and args.points > MAX_POINTS:
-        raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
+    if args.points is not None:
+        _check_points(args.points)
     entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
     # the grid ends at the last step within --alpha-max; a count a rounding
     # error short of an integer (decimal flags rounded to binary) takes that step

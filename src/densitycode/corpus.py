@@ -35,6 +35,9 @@ _MASS_FLOOR_FRACTION = 0.02
 # a sequence takes 16 bytes a point and each code as much again; without
 # --points a sweep encodes every image at the longest code --alpha-max asks for
 MAX_POINTS = 10**7
+# basis cells (k items x q rows x m points) a sweep's fit may always gather:
+# 1 MiB, below which the solver's fixed cost per call outweighs the memory
+FIT_CELLS_FLOOR = 2**17
 
 
 @dataclass(frozen=True)
@@ -441,14 +444,17 @@ def sweep(
     min(L_i, L_j), walked once in ascending length. Each distinct (pair,
     length) is one item, so a pair tied at several alphas is fitted once.
     The items of one length go to the solver :func:`delta_median` runs, in
-    runs of n * max(L) / (2 m), which keeps the item bases a fit gathers to
-    half the size of the live bases; a source is prepared once per fit that
-    holds its items. Each image keeps one live [-1, 1]-mapped basis, built
-    for its prefix's bounding box over every prefix length that shares that
-    box: a length takes its first columns, and a new basis is built only
-    when the box grows. Every delta is :func:`delta_median`'s on the same
-    prefixes, bit for bit. Returns one :class:`SweepRow` per alpha, in the
-    order given.
+    runs whose gathered item bases (k items x q rows x m points) stay within
+    the larger of half the live bases (n q max(L) / 2 cells) and
+    :data:`FIT_CELLS_FLOOR`. On short codes the solver's cost is per call,
+    not per item, and the floor makes nearly every length one call; on long
+    codes at degree 1 and up, half the live bases is the larger cap. A
+    source is prepared once per fit that holds its items. Each image keeps
+    one live [-1, 1]-mapped basis, built for its prefix's bounding box over
+    every prefix length that shares that box: a length takes its first
+    columns, and a new basis is built only when the box grows. Every delta
+    is :func:`delta_median`'s on the same prefixes, bit for bit. Returns one
+    :class:`SweepRow` per alpha, in the order given.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -518,9 +524,9 @@ def sweep(
         source, target = pairs[key_pair[start:stop]].T
         first = source[0]
         W = full[first:, :, :m]
-        # a fit gathers each item's basis; n * L / (2m) items keep that to
-        # half the cells of the live bases
-        per_fit = max(1, n * longest // (2 * m))
+        # a fit gathers each item's q x m basis: at most half the cells of
+        # the live bases, or FIT_CELLS_FLOOR where that is more
+        per_fit = max(1, max(n * q * longest // 2, FIT_CELLS_FLOOR) // (q * m))
         for i0 in range(0, stop - start, per_fit):
             a, b = source[i0 : i0 + per_fit], target[i0 : i0 + per_fit]
             s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows

@@ -194,6 +194,11 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
     fitting its pair alone, which holds as long as numpy runs the stacked
     linear algebra item by item. The tests check this, and the sweep relies
     on it to equal delta_median.
+
+    A call's fixed cost, a few dozen numpy calls, outweighs its arithmetic
+    on short codes, so the work every call repeats is kept to what every fit
+    needs: the placeholder eigenvalues, the SVD item list and the warning
+    are made only when some source fails the condition test.
     """
     coefficients = rank = condition = None
     if d == 0:
@@ -208,7 +213,9 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
         # and a NaN or non-positive smallest eigenvalue also means the SVD
         lam, u = np.linalg.eigh(gram)
         solvable = lam[:, -1] <= MAX_CONDITION**2 * lam[:, 0]
-        lam[~solvable] = 1.0  # placeholder: these items are fitted by SVD
+        all_solvable = solvable.all()
+        if not all_solvable:
+            lam[~solvable] = 1.0  # placeholder: these items are fitted by SVD
         source_condition = np.sqrt(lam[:, -1] / lam[:, 0])
         inverse = (u / lam[:, None, :]) @ u.transpose(0, 2, 1)
         # per item: each picks up its source's basis and inverse
@@ -223,14 +230,14 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
         coefficients -= inverse @ (basis @ diff.transpose(0, 2, 1))
         rank = np.full(k, q)
         condition = source_condition[a]
-        by_svd = np.flatnonzero(~solvable[a])
+        by_svd = () if all_solvable else np.flatnonzero(~solvable[a])
         for i in by_svd:
             coefficients[i], rank[i], condition[i] = least_squares_fit(
                 basis[i].T, target[i].T
             )
-        if by_svd.size:
+        if len(by_svd):
             warnings.warn(
-                f"degree-{d} fit went to the SVD for {by_svd.size} of {k} items (basis "
+                f"degree-{d} fit went to the SVD for {len(by_svd)} of {k} items (basis "
                 f"condition above {MAX_CONDITION:g}: near-degenerate source points) "
                 f"and dropped rank for {int((rank < q).sum())} of {k} (lowest rank "
                 f"{int(rank.min())} of q={q}: collinear, or one value on an axis)",
@@ -240,8 +247,10 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
         np.matmul(coefficients.transpose(0, 2, 1), basis, out=diff)
         diff -= target
         del basis, target  # the per-item bases are the largest arrays of a fit
-    # per target: the median distance of its points to their centroid
-    target_scale = _median(_norms(W - W.mean(axis=2, keepdims=True)))[b]
+    # per target: the median distance of its points to their centroid (the
+    # centroid is np.mean's, bit for bit, without its wrapper's cost)
+    centroid = np.add.reduce(W, axis=2, keepdims=True) / W.shape[2]
+    target_scale = _median(_norms(W - centroid))[b]
     if not np.all(target_scale > 0.0):
         raise ValueError("degenerate target scale: target points coincide")
     residuals = _norms(diff)

@@ -548,6 +548,38 @@ def test_points_above_the_limit_are_refused(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("encode", ["--points", "0"], "--points must be >= 1, got 0"),
+        ("encode", ["--points", "-3"], "--points must be >= 1, got -3"),
+        ("sweep", ["--points", "0"], "--points must be >= 1, got 0"),
+        ("sweep", ["--points", "-3"], "--points must be >= 1, got -3"),
+        ("sweep", ["--alpha-min", "0"], "--alpha-min must be > 0, got 0"),
+        ("sweep", ["--alpha-min", "-0.0"], "--alpha-min must be > 0, got -0"),
+        ("sweep", ["--alpha-min", "-0.25"], "--alpha-min must be > 0, got -0.25"),
+    ],
+)
+def test_bad_length_flags_are_named_before_anything_loads(
+    tmp_path, capsys, monkeypatch, command, flags, message
+):
+    # the stubs stand in for the loaders: a flag is refused before either runs
+    def loader_stub(*args):
+        raise AssertionError("loaded input before checking the flags")
+
+    monkeypatch.setattr(densitycode.cli, "load_image", loader_stub)
+    monkeypatch.setattr(densitycode.cli, "load_corpus", loader_stub)
+    out = tmp_path / "out.csv"
+    if command == "encode":
+        args = ["encode", "--image", "absent.pgm", "--polarity", "light-on-dark"]
+    else:
+        args = ["sweep", "--corpus", "absent"]
+    rc = main([*args, *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_huge_alpha_takes_the_whole_sequence(figure_pgm, small_corpus, tmp_path):
     # alpha * mass overflows to inf; the code is then as long as the sequence
     code_out = tmp_path / "code.csv"

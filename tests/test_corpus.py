@@ -378,6 +378,64 @@ def test_sweep_fits_tied_lengths_once(six_images, monkeypatch):
     assert sweep(six_images, [], 0.3, 3) == []
 
 
+@pytest.fixture(scope="module")
+def default_images(tmp_path_factory):
+    """Entries of the default gen-corpus corpus: 6 pairs at 128x128."""
+    out = tmp_path_factory.mktemp("default_corpus")
+    generate_corpus(out, CorpusSpec())
+    return load_corpus(out, Polarity.LIGHT_ON_DARK, 1e-4)
+
+
+def fits_by_length(entries, alphas, alpha_max, degree, monkeypatch):
+    """The item count of every _fit call the sweep makes, by code length."""
+    calls = {}
+    fit = corpus_module._fit
+
+    def recording_fit(V, W, d, a, b, basis=None):
+        calls.setdefault(V.shape[2], []).append(len(a))
+        return fit(V, W, d, a, b, basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_fit", recording_fit)
+        rows = sweep(entries, alphas, alpha_max, degree)
+    assert {row.status for row in rows} == {"ok"}
+    return calls
+
+
+def test_sweep_fits_a_length_in_one_call_under_the_floor(default_images, monkeypatch):
+    # at 128^2 half the live bases (12 images x 10 rows x 783 points / 2)
+    # are below the floor, so the floor caps every fit; a length whose
+    # items' bases fit under it is one call (387 calls for 336 lengths; the
+    # half-live rule alone split the same items into 645)
+    alphas = [0.01 * i for i in range(1, 51)]
+    calls = fits_by_length(default_images, alphas, 0.5, 3, monkeypatch)
+    q, floor = 10, corpus_module.FIT_CELLS_FLOOR
+    longest = max(len(code) for code in prefix_plan(default_images, [], 0.5)[0])
+    assert 12 * q * longest // 2 < floor
+    for m, items in calls.items():
+        assert max(items) * q * m <= floor
+        if sum(items) * q * m <= floor:
+            assert len(items) == 1, f"length {m} split: {items}"
+        else:  # split only as far as the cap asks
+            assert len(items) == -(-sum(items) // max(1, floor // (q * m)))
+    half_live_runs = sum(
+        -(-sum(items) // max(1, 12 * longest // (2 * m))) for m, items in calls.items()
+    )
+    assert sum(map(len, calls.values())) < half_live_runs
+
+
+def test_sweep_keeps_half_the_live_bases_above_the_floor(default_images, monkeypatch):
+    # at alpha_max 2.5 the live bases are 12 x 10 x 3915 cells, and half of
+    # them exceed the floor: that half bounds every fit, as at 512^2 and up
+    calls = fits_by_length(default_images, [0.5, 1.5, 2.5], 2.5, 3, monkeypatch)
+    codes, _ = prefix_plan(default_images, [], 2.5)
+    q, longest = 10, max(len(code) for code in codes)
+    cap = 12 * q * longest // 2
+    assert cap > corpus_module.FIT_CELLS_FLOOR
+    cells = [k * q * m for m, items in calls.items() for k in items]
+    assert max(cells) <= cap and max(cells) > corpus_module.FIT_CELLS_FLOOR
+
+
 def diagonal_field(shift):
     """A one-pixel diagonal line at 128x128: its code is a strip 1/128 wide."""
     px = np.zeros((128, 128))

@@ -228,6 +228,17 @@ class TestDeltaMedian:
         expected = 100.0 * np.median(report.residuals) / report.target_scale
         assert report.delta == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("m", [10, 11, 1025, 4096])
+    def test_target_scale_is_the_median_distance_to_the_mean(self, m):
+        # bit for bit: the centroid is np.mean of each coordinate-major row
+        rng = np.random.default_rng(m)
+        V, W = random_code(rng, m), random_code(rng, m, scale=1000.0)
+        rows = np.ascontiguousarray(W.T)
+        dx, dy = rows - rows.mean(axis=1, keepdims=True)
+        want = np.median(np.sqrt(dx * dx + dy * dy))
+        for d in (0, 1, 3):
+            assert delta_median(V, W, d).target_scale == want
+
 
 @settings(max_examples=30, deadline=None)
 @given(
