@@ -7,92 +7,73 @@ mirrors the image foreground. Because point order is inherited from the
 sequence, two codes can be compared point for point, and fitting a
 polynomial map between them gives a dissimilarity that is invariant to a
 wide family of geometric transformations.
+
+Submodules load on first use: ``import densitycode`` loads none of them,
+and ``densitycode.encode`` imports :mod:`densitycode.encoder` alone.
 """
 
-from .bench import TimingModel, TimingSample, fit_model, run_grid
-from .corpus import (
-    CorpusSpec,
-    WindWarp,
-    check_warp_family,
-    generate_corpus,
-    generate_figure,
-    identity_warp,
-    load_corpus,
-    sweep,
-    warp_image,
-    wind_warp_coefficients,
-)
-from .encoder import (
-    DensityCode,
-    EncodeParams,
-    code_length,
-    encode,
-    invert,
-    read_code_csv,
-    write_code_csv,
-)
-from .image_io import (
-    DensityField,
-    GrayImage,
-    NormalizedImage,
-    Polarity,
-    load_image,
-    load_pgm,
-    load_png,
-    make_density_field,
-    normalize,
-    write_pgm,
-)
-from .matcher import (
-    DissimilarityReport,
-    all_powers,
-    basis_matrix,
-    delta_median,
-    least_squares_fit,
-)
-from .quasirandom import QuasiSequence, first_primes, halton, radical_inverse
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorpusSpec",
-    "DensityCode",
-    "DensityField",
-    "DissimilarityReport",
-    "EncodeParams",
-    "GrayImage",
-    "NormalizedImage",
-    "Polarity",
-    "QuasiSequence",
-    "TimingModel",
-    "TimingSample",
-    "WindWarp",
-    "all_powers",
-    "basis_matrix",
-    "check_warp_family",
-    "code_length",
-    "delta_median",
-    "encode",
-    "first_primes",
-    "fit_model",
-    "generate_corpus",
-    "generate_figure",
-    "halton",
-    "identity_warp",
-    "invert",
-    "least_squares_fit",
-    "load_corpus",
-    "load_image",
-    "load_pgm",
-    "load_png",
-    "make_density_field",
-    "normalize",
-    "radical_inverse",
-    "read_code_csv",
-    "run_grid",
-    "sweep",
-    "warp_image",
-    "wind_warp_coefficients",
-    "write_code_csv",
-    "write_pgm",
-]
+_EXPORTS = {
+    "bench": ("TimingModel", "TimingSample", "fit_model", "run_grid"),
+    "corpus": (
+        "CorpusSpec",
+        "WindWarp",
+        "check_warp_family",
+        "generate_corpus",
+        "generate_figure",
+        "identity_warp",
+        "load_corpus",
+        "sweep",
+        "warp_image",
+        "wind_warp_coefficients",
+    ),
+    "encoder": (
+        "DensityCode",
+        "EncodeParams",
+        "Polarity",
+        "code_length",
+        "encode",
+        "invert",
+        "read_code_csv",
+        "write_code_csv",
+    ),
+    "image_io": (
+        "DensityField",
+        "GrayImage",
+        "NormalizedImage",
+        "load_image",
+        "load_pgm",
+        "load_png",
+        "make_density_field",
+        "normalize",
+        "write_pgm",
+    ),
+    "matcher": (
+        "DissimilarityReport",
+        "all_powers",
+        "basis_matrix",
+        "delta_median",
+        "least_squares_fit",
+    ),
+    "quasirandom": ("QuasiSequence", "first_primes", "halton", "radical_inverse"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # resolved on every access, never cached here: a name patched in its
+    # submodule (and restored later) is what the package hands out
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF[name]  # an imported submodule is a package global
+    found = globals().get(module) or importlib.import_module(f".{module}", __name__)
+    return getattr(found, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

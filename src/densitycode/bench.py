@@ -1,7 +1,7 @@
 """Encoding-time measurement over (height, width, length) grids.
 
 Each grid cell is timed on fresh random images, single-threaded, with one
-warm-up run excluded; the median over repetitions resists scheduler noise.
+warm-up round excluded; the median over repetitions resists scheduler noise.
 A three-term nonnegative regression summarizes the measurements:
 
     t(H, W, m) ~ a*HW + b*m*(log2(HW) - 2) + c*mW
@@ -62,7 +62,12 @@ def run_grid(
     """Time the full encode pipeline over the cartesian grid of conditions.
 
     Every repetition uses a fresh random image; the sequence is generated
-    once outside the timed region. Cells run strictly sequentially.
+    once outside the timed region. The grid is timed rep-major: a warm-up
+    round over every cell, then ``reps`` rounds, each over every cell, so
+    a burst of other load on the host costs each cell a repetition or two,
+    which its median absorbs. Within a round each image size's cells run
+    together, from a length that moves on by one each round, so the cost
+    of moving to a new image size also falls on a cell in few rounds.
     """
     heights = [int(h) for h in heights]
     widths = [int(w) for w in widths]
@@ -72,28 +77,28 @@ def run_grid(
     if reps < 5:
         raise ValueError("reps must be >= 5")
     seq = halton(max(lengths), 2)
-    samples: list[TimingSample] = []
-    for H in heights:
-        for W in widths:
-            for m in lengths:
+    blocks = [(H, W) for H in heights for W in widths]
+    times: list[list[list[float]]] = [[[] for _ in lengths] for _ in blocks]
+    for rep in range(reps + 1):
+        turn = rep % len(lengths)
+        for (H, W), block_times in zip(blocks, times):
+            for k in [*range(turn, len(lengths)), *range(turn)]:
+                m = lengths[k]
+                rng = np.random.default_rng([seed, H, W, m, rep])
+                img = GrayImage(pixels=rng.uniform(0.0, 255.0, (H, W)))
                 sub = seq.prefix(m)
-                times = []
-                for rep in range(reps + 1):
-                    rng = np.random.default_rng([seed, H, W, m, rep])
-                    img = GrayImage(pixels=rng.uniform(0.0, 255.0, (H, W)))
-                    t0 = time.perf_counter()
-                    nimg = normalize(img, Polarity.LIGHT_ON_DARK)
-                    field = make_density_field(nimg, lam)
-                    encode(field, sub, EncodeParams(lam=lam))
-                    elapsed_ms = (time.perf_counter() - t0) * 1e3
-                    if rep > 0:  # first run is warm-up
-                        times.append(elapsed_ms)
-                samples.append(
-                    TimingSample(
-                        H=H, W=W, m=m, reps=reps, median_ms=float(np.median(times))
-                    )
-                )
-    return samples
+                t0 = time.perf_counter()
+                nimg = normalize(img, Polarity.LIGHT_ON_DARK)
+                field = make_density_field(nimg, lam)
+                encode(field, sub, EncodeParams(lam=lam))
+                elapsed_ms = (time.perf_counter() - t0) * 1e3
+                if rep > 0:  # round 0 is the warm-up
+                    block_times[k].append(elapsed_ms)
+    return [
+        TimingSample(H=H, W=W, m=m, reps=reps, median_ms=float(np.median(cell_times)))
+        for (H, W), block_times in zip(blocks, times)
+        for m, cell_times in zip(lengths, block_times)
+    ]
 
 
 def _nnls(A: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -12,21 +12,8 @@ import time
 from itertools import chain
 from pathlib import Path
 
-from . import bench as bench_mod
-from .corpus import (
-    MAX_POINTS,
-    CorpusSpec,
-    SweepRow,
-    generate_corpus,
-    load_corpus,
-    read_table,
-    sweep,
-    sweep_length,
-)
-from .encoder import EncodeParams, encode, read_code_csv, write_code_csv
-from .image_io import Polarity, load_image, make_density_field, normalize
-from .matcher import delta_median
-from .quasirandom import halton
+# every command loads the encoder; each loads the rest of the package itself
+from .encoder import MAX_POINTS, Polarity, read_code_csv
 
 DEFAULT_LAMBDA = 1e-4
 DEFAULT_SEED = 42
@@ -49,8 +36,19 @@ def _check_points(points: int) -> None:
         raise ValueError(f"--points {points} exceeds the limit of {MAX_POINTS}")
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ValueError(f"--degree must be >= 0, got {degree}")
+
+
 def cmd_encode(args) -> int:
+    from .encoder import EncodeParams, encode, write_code_csv
+    from .image_io import load_image, make_density_field, normalize
+    from .quasirandom import halton
+
     _check_points(args.points)
+    if args.alpha is not None and not 0 < args.alpha < math.inf:
+        raise ValueError(f"--alpha must be finite and > 0, got {args.alpha:g}")
     img = load_image(args.image)
     polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
@@ -65,6 +63,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .matcher import delta_median
+
+    _check_degree(args.degree)
     code_v = read_code_csv(args.code_v)
     code_w = read_code_csv(args.code_w)
     # points correspond only between codes of one sequence and one polarity
@@ -83,6 +84,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .corpus import SweepRow, load_corpus, sweep, sweep_length
+
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
         raise ValueError("alpha grid must be finite with --alpha-step > 0")
@@ -95,6 +98,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"alpha grid too fine: {count:.3g} steps, limit {MAX_ALPHAS}")
     if args.points is not None:
         _check_points(args.points)
+    _check_degree(args.degree)
     entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
     # the grid ends at the last step within --alpha-max; a count a rounding
     # error short of an integer (decimal flags rounded to binary) takes that step
@@ -121,7 +125,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     if args.mode == "fit":
+        from .corpus import read_table
+
         if not args.infile:
             raise ValueError("bench fit requires --in")
         samples = [
@@ -159,6 +167,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
+    from .corpus import CorpusSpec, generate_corpus
+
     spec = CorpusSpec(pair_count=args.pairs, size=args.size, seed=args.seed)
     rows = generate_corpus(args.out, spec)
     print(f"pairs={len(rows)} out={args.out}")

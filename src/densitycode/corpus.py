@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import EncodeParams, code_length, encode
+from .encoder import MAX_POINTS, EncodeParams, code_length, encode
 from .image_io import (
     GrayImage,
     Polarity,
@@ -32,9 +32,6 @@ from .quasirandom import halton
 
 # minimum normalized foreground mass, as a fraction of the pixel count
 _MASS_FLOOR_FRACTION = 0.02
-# a sequence takes 16 bytes a point and each code as much again; without
-# --points a sweep encodes every image at the longest code --alpha-max asks for
-MAX_POINTS = 10**7
 # basis cells (k items x q rows x m points) a sweep's fit may always gather:
 # 1 MiB, below which the solver's fixed cost per call outweighs the memory
 FIT_CELLS_FLOOR = 2**17

@@ -13,14 +13,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .image_io import DensityField
-from .quasirandom import QuasiSequence
+if TYPE_CHECKING:
+    from .image_io import DensityField
+    from .quasirandom import QuasiSequence
 
 CODE_FORMAT_TAG = "density-code v1"
+# a sequence takes 16 bytes a point and each code as much again; without
+# --points a sweep encodes every image at the longest code --alpha-max asks for
+MAX_POINTS = 10**7
+
+
+class Polarity(Enum):
+    """Which end of the intensity range counts as figure; code headers name it."""
+
+    LIGHT_ON_DARK = "light-on-dark"
+    DARK_ON_LIGHT = "dark-on-light"
 
 
 @dataclass(frozen=True)

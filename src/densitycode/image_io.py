@@ -10,19 +10,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .encoder import Polarity
+
 _PNM_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
-
-
-class Polarity(Enum):
-    """Which end of the intensity range counts as figure."""
-
-    LIGHT_ON_DARK = "light-on-dark"
-    DARK_ON_LIGHT = "dark-on-light"
 
 
 @dataclass(frozen=True)

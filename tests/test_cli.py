@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import densitycode
+import densitycode.corpus
+import densitycode.image_io
+import densitycode.quasirandom
 from densitycode import delta_median, generate_figure, read_code_csv, write_pgm
 from densitycode.cli import MAX_POINTS, main
 
@@ -157,7 +159,7 @@ def test_out_of_memory_ends_as_error(figure_pgm, tmp_path, capsys, monkeypatch):
     def no_memory(m, n):
         raise MemoryError(f"Unable to allocate {16 * m} bytes")
 
-    monkeypatch.setattr("densitycode.cli.halton", no_memory)
+    monkeypatch.setattr("densitycode.quasirandom.halton", no_memory)
     assert main(_encode_args(figure_pgm, tmp_path)) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 1024 bytes\n"
 
@@ -532,7 +534,7 @@ def test_points_above_the_limit_are_refused(
         requested.append(m)
         raise MemoryError(f"halton({m}, {n}) not built")
 
-    monkeypatch.setattr(densitycode.cli, "halton", halton_stub)
+    monkeypatch.setattr(densitycode.quasirandom, "halton", halton_stub)
     monkeypatch.setattr(densitycode.corpus, "halton", halton_stub)
     out = tmp_path / "out.csv"
     if command == "encode":
@@ -548,6 +550,17 @@ def test_points_above_the_limit_are_refused(
     assert not out.exists()
 
 
+@pytest.fixture()
+def loaders_refused(monkeypatch):
+    # the stubs stand in for the loaders: a flag is refused before any runs
+    def loader_stub(*args):
+        raise AssertionError("loaded input before checking the flags")
+
+    monkeypatch.setattr(densitycode.image_io, "load_image", loader_stub)
+    monkeypatch.setattr(densitycode.corpus, "load_corpus", loader_stub)
+    monkeypatch.setattr(densitycode.cli, "read_code_csv", loader_stub)
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [
@@ -561,20 +574,41 @@ def test_points_above_the_limit_are_refused(
     ],
 )
 def test_bad_length_flags_are_named_before_anything_loads(
-    tmp_path, capsys, monkeypatch, command, flags, message
+    loaders_refused, tmp_path, capsys, command, flags, message
 ):
-    # the stubs stand in for the loaders: a flag is refused before either runs
-    def loader_stub(*args):
-        raise AssertionError("loaded input before checking the flags")
-
-    monkeypatch.setattr(densitycode.cli, "load_image", loader_stub)
-    monkeypatch.setattr(densitycode.cli, "load_corpus", loader_stub)
     out = tmp_path / "out.csv"
     if command == "encode":
         args = ["encode", "--image", "absent.pgm", "--polarity", "light-on-dark"]
     else:
         args = ["sweep", "--corpus", "absent"]
     rc = main([*args, *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["encode", "--alpha", "0"], "--alpha must be finite and > 0, got 0"),
+        (["encode", "--alpha", "-0.5"], "--alpha must be finite and > 0, got -0.5"),
+        (["encode", "--alpha", "inf"], "--alpha must be finite and > 0, got inf"),
+        (["encode", "--alpha", "nan"], "--alpha must be finite and > 0, got nan"),
+        (["compare", "--degree", "-1"], "--degree must be >= 0, got -1"),
+        (["sweep", "--degree", "-1"], "--degree must be >= 0, got -1"),
+    ],
+)
+def test_bad_alpha_and_degree_are_named_before_anything_loads(
+    loaders_refused, tmp_path, capsys, args, message
+):
+    out = tmp_path / "out.csv"
+    inputs = {
+        "encode": ["--image", "absent.pgm", "--polarity", "light-on-dark", "--out"],
+        "compare": ["absent_v.csv", "absent_w.csv", "--residuals"],
+        "sweep": ["--corpus", "absent", "--out"],
+    }
+    command, *flags = args
+    rc = main([command, *inputs[command], str(out), *flags])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
