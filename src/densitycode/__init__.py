@@ -24,7 +24,6 @@ _EXPORTS = {
         "check_warp_family",
         "generate_corpus",
         "generate_figure",
-        "identity_warp",
         "load_corpus",
         "sweep",
         "warp_image",
@@ -58,7 +57,7 @@ _EXPORTS = {
         "delta_median",
         "least_squares_fit",
     ),
-    "quasirandom": ("QuasiSequence", "first_primes", "halton", "radical_inverse"),
+    "quasirandom": ("QuasiSequence", "halton"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -41,10 +41,6 @@ class TimingModel:
     r: float
     rmse_ms: float
 
-    def predict(self, H: int, W: int, m: int) -> float:
-        r1, r2, r3 = _regressors(H, W, m)
-        return self.a * r1 + self.b * r2 + self.c * r3
-
 
 def _regressors(H: int, W: int, m: int) -> tuple[float, float, float]:
     hw = float(H) * float(W)
@@ -76,7 +72,7 @@ def run_grid(
         raise ValueError("all grid sizes must be >= 16")
     if reps < 5:
         raise ValueError("reps must be >= 5")
-    seq = halton(max(lengths), 2)
+    seq = halton(max(lengths))
     blocks = [(H, W) for H in heights for W in widths]
     times: list[list[list[float]]] = [[[] for _ in lengths] for _ in blocks]
     for rep in range(reps + 1):

@@ -24,8 +24,15 @@ TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
 MAX_ALPHAS = 10**5
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated grid flag, refusing none or a non-integer."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must list integers, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} must list at least one integer")
+    return values
 
 
 def _check_points(points: int) -> None:
@@ -54,7 +61,7 @@ def cmd_encode(args) -> int:
     t0 = time.perf_counter()
     nimg = normalize(img, polarity)
     field = make_density_field(nimg, args.lam)
-    seq = halton(args.points, 2)
+    seq = halton(args.points)
     code = encode(field, seq, EncodeParams(lam=args.lam, alpha=args.alpha))
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     write_code_csv(code, args.out)
@@ -151,9 +158,9 @@ def cmd_bench(args) -> int:
     if not args.out:
         raise ValueError("bench requires --out")
     samples = bench_mod.run_grid(
-        _int_list(args.heights),
-        _int_list(args.widths),
-        _int_list(args.lengths),
+        _int_list(args.heights, "--heights"),
+        _int_list(args.widths, "--widths"),
+        _int_list(args.lengths, "--lengths"),
         reps=args.reps,
         seed=args.seed,
         lam=args.lam,

@@ -27,8 +27,6 @@ from .image_io import (
     normalize,
     write_pgm,
 )
-from .matcher import _check_coordinates, _fit, _mapped_basis
-from .quasirandom import halton
 
 # minimum normalized foreground mass, as a fraction of the pixel count
 _MASS_FLOOR_FRACTION = 0.02
@@ -204,13 +202,6 @@ def check_warp_family(warp: WindWarp, sy: int) -> None:
         raise ValueError(
             "not in transformation family: Jacobian diagonal not positive"
         )
-
-
-def identity_warp() -> WindWarp:
-    """A new identity map, a = 1, b = 0, q = y, with a cubic's room in b and q."""
-    return WindWarp(
-        a=np.array([1.0, 0.0, 0.0]), b=np.zeros(4), q=np.array([0.0, 1.0, 0.0, 0.0])
-    )
 
 
 def wind_warp_coefficients(rng: np.random.Generator, size: int) -> WindWarp:
@@ -453,6 +444,10 @@ def sweep(
     is :func:`delta_median`'s on the same prefixes, bit for bit. Returns one
     :class:`SweepRow` per alpha, in the order given.
     """
+    # the solver and the sequence load here: gen-corpus needs neither
+    from .matcher import _check_coordinates, _fit, _mapped_basis
+    from .quasirandom import halton
+
     if degree < 0:
         raise ValueError("degree must be >= 0")
     pair_ids = [pair for pair, _ in entries]
@@ -473,7 +468,7 @@ def sweep(
     # images by mass: lengths then ascend at every alpha, so the images that
     # share a common length are always a run of consecutive rows
     by_mass = sorted(entries, key=lambda entry: entry[1].foreground_mass)
-    seq = halton(points, 2)
+    seq = halton(points)
     params = EncodeParams(alpha=alpha_max)
     codes = [encode(field, seq, params).points.T for _, field in by_mass]
     _check_coordinates(*codes)

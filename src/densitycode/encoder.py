@@ -145,8 +145,6 @@ def encode(
     """
     if params is None:
         params = EncodeParams()
-    if seq.n != 2:
-        raise ValueError("sequence dimension must be 2")
     if params.lam is not None and params.lam != field.lam:
         raise ValueError(
             f"EncodeParams.lam {params.lam!r} does not match the density "

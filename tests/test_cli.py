@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import densitycode.bench
 import densitycode.corpus
 import densitycode.image_io
 import densitycode.quasirandom
@@ -156,7 +157,7 @@ def test_encode_rejects_signed_p2_sample(tmp_path, capsys):
 
 
 def test_out_of_memory_ends_as_error(figure_pgm, tmp_path, capsys, monkeypatch):
-    def no_memory(m, n):
+    def no_memory(m, n=2):
         raise MemoryError(f"Unable to allocate {16 * m} bytes")
 
     monkeypatch.setattr("densitycode.quasirandom.halton", no_memory)
@@ -409,6 +410,30 @@ def test_bench_requires_out(capsys):
     assert "requires --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--heights", "", "--heights must list at least one integer"),
+        ("--widths", " , ", "--widths must list at least one integer"),
+        ("--lengths", "16,x", "--lengths must list integers, got '16,x'"),
+        ("--heights", "16,32.5", "--heights must list integers, got '16,32.5'"),
+    ],
+)
+def test_bench_grid_flags_are_named_before_any_timing(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    # the stub stands in for the grid: a bad flag is refused before it runs
+    def run_grid_stub(*args, **kwargs):
+        raise AssertionError("timed before checking the grid flags")
+
+    monkeypatch.setattr(densitycode.bench, "run_grid", run_grid_stub)
+    out = tmp_path / "t.csv"
+    rc = main(["bench", flag, value, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _encode_args(figure_pgm, tmp_path, *extra):
     return [
         "encode",
@@ -508,11 +533,11 @@ def test_sweep_bounds_the_sequence_length_it_derives(
     # sequence there is; the stub stands in for halton, so nothing is built
     requested = []
 
-    def halton_stub(m, n):
+    def halton_stub(m, n=2):
         requested.append(m)
         raise MemoryError(f"halton({m}, {n}) not built")
 
-    monkeypatch.setattr(densitycode.corpus, "halton", halton_stub)
+    monkeypatch.setattr(densitycode.quasirandom, "halton", halton_stub)
     out = tmp_path / "s.csv"
     grid = ["--alpha-min", "1e308", "--alpha-max", "1e308"]
     rc = main(["sweep", "--corpus", str(small_corpus), "--out", str(out), *grid])
@@ -530,12 +555,11 @@ def test_points_above_the_limit_are_refused(
     # the stub stands in for halton, so no sequence is built
     requested = []
 
-    def halton_stub(m, n):
+    def halton_stub(m, n=2):
         requested.append(m)
         raise MemoryError(f"halton({m}, {n}) not built")
 
     monkeypatch.setattr(densitycode.quasirandom, "halton", halton_stub)
-    monkeypatch.setattr(densitycode.corpus, "halton", halton_stub)
     out = tmp_path / "out.csv"
     if command == "encode":
         args = ["encode", "--image", str(figure_pgm), "--polarity", "light-on-dark"]

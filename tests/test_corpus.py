@@ -22,7 +22,6 @@ from densitycode import (
     generate_corpus,
     generate_figure,
     halton,
-    identity_warp,
     load_corpus,
     load_pgm,
     make_density_field,
@@ -34,7 +33,15 @@ from densitycode import (
 )
 import densitycode.corpus as corpus_module
 import densitycode.matcher as matcher_module
+import densitycode.quasirandom as quasirandom_module
 from densitycode.corpus import SweepRow, _bilinear
+
+
+def identity_warp():
+    """A new identity map, a = 1, b = 0, q = y, with a cubic's room in b and q."""
+    return WindWarp(
+        a=np.array([1.0, 0.0, 0.0]), b=np.zeros(4), q=np.array([0.0, 1.0, 0.0, 0.0])
+    )
 
 
 def figure_mass(img):
@@ -292,7 +299,7 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, monkey
     lightest = min(f.foreground_mass for _, f in entries)
     alphas = [10.0 / lightest, 0.1, 0.2, 0.3]
     fits = []
-    fit = corpus_module._fit
+    fit = matcher_module._fit
 
     def recording_fit(V, W, d, a, b, basis=None):
         result = fit(V, W, d, a, b, basis)
@@ -300,7 +307,7 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, monkey
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_fit", recording_fit)
+        patch.setattr(matcher_module, "_fit", recording_fit)
         rows = sweep(entries, alphas, 0.3, 3)
     assert [row.status for row in rows] == ["ok"] * 4
     walked = [W.shape[2] for _, W, *_ in fits]
@@ -362,14 +369,14 @@ def test_sweep_fits_tied_lengths_once(six_images, monkeypatch):
     codes, lengths = prefix_plan(six_images, alphas, 0.3, points=60)
     assert [max(cut) for cut in lengths] == [max(lengths[0]), 60, 60, 60]
     items = []
-    fit = corpus_module._fit
+    fit = matcher_module._fit
 
     def recording_fit(V, W, d, a, b, basis=None):
         items.extend((V.shape[2], s, t) for s, t in zip(a, b))
         return fit(V, W, d, a, b, basis)
 
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_fit", recording_fit)
+        patch.setattr(matcher_module, "_fit", recording_fit)
         rows = sweep(six_images, alphas, 0.3, 3, points=60)
     assert rows == delta_median_rows(six_images, alphas, 0.3, 3, points=60)
     pairs = list(permutations(range(len(six_images)), 2))
@@ -389,14 +396,14 @@ def default_images(tmp_path_factory):
 def fits_by_length(entries, alphas, alpha_max, degree, monkeypatch):
     """The item count of every _fit call the sweep makes, by code length."""
     calls = {}
-    fit = corpus_module._fit
+    fit = matcher_module._fit
 
     def recording_fit(V, W, d, a, b, basis=None):
         calls.setdefault(V.shape[2], []).append(len(a))
         return fit(V, W, d, a, b, basis)
 
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_fit", recording_fit)
+        patch.setattr(matcher_module, "_fit", recording_fit)
         rows = sweep(entries, alphas, alpha_max, degree)
     assert {row.status for row in rows} == {"ok"}
     return calls
@@ -454,11 +461,21 @@ def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
     entries = [(0, diagonal_field(0)), (0, diagonal_field(3))]
     entries += [(1, make_density_field(img, 1e-4)) for img in figures]
     alphas = [0.1, 0.2, 0.3]
-    expected = []
-    fit = corpus_module._fit
+    fits = []
+    fit = matcher_module._fit
 
     def recording_fit(V, W, d, a, b, basis=None):
         result = fit(V, W, d, a, b, basis)
+        fits.append((V, W, d, a, b, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matcher_module, "_fit", recording_fit)
+        with pytest.warns(RuntimeWarning) as record:
+            rows = sweep(entries, alphas, 0.3, 3)
+    # delta_median calls _fit too, so each item is refitted alone only now
+    expected = []
+    for V, W, d, a, b, result in fits:
         alone = 0
         for i, (s, t) in enumerate(zip(a, b)):
             with warnings.catch_warnings(record=True) as caught:
@@ -467,12 +484,6 @@ def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
             alone += len(caught)
         if alone:
             expected.append(f"went to the SVD for {alone} of {len(a)} items")
-        return result
-
-    with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_fit", recording_fit)
-        with pytest.warns(RuntimeWarning) as record:
-            rows = sweep(entries, alphas, 0.3, 3)
     assert expected and len(record) == len(expected)
     for warning, want in zip(record, expected):
         assert want in str(warning.message)
@@ -503,10 +514,10 @@ def test_sweep_needs_a_related_and_an_unrelated_pair(pairs):
 
 def test_sweep_names_its_own_parameters(monkeypatch):
     # the stub stands in for halton, so no sequence is built
-    def halton_stub(m, n):
+    def halton_stub(m, n=2):
         raise MemoryError(f"halton({m}, {n}) not built")
 
-    monkeypatch.setattr(corpus_module, "halton", halton_stub)
+    monkeypatch.setattr(quasirandom_module, "halton", halton_stub)
     entries = [(pair, small_field()) for pair in (0, 0, 1)]
     with pytest.raises(ValueError, match=r"^alpha_max=1e\+308 asks for codes over"):
         sweep(entries, [0.1], 1e308, 3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densitycode import (
@@ -123,6 +123,21 @@ class TestEncode:
         code = encode(field, seq)
         assert np.max(np.abs(code.points - seq.points * 16)) <= 1e-9
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(2, 1024), st.integers(2, 1024)))
+    @example(shape=(1024, 1024))
+    @example(shape=(2, 1024))
+    @example(shape=(1024, 2))
+    @example(shape=(1000, 7))
+    def test_uniform_image_scales_sequence_at_every_size(self, shape):
+        # the closed form u * S per axis, to 1e-9 of that axis's size
+        sy, sx = shape
+        seq = halton(4097)
+        code = encode(uniform_field(sy, sx), seq)
+        assert code.m == 4097
+        scale = np.array([sx, sy], dtype=float)
+        assert np.max(np.abs(code.points - seq.points * scale) / scale) <= 1e-9
+
     def test_determinism(self):
         field = figure_field(1, 64)
         seq = halton(256, 2)
@@ -151,9 +166,8 @@ class TestEncode:
         assert code.m == int(np.floor(0.25 * mass + 0.5))
 
     def test_sequence_dimension_checked(self):
-        field = uniform_field(4, 4)
-        with pytest.raises(ValueError):
-            encode(field, halton(16, 3))
+        with pytest.raises(ValueError, match="only 2-D sequences"):
+            halton(16, 3)
 
     def test_lam_must_match_the_field(self):
         field = figure_field(5, 64, lam=1e-4)

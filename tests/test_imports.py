@@ -102,7 +102,7 @@ COMMAND_MODULES = [
     ),
     (
         ["gen-corpus", "--out", "corpus2", "--pairs", "2", "--size", "64"],
-        ["cli", "corpus", "encoder", "image_io", "matcher", "quasirandom"],
+        ["cli", "corpus", "encoder", "image_io"],
     ),
 ]
 

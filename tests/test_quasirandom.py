@@ -1,4 +1,4 @@
-"""Tests for the Halton sequence and radical inverses."""
+"""Tests for the 2-D Halton sequence and its radical inverses."""
 
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitycode import first_primes, halton, radical_inverse
+from densitycode import halton
+from densitycode.quasirandom import _radical_inverses
 
 
 def brute_force_radical_inverse(t: int, base: int) -> float:
@@ -37,37 +38,32 @@ def digit_loop_radical_inverses(t: np.ndarray, base: int) -> np.ndarray:
     return mirrored / scale
 
 
-def test_first_primes():
-    assert first_primes(1) == [2]
-    assert first_primes(5) == [2, 3, 5, 7, 11]
+def radical_inverse(t: int, base: int) -> float:
+    """The generator's radical inverse of the one index t."""
+    return float(_radical_inverses(np.array([t]), base)[0])
 
 
 def test_radical_inverse_hand_computed():
-    assert radical_inverse(1, 2) == 0.5
-    assert radical_inverse(4, 2) == 0.125  # 100 in base 2 -> 0.001
-    assert radical_inverse(5, 3) == 7 / 9  # 12 in base 3 -> 0.21
-
-
-def test_radical_inverse_rejects_bad_args():
-    with pytest.raises(ValueError):
-        radical_inverse(0, 2)
-    with pytest.raises(ValueError):
-        radical_inverse(3, 1)
+    points = halton(5).points
+    assert points[0, 0] == 0.5
+    assert points[3, 0] == 0.125  # 4 = 100 in base 2 -> 0.001
+    assert points[4, 1] == 7 / 9  # 5 = 12 in base 3 -> 0.21
 
 
 def test_radical_inverse_matches_oracle_small_sweep():
-    for base in (2, 3, 5):
-        for t in range(1, 2000):
-            assert radical_inverse(t, base) == brute_force_radical_inverse(t, base)
+    points = halton(1999).points
+    for t in range(1, 2000):
+        assert points[t - 1, 0] == brute_force_radical_inverse(t, 2)
+        assert points[t - 1, 1] == brute_force_radical_inverse(t, 3)
 
 
 @settings(max_examples=200)
-@given(t=st.integers(min_value=1, max_value=10**7), base=st.sampled_from([2, 3, 5, 7, 11, 13]))
+@given(t=st.integers(min_value=1, max_value=10**7), base=st.sampled_from([2, 3]))
 def test_radical_inverse_matches_oracle_property(t, base):
     assert radical_inverse(t, base) == brute_force_radical_inverse(t, base)
 
 
-@given(t=st.integers(min_value=1, max_value=10**9), base=st.sampled_from([2, 3, 5, 7]))
+@given(t=st.integers(min_value=1, max_value=10**9), base=st.sampled_from([2, 3]))
 def test_radical_inverse_in_open_interval(t, base):
     value = radical_inverse(t, base)
     assert 0.0 < value < 1.0
@@ -82,7 +78,7 @@ def test_halton_first_points():
 
 
 def test_halton_bases_are_first_primes():
-    assert halton(1, 4).bases == (2, 3, 5, 7)
+    assert halton(1).bases == (2, 3)
 
 
 def test_halton_prefix_property():
@@ -116,8 +112,9 @@ def test_halton_quadrant_balance():
 def test_halton_rejects_bad_args():
     with pytest.raises(ValueError):
         halton(0, 2)
-    with pytest.raises(ValueError):
-        halton(5, 0)
+    for n in (0, 1, 3):
+        with pytest.raises(ValueError, match="only 2-D sequences"):
+            halton(5, n)
 
 
 def test_halton_65536_matches_exact_oracle():
@@ -127,12 +124,6 @@ def test_halton_65536_matches_exact_oracle():
     for j in indices:
         assert pts[j, 0] == brute_force_radical_inverse(int(j) + 1, 2)
         assert pts[j, 1] == brute_force_radical_inverse(int(j) + 1, 3)
-
-
-@pytest.mark.parametrize("t", [2**53 + 1, 3**40 - 1, 10**30 + 7])
-@pytest.mark.parametrize("base", [2, 3, 7, 101])
-def test_radical_inverse_exact_beyond_double_precision(t, base):
-    assert radical_inverse(t, base) == brute_force_radical_inverse(t, base)
 
 
 POWERS = {b**k for b in (2, 3) for k in range(1, 18) if b**k <= 3**11}
@@ -148,7 +139,7 @@ def test_halton_matches_the_digit_loop(m):
     assert np.array_equal(points[:, 1], digit_loop_radical_inverses(index, 3))
 
 
-@pytest.mark.parametrize("t, base", [(2**52 - 1, 2), (2**53 // 101 - 1, 101)])
+@pytest.mark.parametrize("t, base", [(2**52 - 1, 2), (2**53 // 3 - 1, 3)])
 def test_radical_inverse_near_the_exact_limit_is_exact_and_small(t, base):
     tracemalloc.start()
     try:
