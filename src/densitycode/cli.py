@@ -5,6 +5,13 @@ Numeric output uses 17 significant digits so diffs catch real changes.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # run as the program: the imports below make objects that live until
+    # exit, so collecting during them frees nothing; run() switches it back on
+    gc.disable()
+
 import argparse
 import math
 import sys
@@ -22,16 +29,21 @@ DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
 TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
 # a sweep fits every ordered image pair at each alpha of its grid
 MAX_ALPHAS = 10**5
+# bench.run_grid's own bounds, checked here in the flags' words before it loads
+MIN_GRID_SIZE = 16
+MIN_REPS = 5
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    """The integers of a comma-separated grid flag, refusing none or a non-integer."""
+def _grid_sizes(text: str, flag: str) -> list[int]:
+    """A comma-separated grid flag's sizes, refusing none, a non-integer or one < 16."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"{flag} must list integers, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} must list at least one integer")
+    if min(values) < MIN_GRID_SIZE:
+        raise ValueError(f"{flag} sizes must be >= {MIN_GRID_SIZE}, got {min(values)}")
     return values
 
 
@@ -132,15 +144,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from . import bench as bench_mod
-
     if args.mode == "fit":
+        from .bench import TimingSample, fit_model
         from .corpus import read_table
 
         if not args.infile:
             raise ValueError("bench fit requires --in")
         samples = [
-            bench_mod.TimingSample(
+            TimingSample(
                 H=int(row["H"]),
                 W=int(row["W"]),
                 m=int(row["m"]),
@@ -149,7 +160,7 @@ def cmd_bench(args) -> int:
             )
             for row in read_table(args.infile, TIMING_COLUMNS)
         ]
-        model = bench_mod.fit_model(samples)
+        model = fit_model(samples)
         print(
             f"a={model.a:.17g} b={model.b:.17g} c={model.c:.17g} "
             f"r={model.r:.17g} rmse_ms={model.rmse_ms:.17g}"
@@ -157,13 +168,15 @@ def cmd_bench(args) -> int:
         return 0
     if not args.out:
         raise ValueError("bench requires --out")
-    samples = bench_mod.run_grid(
-        _int_list(args.heights, "--heights"),
-        _int_list(args.widths, "--widths"),
-        _int_list(args.lengths, "--lengths"),
-        reps=args.reps,
-        seed=args.seed,
-        lam=args.lam,
+    heights = _grid_sizes(args.heights, "--heights")
+    widths = _grid_sizes(args.widths, "--widths")
+    lengths = _grid_sizes(args.lengths, "--lengths")
+    if args.reps < MIN_REPS:
+        raise ValueError(f"--reps must be >= {MIN_REPS}, got {args.reps}")
+    from .bench import run_grid
+
+    samples = run_grid(
+        heights, widths, lengths, reps=args.reps, seed=args.seed, lam=args.lam
     )
     lines = [",".join(TIMING_COLUMNS)]
     for s in samples:
@@ -290,5 +303,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry of `density-code` and `python -m densitycode.cli`.
+
+    The objects made before the command runs, and those alive when it
+    ends, live until exit. Freezing them keeps the collector from scanning
+    them again, during the command and in the full collections of
+    interpreter shutdown, which still runs in full (atexit handlers,
+    flushing, module teardown). The command's own objects are collected
+    as usual. Call main() to run a command in process.
+    """
+    gc.freeze()
+    gc.enable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

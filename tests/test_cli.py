@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import gc
 import os
 import re
 import subprocess
@@ -410,30 +411,6 @@ def test_bench_requires_out(capsys):
     assert "requires --out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--heights", "", "--heights must list at least one integer"),
-        ("--widths", " , ", "--widths must list at least one integer"),
-        ("--lengths", "16,x", "--lengths must list integers, got '16,x'"),
-        ("--heights", "16,32.5", "--heights must list integers, got '16,32.5'"),
-    ],
-)
-def test_bench_grid_flags_are_named_before_any_timing(
-    tmp_path, capsys, monkeypatch, flag, value, message
-):
-    # the stub stands in for the grid: a bad flag is refused before it runs
-    def run_grid_stub(*args, **kwargs):
-        raise AssertionError("timed before checking the grid flags")
-
-    monkeypatch.setattr(densitycode.bench, "run_grid", run_grid_stub)
-    out = tmp_path / "t.csv"
-    rc = main(["bench", flag, value, "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
 def _encode_args(figure_pgm, tmp_path, *extra):
     return [
         "encode",
@@ -612,6 +589,33 @@ def test_bad_length_flags_are_named_before_anything_loads(
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--heights", "", "--heights must list at least one integer"),
+        ("--widths", " , ", "--widths must list at least one integer"),
+        ("--lengths", "16,x", "--lengths must list integers, got '16,x'"),
+        ("--heights", "16,32.5", "--heights must list integers, got '16,32.5'"),
+        ("--heights", "8", "--heights sizes must be >= 16, got 8"),
+        ("--widths", "32,15", "--widths sizes must be >= 16, got 15"),
+        ("--lengths", "-16", "--lengths sizes must be >= 16, got -16"),
+        ("--reps", "2", "--reps must be >= 5, got 2"),
+        ("--reps", "-1", "--reps must be >= 5, got -1"),
+    ],
+)
+def test_bench_grid_flags_are_named_before_any_timing(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    # the bench module cannot load: a bad flag is refused before it would
+    monkeypatch.delattr(densitycode, "bench")
+    monkeypatch.setitem(sys.modules, "densitycode.bench", None)
+    out = tmp_path / "t.csv"
+    rc = main(["bench", flag, value, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["encode", "--alpha", "0"], "--alpha must be finite and > 0, got 0"),
@@ -739,23 +743,26 @@ def test_compare_rejects_degree_beyond_code_length(tmp_path, capsys):
     assert err == "error: code too short for degree 30000: m=4 < q=450045001\n"
 
 
+def run_python(cwd, *args):
+    """Run a fresh interpreter with ``args`` on this package's source."""
+    src = str(Path(densitycode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)  # output to a pipe waits for the exit's flush
+    cmd = [sys.executable, *args]
+    return subprocess.run(
+        cmd, cwd=cwd, capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_compare_checks_hold_without_asserts(tmp_path):
     # the header and range checks must raise, not assert: -O strips asserts
     v = write_code(tmp_path / "v.csv")
     w = write_code(tmp_path / "w.csv", polarity="dark-on-light")
     outside = write_code(tmp_path / "outside.csv", points=("1,1", "2,5", "6,3", "4,9"))
-    src = str(Path(densitycode.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    cli = [sys.executable, "-O", "-m", "densitycode.cli", "compare", str(v)]
+    cli = ["-O", "-m", "densitycode.cli", "compare", str(v)]
     for target, message in ((w, "differ in polarity"), (outside, "outside the image")):
-        proc = subprocess.run(
-            [*cli, str(target), "--degree", "1"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_python(tmp_path, *cli, str(target), "--degree", "1")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and message in proc.stderr
 
@@ -827,3 +834,108 @@ def test_mutated_inputs_end_as_a_result_or_an_error(tmp_path, capsys):
         assert (rc, err) == (0, "") or rc == 1 and err.startswith("error: "), (
             mutant.name, rc, err
         )
+
+
+# the process entry: `python -m densitycode.cli` and the `density-code` script
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(figure_pgm, tmp_path, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(_encode_args(figure_pgm, tmp_path)) == 0
+        assert main(["bench", "--reps", "2", "--out", str(tmp_path / "t.csv")]) == 1
+        with pytest.raises(SystemExit):
+            main(["encode"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.fixture(scope="module")
+def entry_inputs(small_corpus, tmp_path_factory):
+    work = tmp_path_factory.mktemp("entry")
+    for side in "AB":
+        image = str(small_corpus / f"pair0_{side}.pgm")
+        args = ["encode", "--image", image, "--polarity", "light-on-dark"]
+        assert main([*args, "--points", "256", "--out", str(work / f"{side}.csv")]) == 0
+    # twelve samples on the three-term model, enough for `bench fit`
+    rows = ["H,W,m,reps,median_ms"]
+    for h, w, m in np.ndindex(2, 2, 3):
+        H, W, M = 16 << h, 16 << w, 16 << m
+        rows.append(f"{H},{W},{M},5,{1e-4 * H * W + 1e-3 * M * W:.17g}")
+    (work / "timing.csv").write_text("\n".join(rows) + "\n")
+    return {"corpus": str(small_corpus), "codes": str(work)}
+
+
+ENTRY_CASES = {
+    "gen-corpus": ["gen-corpus", "--out", "corpus", "--pairs", "2", "--size", "64"],
+    "encode": ["encode", "--image", "{corpus}/pair0_A.pgm"]
+    + ["--polarity", "light-on-dark", "--points", "256", "--out", "a.csv"],
+    "compare": ["compare", "{codes}/A.csv", "{codes}/B.csv", "--degree", "3"]
+    + ["--residuals", "r.csv"],
+    "sweep": ["sweep", "--corpus", "{corpus}", "--alpha-max", "0.1", "--out", "s.csv"],
+    "bad-input": ["encode", "--image", "absent.pgm", "--polarity", "light-on-dark"]
+    + ["--out", "x.csv"],
+    "usage": ["encode", "--image", "absent.pgm", "--points", "ten"],
+}
+
+
+def written(directory):
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("case", list(ENTRY_CASES))
+def test_module_entry_matches_main_in_process(
+    entry_inputs, tmp_path, capsys, monkeypatch, case
+):
+    argv = [arg.format(**entry_inputs) for arg in ENTRY_CASES[case]]
+    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
+    cold_dir.mkdir()
+    warm_dir.mkdir()
+    cold = run_python(cold_dir, "-m", "densitycode.cli", *argv)
+    monkeypatch.chdir(warm_dir)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    capsys.readouterr()
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    warm = capsys.readouterr()
+    timing = re.compile(r"elapsed_ms=\S+")
+    assert cold.returncode == status == {"bad-input": 1, "usage": 2}.get(case, 0)
+    assert timing.sub("", cold.stdout) == timing.sub("", warm.out)
+    assert cold.stderr == warm.err
+    assert written(cold_dir) == written(warm_dir)
+
+
+ALL_COMMANDS = {
+    name: ENTRY_CASES[name] for name in ("gen-corpus", "encode", "compare", "sweep")
+}
+ALL_COMMANDS["bench"] = ["bench", "--heights", "16", "--widths", "16,32"]
+ALL_COMMANDS["bench"] += ["--lengths", "16,64", "--reps", "5", "--out", "t.csv"]
+ALL_COMMANDS["bench-fit"] = ["bench", "fit", "--in", "{codes}/timing.csv"]
+
+
+@pytest.mark.parametrize("command", list(ALL_COMMANDS))
+def test_every_command_closes_what_it_writes(entry_inputs, tmp_path, command):
+    # the entry freezes what is alive when a command ends, and the collector
+    # never frees a frozen object: a file left open in a cycle would never
+    # be flushed; a file closed only when collected warns here
+    argv = [arg.format(**entry_inputs) for arg in ALL_COMMANDS[command]]
+    body = (
+        "import gc, sys\n"
+        "from densitycode.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "gc.collect()\n"
+        "sys.exit(status)\n"
+    )
+    dev = ["-X", "dev", "-W", "error::ResourceWarning"]
+    proc = run_python(tmp_path, *dev, "-c", body, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
