@@ -57,8 +57,8 @@ def run_grid(
 ) -> list[TimingSample]:
     """Time the full encode pipeline over the cartesian grid of conditions.
 
-    Every repetition uses a fresh random image; the sequence is generated
-    once outside the timed region. The grid is timed rep-major: a warm-up
+    Every repetition uses a fresh random image; each length's sequence is
+    built once outside the timed region. The grid is timed rep-major: a warm-up
     round over every cell, then ``reps`` rounds, each over every cell, so
     a burst of other load on the host costs each cell a repetition or two,
     which its median absorbs. Within a round each image size's cells run
@@ -72,7 +72,7 @@ def run_grid(
         raise ValueError("all grid sizes must be >= 16")
     if reps < 5:
         raise ValueError("reps must be >= 5")
-    seq = halton(max(lengths))
+    seqs = {m: halton(m) for m in lengths}
     blocks = [(H, W) for H in heights for W in widths]
     times: list[list[list[float]]] = [[[] for _ in lengths] for _ in blocks]
     for rep in range(reps + 1):
@@ -82,11 +82,10 @@ def run_grid(
                 m = lengths[k]
                 rng = np.random.default_rng([seed, H, W, m, rep])
                 img = GrayImage(pixels=rng.uniform(0.0, 255.0, (H, W)))
-                sub = seq.prefix(m)
                 t0 = time.perf_counter()
                 nimg = normalize(img, Polarity.LIGHT_ON_DARK)
                 field = make_density_field(nimg, lam)
-                encode(field, sub, EncodeParams(lam=lam))
+                encode(field, seqs[m], EncodeParams(lam=lam))
                 elapsed_ms = (time.perf_counter() - t0) * 1e3
                 if rep > 0:  # round 0 is the warm-up
                     block_times[k].append(elapsed_ms)

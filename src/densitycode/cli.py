@@ -26,12 +26,15 @@ DEFAULT_LAMBDA = 1e-4
 DEFAULT_SEED = 42
 DEFAULT_GRID = "16,32,64,128,256,512"
 DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
-TIMING_COLUMNS = ("H", "W", "m", "reps", "median_ms")
+TIMING_COLUMNS = {"H": int, "W": int, "m": int, "reps": int, "median_ms": float}
 # a sweep fits every ordered image pair at each alpha of its grid
 MAX_ALPHAS = 10**5
 # bench.run_grid's own bounds, checked here in the flags' words before it loads
 MIN_GRID_SIZE = 16
 MIN_REPS = 5
+# and CorpusSpec's, checked the same way before the corpus module loads
+MIN_PAIRS = 2
+MIN_CORPUS_SIZE = 64
 
 
 def _grid_sizes(text: str, flag: str) -> list[int]:
@@ -150,16 +153,8 @@ def cmd_bench(args) -> int:
 
         if not args.infile:
             raise ValueError("bench fit requires --in")
-        samples = [
-            TimingSample(
-                H=int(row["H"]),
-                W=int(row["W"]),
-                m=int(row["m"]),
-                reps=int(row["reps"]),
-                median_ms=float(row["median_ms"]),
-            )
-            for row in read_table(args.infile, TIMING_COLUMNS)
-        ]
+        rows = read_table(args.infile, TIMING_COLUMNS)
+        samples = [TimingSample(**row) for row in rows]
         model = fit_model(samples)
         print(
             f"a={model.a:.17g} b={model.b:.17g} c={model.c:.17g} "
@@ -187,6 +182,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
+    if args.pairs < MIN_PAIRS:
+        raise ValueError(f"--pairs must be >= {MIN_PAIRS}, got {args.pairs}")
+    if args.size < MIN_CORPUS_SIZE:
+        raise ValueError(f"--size must be >= {MIN_CORPUS_SIZE}, got {args.size}")
     from .corpus import CorpusSpec, generate_corpus
 
     spec = CorpusSpec(pair_count=args.pairs, size=args.size, seed=args.seed)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import MAX_POINTS, EncodeParams, code_length, encode
+from .encoder import MAX_POINTS, EncodeParams, code_length, encode, parse_text
 from .image_io import (
     GrayImage,
     Polarity,
@@ -345,19 +345,21 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
     return rows
 
 
-def read_table(path, columns) -> list[dict]:
-    """Rows of a CSV file with a header row; each must give every one of ``columns``."""
+def read_table(path, columns: dict) -> list[dict]:
+    """Rows of a CSV file with a header row, each as ``{column: parse(text)}``
+    for every ``column: parse`` of ``columns``; a bad value names its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: missing columns {', '.join(missing)}")
-        rows = []
+        rows, items = [], columns.items()
         for row in reader:
+            line = reader.line_num
             if any(row[c] is None for c in columns):  # DictReader's fill value
-                line = reader.line_num
                 raise ValueError(f"{path}: line {line}: fewer fields than the header")
-            rows.append(row)
+            where = f"{path}: line {line}: column "
+            rows.append({c: parse_text(p, row[c], f"{where}{c!r}: ") for c, p in items})
     return rows
 
 
@@ -368,8 +370,8 @@ def load_corpus(corpus_dir, polarity: Polarity, lam: float) -> list:
     if not manifest.is_file():
         raise ValueError(f"corpus incomplete: missing {manifest}")
     entries = []
-    for row in read_table(manifest, ("pair", "file_a", "file_b")):
-        pair = int(row["pair"])
+    for row in read_table(manifest, {"pair": int, "file_a": str, "file_b": str}):
+        pair = row["pair"]
         for key in ("file_a", "file_b"):
             path = corpus_dir / row[key]
             if not path.is_file():

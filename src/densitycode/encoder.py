@@ -42,8 +42,8 @@ class EncodeParams:
 
     The background lift is the density field's: ``lam``, when given, must
     equal it. ``alpha`` switches on mass-proportional code length; when
-    absent the whole sequence is used; pass ``seq.prefix(k)`` to cap the
-    length.
+    absent the whole sequence is used; pass ``halton(k)``, the sequence's
+    first k points, to cap the length.
     """
 
     lam: float | None = None
@@ -297,6 +297,22 @@ def _format_block(v) -> bytes:
     return frame[np.take(_KEEP, (e + 4) * 18 + nd, axis=0)].tobytes()
 
 
+def parse_text(parse, text: str, label: str):
+    """``parse(text)``, or a ValueError: label, the text cut short, and that it
+    is not an integer (parse is int) or a number (float)."""
+    try:
+        return parse(text)
+    except ValueError:  # a bad literal, or an int past the digit limit
+        kind = "an integer" if parse is int else "a number"
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ValueError(f"{label}{shown!r} is not {kind}") from None
+
+
+def _header(path, meta: dict[str, str], key: str, parse, default=None):
+    """``parse(meta[key])``, or a ValueError naming the file and the key."""
+    return parse_text(parse, meta.get(key, default), f"{path}: header {key}=")
+
+
 def read_code_csv(path) -> DensityCode:
     """Parse a code file written by :func:`write_code_csv`.
 
@@ -317,7 +333,7 @@ def read_code_csv(path) -> DensityCode:
         if "=" in part:
             key, value = part.split("=", 1)
             meta[key.strip()] = value.strip()
-    if int(meta.get("n", "2")) != 2:
+    if _header(path, meta, "n", int, "2") != 2:
         raise ValueError("only 2-D codes are supported")
     rows = []
     for lineno, line in lines[1:]:
@@ -329,13 +345,13 @@ def read_code_csv(path) -> DensityCode:
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
     points = np.array(rows).reshape(-1, 2)
-    if "m" in meta and points.shape[0] != int(meta["m"]):
+    if "m" in meta and points.shape[0] != _header(path, meta, "m", int):
         raise ValueError(
             f"{path}: header says m={meta['m']}, found {points.shape[0]} points"
         )
     if "Sx" not in meta or "Sy" not in meta:
         raise ValueError(f"{path}: header lacks the image size Sx, Sy")
-    sx, sy = int(meta["Sx"]), int(meta["Sy"])
+    sx, sy = (_header(path, meta, key, int) for key in ("Sx", "Sy"))
     bad = _first_bad_point(points, sx, sy)
     if bad is not None:
         raise ValueError(f"{path}, line {lines[bad[0] + 1][0]}: {bad[1]}")
@@ -345,8 +361,8 @@ def read_code_csv(path) -> DensityCode:
         points=points,
         sx=sx,
         sy=sy,
-        lam=float(meta.get("lambda", "nan")),
-        alpha=None if alpha_s == "none" else float(alpha_s),
+        lam=_header(path, meta, "lambda", float, "nan"),
+        alpha=None if alpha_s == "none" else _header(path, meta, "alpha", float),
         polarity=None if polarity_s == "none" else polarity_s,
         seq_name=meta.get("seq", "halton"),
     )

@@ -13,42 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _mirror_table(base: int, h: int) -> np.ndarray:
-    """The h-digit mirror of every integer in [0, base**h), as int64."""
-    table = np.arange(base, dtype=np.int64)
-    for digits in range(1, h):
-        table = (table[:, None] + np.arange(base) * base**digits).ravel()
-    return table
+def _radical_inverses(m: int, base: int) -> np.ndarray:
+    """The base-`base` radical inverses of the indices 1..m.
 
-
-def _radical_inverses(t: np.ndarray, base: int) -> np.ndarray:
-    """Mirror the base-`base` digits of each index in t across the radix point.
-
-    Every index is mirrored over the k digits of the largest, so each value
-    is the ratio R / base**k, divided once. Every index must lie below
-    2**53 // base: then base * max(t) < 2**53, both integers are exact
-    doubles and the quotient is correctly rounded. R is assembled from
-    blocks of h low digits, h about k / 2 but base**h at most 2**16 (or
-    h = 1), each block mirrored by one lookup in a table of the h-digit
-    mirrors.
+    The k-digit mirrors of 0..m are built one leading digit at a time:
+    index d * base**j + i mirrors to base * mirror(i) + d, and only the top
+    level is cut to the leading digits m uses. Each value is the ratio
+    R / base**k, divided once; with m below 2**53 // base, base**k <=
+    base * m < 2**53, so both integers are exact doubles and the quotient
+    is correctly rounded.
     """
-    top = int(t.max())
-    k = 0
-    while base**k <= top:
-        k += 1
-    h = 1
-    while h < (k + 1) // 2 and base ** (h + 1) <= 2**16:
-        h += 1
-    table = _mirror_table(base, h)
-    rest, mirrored, left = t.astype(np.int64), np.zeros(len(t), np.int64), k
-    while left > 0:
-        take = min(h, left)
-        rest, block = np.divmod(rest, base**take)
-        left -= take
-        # the take-digit mirrors are the h-digit ones of [0, base**take), shifted
-        mirror = table if take == h else table[: base**take] // base ** (h - take)
-        mirrored += mirror[block] * base**left
-    return mirrored / base**k
+    mirrors, scale = np.zeros(1, np.int64), 1  # the mirrors of 0..scale-1
+    while scale <= m:
+        lead = np.arange(min(base, m // scale + 1))[:, None]  # digits in use
+        mirrors = (mirrors * base + lead).ravel()
+        scale *= base
+    return mirrors[1 : m + 1] / scale
 
 
 @dataclass(frozen=True)
@@ -65,12 +45,6 @@ class QuasiSequence:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def prefix(self, k: int) -> "QuasiSequence":
-        """The first k points as a sequence of their own."""
-        if not 1 <= k <= len(self):
-            raise ValueError("prefix length out of range")
-        return QuasiSequence(points=self.points[:k], bases=self.bases)
-
 
 def halton(m: int, n: int = 2) -> QuasiSequence:
     """First m 2-D Halton points in (0,1)^2; point j uses integer index j + 1.
@@ -83,6 +57,6 @@ def halton(m: int, n: int = 2) -> QuasiSequence:
         raise ValueError("m must be >= 1")
     if n != 2:
         raise ValueError(f"only 2-D sequences are supported, got n={n}")
-    bases, index = (2, 3), np.arange(1, m + 1)
-    points = np.column_stack([_radical_inverses(index, base) for base in bases])
+    bases = (2, 3)
+    points = np.column_stack([_radical_inverses(m, base) for base in bases])
     return QuasiSequence(points=points, bases=bases)

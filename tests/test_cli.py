@@ -304,6 +304,10 @@ def test_sweep_missing_manifest(tmp_path, capsys):
         ("pair,file_a\n0,pair0_A.pgm\n", "missing columns file_b"),
         ("size,seed\n64,7\n", "missing columns pair, file_a, file_b"),
         ("pair,file_a,file_b\n0,pair0_A.pgm\n", "line 2: fewer fields than the header"),
+        (
+            "pair,file_a,file_b\nabc,pair0_A.pgm,pair0_B.pgm\n",
+            "manifest.csv: line 2: column 'pair': 'abc' is not an integer",
+        ),
     ],
 )
 def test_sweep_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
@@ -388,6 +392,8 @@ def test_bench_fit_rejects_missing_columns(tmp_path, capsys, text, missing):
         ("64,64,128,10,-5", "median_ms must be finite and > 0"),
         ("0,64,128,10,1.5", "H, W and m must be >= 1"),
         ("16,16", "line 2: fewer fields than the header"),
+        ("64,64,128,10,abc", "line 2: column 'median_ms': 'abc' is not a number"),
+        ("16.5,64,128,10,1.5", "t.csv: line 2: column 'H': '16.5' is not an integer"),
     ],
 )
 def test_bench_fit_rejects_bad_timing_rows(tmp_path, capsys, row, message):
@@ -583,6 +589,25 @@ def test_bad_length_flags_are_named_before_anything_loads(
     else:
         args = ["sweep", "--corpus", "absent"]
     rc = main([*args, *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--pairs", "1"], "--pairs must be >= 2, got 1"),
+        (["--pairs", "-2"], "--pairs must be >= 2, got -2"),
+        (["--size", "10"], "--size must be >= 64, got 10"),
+        (["--size", "63"], "--size must be >= 64, got 63"),
+    ],
+)
+def test_bad_corpus_flags_are_named_before_anything_is_written(
+    tmp_path, capsys, flags, message
+):
+    out = tmp_path / "corpus"
+    rc = main(["gen-corpus", *flags, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

@@ -1,6 +1,7 @@
 """Tests for figure generation, polynomial warping and the corpus sweep."""
 
 import csv
+import re
 import warnings
 from itertools import permutations
 from math import comb
@@ -232,6 +233,20 @@ class TestGenerateCorpus:
             CorpusSpec(pair_count=1)
         with pytest.raises(ValueError):
             CorpusSpec(size=32)
+
+
+def test_read_table_converts_the_named_columns_and_names_a_bad_value(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("n,x,name,extra\n3,2.5,a,z\n\"4\",-1e3,b,\n")
+    columns = {"n": int, "x": float, "name": str}
+    assert corpus_module.read_table(path, columns) == [
+        {"n": 3, "x": 2.5, "name": "a"},
+        {"n": 4, "x": -1000.0, "name": "b"},
+    ]
+    path.write_text("n,x,name\n3,2.5,a\n4,2.5e,b\n")
+    message = f"{path}: line 3: column 'x': '2.5e' is not a number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        corpus_module.read_table(path, columns)
 
 
 def prefix_plan(entries, alphas, alpha_max, points=None):

@@ -448,6 +448,32 @@ class TestCodeCsv:
         with pytest.raises(ValueError, match="header lacks the image size"):
             read_code_csv(path)
 
+    @pytest.mark.parametrize(
+        "key, value, shown, kind",
+        [
+            ("n", "two", "'two'", "an integer"),
+            ("m", "x", "'x'", "an integer"),
+            ("m", "1.0", "'1.0'", "an integer"),
+            ("Sx", "4.5", "'4.5'", "an integer"),
+            ("Sy", "", "''", "an integer"),
+            # past int()'s digit limit: named, and shown cut short
+            ("Sx", "9" * 5000, f"'{'9' * 20}...'", "an integer"),
+            ("lambda", "1e-4x", "'1e-4x'", "a number"),
+            ("alpha", "half", "'half'", "a number"),
+        ],
+    )
+    def test_reader_names_a_header_value_that_does_not_parse(
+        self, tmp_path, key, value, shown, kind
+    ):
+        fields = {"n": "2", "m": "1", "Sx": "4", "Sy": "4", "lambda": "0.0001",
+                  "alpha": "0.5", key: value}
+        header = ", ".join(f"{k}={v}" for k, v in fields.items())
+        path = tmp_path / "a.csv"
+        path.write_text(f"# density-code v1, {header}, seq=halton\n1,2\n")
+        message = f"{path}: header {key}={shown} is not {kind}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_code_csv(path)
+
 
 HEADER_64 = (
     "# density-code v1, n=2, m=3, Sx=64, Sy=64, lambda=0.0001, "
