@@ -186,6 +186,8 @@ def cmd_gen_corpus(args) -> int:
         raise ValueError(f"--pairs must be >= {MIN_PAIRS}, got {args.pairs}")
     if args.size < MIN_CORPUS_SIZE:
         raise ValueError(f"--size must be >= {MIN_CORPUS_SIZE}, got {args.size}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     from .corpus import CorpusSpec, generate_corpus
 
     spec = CorpusSpec(pair_count=args.pairs, size=args.size, seed=args.seed)

@@ -33,6 +33,9 @@ _MASS_FLOOR_FRACTION = 0.02
 # basis cells (k items x q rows x m points) a sweep's fit may always gather:
 # 1 MiB, below which the solver's fixed cost per call outweighs the memory
 FIT_CELLS_FLOOR = 2**17
+# output pixels `warp_image` samples per call: rows enough to spend the
+# per-call cost well, few enough that the temporaries stay small
+_WARP_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class CorpusSpec:
             raise ValueError("pair_count must be >= 2")
         if self.size < 64:
             raise ValueError("size must be >= 64")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _grow_skeleton(rng: np.random.Generator, size: int) -> list[tuple]:
@@ -277,8 +282,9 @@ def _bilinear(px: np.ndarray, x, y, fill: float):
     i0 = np.minimum(np.floor(yc).astype(np.intp), sy - 2)
     fx = xc - j0
     fy = yc - i0
-    top = (1.0 - fx) * px[i0, j0] + fx * px[i0, j0 + 1]
-    bottom = (1.0 - fx) * px[i0 + 1, j0] + fx * px[i0 + 1, j0 + 1]
+    flat, k = px.ravel(), i0 * sx + j0  # k: each sample's top-left neighbour
+    top = (1.0 - fx) * flat.take(k) + fx * flat.take(k + 1)
+    bottom = (1.0 - fx) * flat.take(k + sx) + fx * flat.take(k + sx + 1)
     value = (1.0 - fy) * top + fy * bottom
     return np.where(ok, value, fill)
 
@@ -289,20 +295,24 @@ def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
     The y component depends only on y, so the source y is constant along
     each output row and is found by inverting q; the x component is then
     a(y)*x + b(y), inverted in closed form per row. Bilinear sampling with
-    the image minimum as background fill completes the resampling.
+    the image minimum as background fill completes the resampling, one
+    sampling call per block of rows of at most ``_WARP_BLOCK`` pixels.
     """
-    px = img.pixels
+    px = np.ascontiguousarray(img.pixels)  # each block then ravels to a view
     sy, sx = px.shape
     check_warp_family(warp, sy)
-    fill = float(px.min())
+    fill = img.lo
     y_src = _invert_monotone(warp.q, np.arange(sy) + 0.5, 0.0, float(sy))
     a = _poly(warp.a, y_src)
     b = _poly(warp.b, y_src)
     col_targets = np.arange(sx) + 0.5
     out = np.full((sy, sx), fill)
-    for r in np.flatnonzero(np.isfinite(y_src)):
+    rows = np.flatnonzero(np.isfinite(y_src))
+    per_block = max(1, _WARP_BLOCK // sx)
+    for start in range(0, len(rows), per_block):
+        r = rows[start : start + per_block, None]  # the block's rows, as a column
         x_src = (col_targets - b[r]) / a[r]
-        out[r] = _bilinear(px, x_src, np.full(sx, y_src[r]), fill)
+        out[r[:, 0]] = _bilinear(px, x_src, y_src[r], fill)
     return GrayImage(pixels=np.maximum(out, 0.0))
 
 
@@ -325,8 +335,7 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
         file_a = f"pair{k}_A.pgm"
         file_b = f"pair{k}_B.pgm"
         for image, name in ((figure, file_a), (warped, file_b)):
-            arr = image.pixels
-            scaled = np.rint(arr / arr.max() * 65535.0)
+            scaled = np.rint(image.pixels / image.hi * 65535.0)
             write_pgm(scaled, out_dir / name, maxval=65535, binary=True)
         row = {
             "pair": k,

@@ -323,18 +323,18 @@ def read_code_csv(path) -> DensityCode:
     text = Path(path).read_text(encoding="utf-8")
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].lstrip().startswith("#"):
-        raise ValueError("missing code-file header")
+        raise ValueError(f"{path}: missing code-file header")
     header = lines[0][1].lstrip()[1:].strip()
     parts = [p.strip() for p in header.split(",")]
     if parts[0] != CODE_FORMAT_TAG:
-        raise ValueError(f"unrecognized code-file format {parts[0]!r}")
+        raise ValueError(f"{path}: unrecognized code-file format {parts[0]!r}")
     meta: dict[str, str] = {}
     for part in parts[1:]:
         if "=" in part:
             key, value = part.split("=", 1)
             meta[key.strip()] = value.strip()
     if _header(path, meta, "n", int, "2") != 2:
-        raise ValueError("only 2-D codes are supported")
+        raise ValueError(f"{path}: only 2-D codes are supported")
     rows = []
     for lineno, line in lines[1:]:
         fields = line.split(",")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +21,27 @@ _PNM_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 
 @dataclass(frozen=True)
 class GrayImage:
-    """2-D array of finite, nonnegative pixel values, at least 2x2."""
+    """2-D array of finite, nonnegative pixel values, at least 2x2.
+
+    The pixels are checked and summarized when the image is built: ``lo``
+    and ``hi`` are their least and greatest values, so the steps that need
+    them do not scan the pixels again.
+    """
 
     pixels: np.ndarray
+    lo: float = field(init=False, compare=False, repr=False)
+    hi: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 2 or px.shape[0] < 2 or px.shape[1] < 2:
             raise ValueError("image smaller than 2x2")
-        lo, hi = px.min(), px.max()  # NaN propagates, and fails both tests
+        lo, hi = float(px.min()), float(px.max())  # NaN fails both tests
         if not (lo >= 0 and hi < math.inf):
             raise ValueError("pixel values must be finite and >= 0")
         object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 @dataclass(frozen=True)
@@ -142,10 +151,10 @@ def load_pgm(path) -> GrayImage:
             raise ValueError("truncated P5 raster")
         dtype = ">u2" if bytes_per == 2 else "u1"
         samples = np.frombuffer(data, dtype=dtype, count=count, offset=j)
-    arr = samples.astype(np.float64).reshape(height, width)
-    if arr.max() > maxval:
+    img = GrayImage(pixels=samples.astype(np.float64).reshape(height, width))
+    if img.hi > maxval:
         raise ValueError("sample value exceeds declared maxval")
-    return GrayImage(pixels=arr)
+    return img
 
 
 def load_png(path) -> GrayImage:
@@ -206,9 +215,7 @@ def normalize(img: GrayImage, polarity: Polarity) -> NormalizedImage:
     LIGHT_ON_DARK keeps the orientation, DARK_ON_LIGHT flips it. Flat images
     (max == min) are rejected: the rescaling is undefined for them.
     """
-    h = img.pixels
-    lo = float(h.min())
-    hi = float(h.max())
+    h, lo, hi = img.pixels, img.lo, img.hi
     if hi == lo:
         raise ValueError("degenerate contrast: image is flat (max == min)")
     if polarity is Polarity.LIGHT_ON_DARK:

@@ -601,11 +601,15 @@ def test_bad_length_flags_are_named_before_anything_loads(
         (["--pairs", "-2"], "--pairs must be >= 2, got -2"),
         (["--size", "10"], "--size must be >= 64, got 10"),
         (["--size", "63"], "--size must be >= 64, got 63"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_bad_corpus_flags_are_named_before_anything_is_written(
-    tmp_path, capsys, flags, message
+    tmp_path, capsys, monkeypatch, flags, message
 ):
+    # the corpus module cannot load: a bad flag is refused before it would
+    monkeypatch.delattr(densitycode, "corpus")
+    monkeypatch.setitem(sys.modules, "densitycode.corpus", None)
     out = tmp_path / "corpus"
     rc = main(["gen-corpus", *flags, "--out", str(out)])
     assert rc == 1
@@ -730,6 +734,26 @@ def test_compare_names_the_file_whose_point_count_disagrees(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {short}: header says m=3, found 2 points\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2\n", "missing code-file header"),
+        ("", "missing code-file header"),
+        ("# density-code v2\n1,2\n", "unrecognized code-file format 'density-code v2'"),
+        ("# density-code v1, n=3\n1,2,3\n", "only 2-D codes are supported"),
+    ],
+)
+def test_compare_names_the_code_file_whose_header_is_bad(
+    tmp_path, capsys, text, message
+):
+    nohdr = tmp_path / "nohdr.csv"
+    nohdr.write_text(text)
+    b = write_code(tmp_path / "b.csv")
+    rc = main(["compare", str(nohdr), str(b), "--degree", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {nohdr}: {message}\n"
 
 
 def test_compare_rejects_point_outside_image(tmp_path, capsys):

@@ -76,6 +76,39 @@ def root_finding_warp(img, warp):
     return np.maximum(out, 0.0)
 
 
+def row_bilinear(px, x, y, fill):
+    """The sampler as it was before blocks: one row, 2-D fancy indexing."""
+    sy, sx = px.shape
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(x) & np.isfinite(y)
+        ok &= (x >= 0.0) & (x <= sx) & (y >= 0.0) & (y <= sy)
+    xc = np.clip(np.nan_to_num(x) - 0.5, 0.0, sx - 1.0)
+    yc = np.clip(np.nan_to_num(y) - 0.5, 0.0, sy - 1.0)
+    j0 = np.minimum(np.floor(xc).astype(np.intp), sx - 2)
+    i0 = np.minimum(np.floor(yc).astype(np.intp), sy - 2)
+    fx = xc - j0
+    fy = yc - i0
+    top = (1.0 - fx) * px[i0, j0] + fx * px[i0, j0 + 1]
+    bottom = (1.0 - fx) * px[i0 + 1, j0] + fx * px[i0 + 1, j0 + 1]
+    return np.where(ok, (1.0 - fy) * top + fy * bottom, fill)
+
+
+def row_by_row_warp(img, warp):
+    """Reference warp_image: one sampling call per output row, as it was."""
+    px = img.pixels
+    sy, sx = px.shape
+    fill = float(px.min())
+    y_src = corpus_module._invert_monotone(warp.q, np.arange(sy) + 0.5, 0.0, sy)
+    a = corpus_module._poly(warp.a, y_src)
+    b = corpus_module._poly(warp.b, y_src)
+    col_targets = np.arange(sx) + 0.5
+    out = np.full((sy, sx), fill)
+    for r in np.flatnonzero(np.isfinite(y_src)):
+        x_src = (col_targets - b[r]) / a[r]
+        out[r] = row_bilinear(px, x_src, np.full(sx, y_src[r]), fill)
+    return np.maximum(out, 0.0)
+
+
 class TestGenerateFigure:
     def test_deterministic(self):
         a = generate_figure(3, 96)
@@ -139,6 +172,54 @@ class TestWarp:
             img = generate_figure(seed, 128)
             got = warp_image(img, warp).pixels
             assert np.max(np.abs(got - root_finding_warp(img, warp))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "sy, sx",
+        [(64, 64), (128, 128), (200, 333), (333, 200), (1000, 7), (1024, 1024)],
+    )
+    def test_blocks_equal_the_row_by_row_warp_bit_for_bit(self, sy, sx):
+        rng = np.random.default_rng([sy, sx])
+        if sy == sx:
+            img = generate_figure([sy, 5], sy)
+        else:  # column-major pixels: the blocks index a row-major copy
+            img = GrayImage(pixels=rng.uniform(0.0, 255.0, (sx, sy)).T)
+        warp = wind_warp_coefficients(rng, sy)
+        # an x shift in proportion to the width, and a(y) from 1 to 1.2
+        warp = warp._replace(b=warp.b * (sx / sy), a=np.array([1.0, 0.2 / sy, 0.0]))
+        got = warp_image(img, warp).pixels
+        want = row_by_row_warp(img, warp)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "shift, outside",
+        [(3.0, slice(None, 3)), (-3.0, slice(-3, None)), (250.0, slice(None, 250))],
+    )
+    def test_blocks_leave_rows_outside_the_image_as_fill(self, shift, outside):
+        # q(y) = y + shift sends the outside rows' sources off the image (NaN
+        # rows); at 250 the 50 rows left are one partial block of 54
+        img = generate_figure(2, 300)
+        warp = identity_warp()
+        warp.b[0], warp.b[1] = 2.5, 0.01
+        warp.q[0] = shift
+        got = warp_image(img, warp).pixels
+        want = row_by_row_warp(img, warp)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(got[outside] == img.lo)
+
+    def test_one_sampling_call_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(px, x, y, fill):
+            calls.append(np.broadcast(x, y).shape)
+            return _bilinear(px, x, y, fill)
+
+        monkeypatch.setattr(corpus_module, "_bilinear", counting)
+        img = GrayImage(pixels=np.random.default_rng(8).uniform(0, 9, (200, 333)))
+        got = warp_image(img, identity_warp()).pixels
+        # 49 rows of 333 pixels make a block: four whole blocks, then 4 rows
+        assert calls == [(49, 333)] * 4 + [(4, 333)]
+        assert all(rows * cols <= 2**14 for rows, cols in calls)
+        assert np.array_equal(got, img.pixels)
 
     def test_family_is_checked_between_sample_rows(self):
         # q' = 0.008 - 0.006 y + 0.000999 y^2 dips below 0 on 2 < y < 4,
@@ -233,6 +314,8 @@ class TestGenerateCorpus:
             CorpusSpec(pair_count=1)
         with pytest.raises(ValueError):
             CorpusSpec(size=32)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            CorpusSpec(seed=-1)
 
 
 def test_read_table_converts_the_named_columns_and_names_a_bad_value(tmp_path):
