@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncodeParams, encode
+from .encoder import encode
 from .image_io import GrayImage, Polarity, make_density_field, normalize
 from .quasirandom import halton
 
@@ -85,7 +85,7 @@ def run_grid(
                 t0 = time.perf_counter()
                 nimg = normalize(img, Polarity.LIGHT_ON_DARK)
                 field = make_density_field(nimg, lam)
-                encode(field, seqs[m], EncodeParams(lam=lam))
+                encode(field, seqs[m])
                 elapsed_ms = (time.perf_counter() - t0) * 1e3
                 if rep > 0:  # round 0 is the warm-up
                     block_times[k].append(elapsed_ms)

@@ -35,6 +35,7 @@ MIN_REPS = 5
 # and CorpusSpec's, checked the same way before the corpus module loads
 MIN_PAIRS = 2
 MIN_CORPUS_SIZE = 64
+MAX_CORPUS_SIZE = 4096
 
 
 def _grid_sizes(text: str, flag: str) -> list[int]:
@@ -77,7 +78,7 @@ def cmd_encode(args) -> int:
     nimg = normalize(img, polarity)
     field = make_density_field(nimg, args.lam)
     seq = halton(args.points)
-    code = encode(field, seq, EncodeParams(lam=args.lam, alpha=args.alpha))
+    code = encode(field, seq, EncodeParams(alpha=args.alpha))
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     write_code_csv(code, args.out)
     print(f"m={code.m} elapsed_ms={elapsed_ms:.17g}")
@@ -129,14 +130,14 @@ def cmd_sweep(args) -> int:
         steps += 1
     alphas = [min(lo + i * step, hi) for i in range(steps + 1)]
     points = args.points
-    if points is None:
-        points = sweep_length(entries, hi)
+    if points is None:  # the grid ascends: its last alpha asks the longest codes
+        points = sweep_length(entries, alphas[-1])
         if points > MAX_POINTS:
             raise ValueError(
                 f"--alpha-max {hi:g} asks for codes over {MAX_POINTS} points; "
                 "set --points"
             )
-    rows = sweep(entries, alphas, hi, args.degree, points)
+    rows = sweep(entries, alphas, args.degree, points)
     lines = [",".join(SweepRow._fields)]
     for *values, status in rows:  # an invalid row has no band edges
         cells = ["" if value is None else f"{value:.17g}" for value in values]
@@ -186,6 +187,8 @@ def cmd_gen_corpus(args) -> int:
         raise ValueError(f"--pairs must be >= {MIN_PAIRS}, got {args.pairs}")
     if args.size < MIN_CORPUS_SIZE:
         raise ValueError(f"--size must be >= {MIN_CORPUS_SIZE}, got {args.size}")
+    if args.size > MAX_CORPUS_SIZE:
+        raise ValueError(f"--size must be <= {MAX_CORPUS_SIZE}, got {args.size}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     from .corpus import CorpusSpec, generate_corpus

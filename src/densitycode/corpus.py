@@ -49,8 +49,8 @@ class CorpusSpec:
     def __post_init__(self):
         if self.pair_count < 2:
             raise ValueError("pair_count must be >= 2")
-        if self.size < 64:
-            raise ValueError("size must be >= 64")
+        if not 64 <= self.size <= 4096:  # a 4096^2 figure peaks near 0.4 GiB
+            raise ValueError(f"size must be in 64..4096, got {self.size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -403,14 +403,14 @@ class SweepRow(NamedTuple):
     status: str  # "ok", or "invalid" when a code is shorter than the basis
 
 
-def sweep_length(entries, alpha_max: float) -> int:
-    """Length of the longest code ``alpha_max`` asks of the entries' images.
+def sweep_length(entries, alpha: float) -> int:
+    """Length of the longest code ``alpha`` asks of the entries' images.
 
     Lengths are counted up to ``MAX_POINTS + 1``, so an overflowing
-    ``alpha_max * mass`` reads as just over the limit.
+    ``alpha * mass`` reads as just over the limit.
     """
     return max(
-        code_length(field.foreground_mass, alpha_max, MAX_POINTS + 1)
+        code_length(field.foreground_mass, alpha, MAX_POINTS + 1)
         for _, field in entries
     )
 
@@ -427,17 +427,15 @@ def _box_runs(code: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(grows) + 1, code.shape[1])
 
 
-def sweep(
-    entries, alphas, alpha_max: float, degree: int, points: int | None = None
-) -> list[SweepRow]:
+def sweep(entries, alphas, degree: int, points: int | None = None) -> list[SweepRow]:
     """Delta of every ordered image pair per alpha, split related/unrelated.
 
     ``entries`` are (pair id, field) as from :func:`load_corpus`. Every
-    image is encoded once at ``alpha_max`` from a Halton sequence of
-    ``points`` (default: :func:`sweep_length`; either way at most
-    :data:`MAX_POINTS`); each alpha then compares code prefixes, which
-    equal the codes encoded at that alpha bit for bit, so an alpha that
-    asks any image for a longer code than that encoding holds is refused.
+    image is encoded once at the largest alpha from a Halton sequence of
+    ``points`` (default: :func:`sweep_length` of that alpha; either way at
+    most :data:`MAX_POINTS`). Code lengths only grow with alpha under one
+    cap, so each alpha compares prefixes of those codes, which equal the
+    codes encoded at that alpha bit for bit.
 
     The plan is the (alphas x ordered pairs) array of common lengths
     min(L_i, L_j), walked once in ascending length. Each distinct (pair,
@@ -467,24 +465,26 @@ def sweep(
             "entries give no related or no unrelated pair: need two images "
             "of one pair and images of two pairs"
         )
+    if points is not None and points > MAX_POINTS:
+        raise ValueError(f"points={points} exceeds the limit of {MAX_POINTS}")
+    if len(alphas) == 0:
+        return []
+    largest = max(alphas)
     if points is None:
-        points = sweep_length(entries, alpha_max)
+        points = sweep_length(entries, largest)
         if points > MAX_POINTS:
             raise ValueError(
-                f"alpha_max={alpha_max:g} asks for codes over {MAX_POINTS} points; "
+                f"alpha={largest:g} asks for codes over {MAX_POINTS} points; "
                 "pass points"
             )
-    elif points > MAX_POINTS:
-        raise ValueError(f"points={points} exceeds the limit of {MAX_POINTS}")
     # images by mass: lengths then ascend at every alpha, so the images that
     # share a common length are always a run of consecutive rows
     by_mass = sorted(entries, key=lambda entry: entry[1].foreground_mass)
     seq = halton(points)
-    params = EncodeParams(alpha=alpha_max)
+    params = EncodeParams(alpha=largest)
     codes = [encode(field, seq, params).points.T for _, field in by_mass]
     _check_coordinates(*codes)
-    n, sizes = len(codes), [code.shape[1] for code in codes]
-    longest = max(sizes)
+    n, longest = len(codes), max(code.shape[1] for code in codes)
     full = np.zeros((n, 2, longest))  # coordinate-major, the fit's layout
     for row, code in zip(full, codes):
         row[:, : code.shape[1]] = code
@@ -498,12 +498,6 @@ def sweep(
         ],
         dtype=np.intp,
     ).reshape(-1, n)
-    longer = (lengths > np.array(sizes)).any(axis=1)
-    if longer.any():
-        raise ValueError(
-            f"alpha={alphas[longer.argmax()]:g} asks for longer codes than "
-            f"alpha_max={alpha_max:g} encodes"
-        )
     # an alpha is invalid when a code is shorter than the basis
     q = math.comb(degree + 2, 2)  # len(all_powers(degree)), without building it
     valid = lengths.min(axis=1) >= q

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 CODE_FORMAT_TAG = "density-code v1"
 # a sequence takes 16 bytes a point and each code as much again; without
-# --points a sweep encodes every image at the longest code --alpha-max asks for
+# --points a sweep encodes every image at the longest code its largest alpha asks for
 MAX_POINTS = 10**7
 
 
@@ -150,7 +150,7 @@ def encode(
             f"EncodeParams.lam {params.lam!r} does not match the density "
             f"field's lambda {field.lam!r}"
         )
-    m = code_length(field.foreground_mass, params.alpha, len(seq))
+    m = code_length(field.foreground_mass, params.alpha, seq.m)
     sy, sx = field.f.shape
     polarity = field.polarity.value if field.polarity is not None else None
     return DensityCode(

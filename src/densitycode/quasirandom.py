@@ -42,9 +42,6 @@ class QuasiSequence:
     def m(self) -> int:
         return self.points.shape[0]
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
 
 def halton(m: int, n: int = 2) -> QuasiSequence:
     """First m 2-D Halton points in (0,1)^2; point j uses integer index j + 1.

@@ -137,7 +137,7 @@ def test_criterion_05_separation_sweep(tmp_path):
 
     entries = load_corpus(corpus_dir, Polarity.LIGHT_ON_DARK, 1e-4)
     alphas = [0.05 + 0.01 * i for i in range(46)]  # 0.05 .. 0.50
-    rows = sweep(entries, alphas, 0.5, 3)
+    rows = sweep(entries, alphas, 3)
     separated = [
         row.status == "ok" and row.related_max < row.unrelated_min for row in rows
     ]

@@ -16,7 +16,13 @@ import densitycode.bench
 import densitycode.corpus
 import densitycode.image_io
 import densitycode.quasirandom
-from densitycode import delta_median, generate_figure, read_code_csv, write_pgm
+from densitycode import (
+    code_length,
+    delta_median,
+    generate_figure,
+    read_code_csv,
+    write_pgm,
+)
 from densitycode.cli import MAX_POINTS, main
 
 
@@ -500,6 +506,33 @@ def test_sweep_grid_ends_within_alpha_max(small_corpus, tmp_path, grid, alphas):
     assert [row["alpha"] for row in rows] == [f"{alpha:.17g}" for alpha in alphas]
 
 
+def test_sweep_encodes_no_longer_than_its_last_alpha(
+    small_corpus, tmp_path, monkeypatch
+):
+    # --alpha-max 0.055 ends the grid at 0.05, so every image is encoded to
+    # the length 0.05 asks for, not to the longer one 0.055 would
+    encoded = []
+    encode = densitycode.corpus.encode
+
+    def recording_encode(field, seq, params=None):
+        code = encode(field, seq, params)
+        encoded.append((field.foreground_mass, code.m))
+        return code
+
+    monkeypatch.setattr(densitycode.corpus, "encode", recording_encode)
+    text = {}
+    for hi in ("0.05", "0.055"):
+        out = tmp_path / f"s{hi}.csv"
+        args = ["sweep", "--corpus", str(small_corpus), "--out", str(out)]
+        assert main([*args, "--alpha-max", hi]) == 0
+        text[hi] = out.read_text()
+    assert text["0.055"] == text["0.05"]
+    last = float(text["0.05"].splitlines()[-1].split(",")[0])
+    masses, lengths = zip(*encoded)
+    assert lengths == tuple(code_length(mass, last, 10**9) for mass in masses)
+    assert lengths != tuple(code_length(mass, 0.055, 10**9) for mass in masses)
+
+
 def test_sweep_degree_beyond_every_code_gives_invalid_rows(small_corpus, tmp_path):
     # q = C(30002, 2) basis terms: the sweep must not build them to find out
     out = tmp_path / "s.csv"
@@ -602,6 +635,8 @@ def test_bad_length_flags_are_named_before_anything_loads(
         (["--size", "10"], "--size must be >= 64, got 10"),
         (["--size", "63"], "--size must be >= 64, got 63"),
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--size", "4097"], "--size must be <= 4096, got 4097"),
+        (["--size", "100000"], "--size must be <= 4096, got 100000"),
     ],
 )
 def test_bad_corpus_flags_are_named_before_anything_is_written(

@@ -316,6 +316,8 @@ class TestGenerateCorpus:
             CorpusSpec(size=32)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             CorpusSpec(seed=-1)
+        with pytest.raises(ValueError, match=r"size must be in 64\.\.4096, got 4097"):
+            CorpusSpec(size=4097)
 
 
 def test_read_table_converts_the_named_columns_and_names_a_bad_value(tmp_path):
@@ -374,7 +376,7 @@ def test_sweep_rows_match_direct_delta_median(tmp_path):
     generate_corpus(tmp_path, CorpusSpec(pair_count=2, size=64, seed=7))
     entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
     assert [pair for pair, _ in entries] == [0, 0, 1, 1]
-    rows = sweep(entries, [0.01, 0.2, 0.4], 0.4, 3)
+    rows = sweep(entries, [0.01, 0.2, 0.4], 3)
     # at alpha=0.01 a 64x64 figure's code is shorter than the cubic basis
     assert rows[0] == SweepRow(0.01, None, None, None, None, "invalid")
     assert [row.status for row in rows[1:]] == ["ok", "ok"]
@@ -406,7 +408,7 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, monkey
 
     with monkeypatch.context() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
-        rows = sweep(entries, alphas, 0.3, 3)
+        rows = sweep(entries, alphas, 3)
     assert [row.status for row in rows] == ["ok"] * 4
     walked = [W.shape[2] for _, W, *_ in fits]
     assert walked == sorted(walked) and walked[0] == 10  # one walk, up from q
@@ -439,7 +441,7 @@ def test_sweep_builds_one_basis_per_image_and_length(six_images, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(matcher_module, "_power_basis", recording_power_basis)
-        rows = sweep(entries, alphas, 0.3, 3)
+        rows = sweep(entries, alphas, 3)
     assert [row.status for row in rows] == ["ok"] * 3
     codes, lengths = prefix_plan(entries, alphas, 0.3)
     boxes, sources = set(), set()
@@ -455,7 +457,7 @@ def test_sweep_builds_one_basis_per_image_and_length(six_images, monkeypatch):
 def test_sweep_rows_equal_delta_median_rows(six_images, degree):
     # unsorted and repeated alphas; at degree 5 (q = 21) alpha 0.05 is invalid
     alphas = [0.3, 0.05, 0.2, 0.05, 0.3, 0.12]
-    rows = sweep(six_images, alphas, 0.3, degree)
+    rows = sweep(six_images, alphas, degree)
     assert rows == delta_median_rows(six_images, alphas, 0.3, degree)
     assert [row.alpha for row in rows] == alphas
 
@@ -475,12 +477,12 @@ def test_sweep_fits_tied_lengths_once(six_images, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
-        rows = sweep(six_images, alphas, 0.3, 3, points=60)
+        rows = sweep(six_images, alphas, 3, points=60)
     assert rows == delta_median_rows(six_images, alphas, 0.3, 3, points=60)
     pairs = list(permutations(range(len(six_images)), 2))
     keys = {(min(cut[i], cut[j]), i, j) for cut in lengths for i, j in pairs}
     assert len(items) == len(keys)
-    assert sweep(six_images, [], 0.3, 3) == []
+    assert sweep(six_images, [], 3) == []
 
 
 @pytest.fixture(scope="module")
@@ -491,7 +493,7 @@ def default_images(tmp_path_factory):
     return load_corpus(out, Polarity.LIGHT_ON_DARK, 1e-4)
 
 
-def fits_by_length(entries, alphas, alpha_max, degree, monkeypatch):
+def fits_by_length(entries, alphas, degree, monkeypatch):
     """The item count of every _fit call the sweep makes, by code length."""
     calls = {}
     fit = matcher_module._fit
@@ -502,7 +504,7 @@ def fits_by_length(entries, alphas, alpha_max, degree, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
-        rows = sweep(entries, alphas, alpha_max, degree)
+        rows = sweep(entries, alphas, degree)
     assert {row.status for row in rows} == {"ok"}
     return calls
 
@@ -513,7 +515,7 @@ def test_sweep_fits_a_length_in_one_call_under_the_floor(default_images, monkeyp
     # items' bases fit under it is one call (387 calls for 336 lengths; the
     # half-live rule alone split the same items into 645)
     alphas = [0.01 * i for i in range(1, 51)]
-    calls = fits_by_length(default_images, alphas, 0.5, 3, monkeypatch)
+    calls = fits_by_length(default_images, alphas, 3, monkeypatch)
     q, floor = 10, corpus_module.FIT_CELLS_FLOOR
     longest = max(len(code) for code in prefix_plan(default_images, [], 0.5)[0])
     assert 12 * q * longest // 2 < floor
@@ -530,9 +532,9 @@ def test_sweep_fits_a_length_in_one_call_under_the_floor(default_images, monkeyp
 
 
 def test_sweep_keeps_half_the_live_bases_above_the_floor(default_images, monkeypatch):
-    # at alpha_max 2.5 the live bases are 12 x 10 x 3915 cells, and half of
+    # at alpha 2.5 the live bases are 12 x 10 x 3915 cells, and half of
     # them exceed the floor: that half bounds every fit, as at 512^2 and up
-    calls = fits_by_length(default_images, [0.5, 1.5, 2.5], 2.5, 3, monkeypatch)
+    calls = fits_by_length(default_images, [0.5, 1.5, 2.5], 3, monkeypatch)
     codes, _ = prefix_plan(default_images, [], 2.5)
     q, longest = 10, max(len(code) for code in codes)
     cap = 12 * q * longest // 2
@@ -570,7 +572,7 @@ def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
         with pytest.warns(RuntimeWarning) as record:
-            rows = sweep(entries, alphas, 0.3, 3)
+            rows = sweep(entries, alphas, 3)
     # delta_median calls _fit too, so each item is refitted alone only now
     expected = []
     for V, W, d, a, b, result in fits:
@@ -589,17 +591,17 @@ def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
         assert rows == delta_median_rows(entries, alphas, 0.3, 3)
     # unpatched, each warning names the sweep's caller
     with pytest.warns(RuntimeWarning, match="went to the SVD") as record:
-        assert sweep(entries, alphas, 0.3, 3) == rows
+        assert sweep(entries, alphas, 3) == rows
     assert {warning.filename for warning in record} == {__file__}
 
 
-def test_sweep_refuses_alphas_above_alpha_max(six_images):
-    # a prefix of the alpha_max code is the code of a smaller alpha only
-    message = r"^alpha=0.4 asks for longer codes than alpha_max=0.36 encodes"
-    with pytest.raises(ValueError, match=message):
-        sweep(six_images, [0.1, 0.4], 0.36, 3)
+def test_sweep_encodes_at_its_largest_alpha(six_images):
+    # an unsorted grid: every alpha's codes are prefixes of the largest's
+    alphas = [0.4, 0.1, 0.36]
+    rows = sweep(six_images, alphas, 3)
+    assert rows == delta_median_rows(six_images, alphas, 0.4, 3)
     # where the sequence caps both lengths, the codes are the same
-    capped = sweep(six_images, [0.4, 0.36], 0.36, 3, points=60)
+    capped = sweep(six_images, [0.4, 0.36], 3, points=60)
     assert capped[0][1:] == capped[1][1:] and capped[0].status == "ok"
 
 
@@ -607,7 +609,7 @@ def test_sweep_refuses_alphas_above_alpha_max(six_images):
 def test_sweep_needs_a_related_and_an_unrelated_pair(pairs):
     field = small_field()
     with pytest.raises(ValueError, match="no related or no unrelated pair"):
-        sweep([(pair, field) for pair in pairs], [0.1], 1e308, 3)
+        sweep([(pair, field) for pair in pairs], [1e308], 3)
 
 
 def test_sweep_names_its_own_parameters(monkeypatch):
@@ -617,11 +619,11 @@ def test_sweep_names_its_own_parameters(monkeypatch):
 
     monkeypatch.setattr(quasirandom_module, "halton", halton_stub)
     entries = [(pair, small_field()) for pair in (0, 0, 1)]
-    with pytest.raises(ValueError, match=r"^alpha_max=1e\+308 asks for codes over"):
-        sweep(entries, [0.1], 1e308, 3)
+    with pytest.raises(ValueError, match=r"^alpha=1e\+308 asks for codes over"):
+        sweep(entries, [0.1, 1e308, 0.5], 3)
     limit = corpus_module.MAX_POINTS
     with pytest.raises(ValueError, match=f"^points={limit + 1} exceeds the limit"):
-        sweep(entries, [0.1], 0.5, 3, points=limit + 1)
+        sweep(entries, [0.1], 3, points=limit + 1)
 
 
 def small_field():
