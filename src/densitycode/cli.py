@@ -96,6 +96,13 @@ def cmd_compare(args) -> int:
         v, w = (getattr(code, attr) or "none" for code in (code_v, code_w))
         if v != w:
             raise ValueError(f"codes differ in {header}: {v} vs {w}")
+    sizes = [f"{code.sx}x{code.sy}" for code in (code_v, code_w)]
+    if args.degree == 0 and sizes[0] != sizes[1]:
+        print(
+            f"warning: --degree 0 compares raw pixel units of a {sizes[0]} and a "
+            f"{sizes[1]} image (Sx x Sy); degree >= 1 absorbs scale",
+            file=sys.stderr,
+        )
     report = delta_median(code_v, code_w, args.degree)
     print(f"delta={report.delta:.17g}")
     if args.residuals:

@@ -33,9 +33,18 @@ _MASS_FLOOR_FRACTION = 0.02
 # basis cells (k items x q rows x m points) a sweep's fit may always gather:
 # 1 MiB, below which the solver's fixed cost per call outweighs the memory
 FIT_CELLS_FLOOR = 2**17
-# output pixels `warp_image` samples per call: rows enough to spend the
+# cells a blocked numpy pass works on, the stroke boxes `_render_segments`
+# stacks or the output pixels `warp_image` samples: enough to spend the
 # per-call cost well, few enough that the temporaries stay small
-_WARP_BLOCK = 2**14
+_BLOCK_CELLS = 2**14
+# the figure sizes CorpusSpec and generate_figure accept: 64 .. MAX_FIGURE_SIZE
+# (a 4096^2 figure peaks near 0.4 GiB)
+MAX_FIGURE_SIZE = 4096
+
+
+def _check_size(size: int) -> None:
+    if not 64 <= size <= MAX_FIGURE_SIZE:
+        raise ValueError(f"size must be in 64..{MAX_FIGURE_SIZE}, got {size}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,7 @@ class CorpusSpec:
     def __post_init__(self):
         if self.pair_count < 2:
             raise ValueError("pair_count must be >= 2")
-        if not 64 <= self.size <= 4096:  # a 4096^2 figure peaks near 0.4 GiB
-            raise ValueError(f"size must be in 64..4096, got {self.size}")
+        _check_size(self.size)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -91,31 +99,66 @@ def _grow_skeleton(rng: np.random.Generator, size: int) -> list[tuple]:
     return segments
 
 
+def _block_bounds(heights: list, widths: list) -> list:
+    """Starts of the blocks of boxes sorted by height, then width, and the end.
+
+    A block grows while its padded cells (boxes x tallest x widest) stay
+    within ``_BLOCK_CELLS`` and 1.5 times its boxes' own cells; a box over
+    the budget is a block of one.
+    """
+    bounds, real, widest = [0], 0, 0
+    for i, (h, w) in enumerate(zip(heights, widths)):
+        wide = max(widest, w)
+        cells = (i - bounds[-1] + 1) * h * wide  # h is the tallest yet: sorted
+        if i > bounds[-1] and (cells > _BLOCK_CELLS or 2 * cells > 3 * (real + h * w)):
+            bounds.append(i)
+            real, wide = 0, w
+        real += h * w
+        widest = wide
+    return [*bounds, len(heights)] if heights else [0]
+
+
 def _render_segments(segments, size: int, width_scale: float) -> np.ndarray:
-    """Rasterize soft strokes into a float canvas via distance to segment."""
+    """Rasterize soft strokes into a float canvas via distance to segment.
+
+    Each segment lights its box of pixels within half its width plus 1.5 of
+    it, clipped to the canvas. Boxes of similar shape are evaluated together,
+    as one (k, tallest, widest) stack per block of :func:`_block_bounds`, and
+    each segment's own box is max-merged into the canvas. Every pixel takes
+    the same operations on the same operands as a segment-by-segment loop,
+    and the max does not depend on order, so the canvas is the same bit for
+    bit. A zero-length segment takes len^2 = inf, so its t is 0.
+    """
     canvas = np.zeros((size, size))
-    for x0, y0, x1, y1, width in segments:
-        hw = 0.5 * width * width_scale
-        pad = hw + 1.5
-        c0 = max(int(math.floor(min(x0, x1) - pad)), 0)
-        c1 = min(int(math.ceil(max(x0, x1) + pad)), size - 1)
-        r0 = max(int(math.floor(min(y0, y1) - pad)), 0)
-        r1 = min(int(math.ceil(max(y0, y1) + pad)), size - 1)
-        if c1 < c0 or r1 < r0:
-            continue
-        px = np.arange(c0, c1 + 1) + 0.5
-        py = (np.arange(r0, r1 + 1) + 0.5)[:, None]
-        dx = x1 - x0
-        dy = y1 - y0
-        seg_len_sq = dx * dx + dy * dy
-        if seg_len_sq == 0.0:
-            dist = np.hypot(px - x0, py - y0)
-        else:
-            t = np.clip(((px - x0) * dx + (py - y0) * dy) / seg_len_sq, 0.0, 1.0)
-            dist = np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
-        value = np.clip(hw + 0.5 - dist, 0.0, 1.0)
-        region = canvas[r0 : r1 + 1, c0 : c1 + 1]
-        np.maximum(region, value, out=region)
+    seg = np.array(segments, dtype=np.float64).reshape(-1, 5)
+    hw = 0.5 * seg[:, 4] * width_scale
+    pad = (hw + 1.5)[:, None]
+    ends = seg[:, :4].reshape(-1, 2, 2)  # (x0, y0), (x1, y1)
+    lo = np.clip(np.floor(ends.min(axis=1) - pad), 0, size)  # columns x, rows y
+    hi = np.clip(np.ceil(ends.max(axis=1) + pad), -1, size - 1)
+    start = lo.astype(np.intp)
+    extent = hi.astype(np.intp) + 1 - start
+    keep = np.flatnonzero((extent > 0).all(axis=1))
+    order = keep[np.lexsort((extent[keep, 0], extent[keep, 1]))]
+    x0, y0, x1, y1 = seg[order, :4].T
+    dx, dy, hw = x1 - x0, y1 - y0, hw[order]
+    len_sq = dx * dx + dy * dy
+    len_sq[len_sq == 0.0] = np.inf
+    (c0, r0), (ws, hs) = start[order].T, extent[order].T.tolist()
+    cols, rows = c0.tolist(), r0.tolist()
+    bounds = _block_bounds(hs, ws)
+    for b0, b1 in zip(bounds, bounds[1:]):
+        k = slice(b0, b1)
+        at = (k, None, None)  # each segment's scalars, as (k, 1, 1)
+        px = (c0[k, None, None] + np.arange(max(ws[k]))) + 0.5
+        py = (r0[k, None, None] + np.arange(max(hs[k]))[:, None]) + 0.5
+        t = ((px - x0[at]) * dx[at] + (py - y0[at]) * dy[at]) / len_sq[at]
+        t = np.clip(t, 0.0, 1.0)
+        dist = np.hypot(px - (x0[at] + t * dx[at]), py - (y0[at] + t * dy[at]))
+        value = np.clip(hw[at] + 0.5 - dist, 0.0, 1.0)
+        for i in range(b0, b1):
+            region = canvas[rows[i] : rows[i] + hs[i], cols[i] : cols[i] + ws[i]]
+            np.maximum(region, value[i - b0, : hs[i], : ws[i]], out=region)
     return canvas
 
 
@@ -139,8 +182,7 @@ def generate_figure(seed, size: int) -> GrayImage:
     Stroke width is grown until the normalized foreground mass clears 2% of
     the pixel count, so every figure carries enough mass to encode.
     """
-    if size < 64:
-        raise ValueError("size must be >= 64")
+    _check_size(size)
     rng = np.random.default_rng(seed)
     segments = _grow_skeleton(rng, size)
     blur = _blur_matrix(size, size / 64.0)
@@ -296,7 +338,7 @@ def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
     each output row and is found by inverting q; the x component is then
     a(y)*x + b(y), inverted in closed form per row. Bilinear sampling with
     the image minimum as background fill completes the resampling, one
-    sampling call per block of rows of at most ``_WARP_BLOCK`` pixels.
+    sampling call per block of rows of at most ``_BLOCK_CELLS`` pixels.
     """
     px = np.ascontiguousarray(img.pixels)  # each block then ravels to a view
     sy, sx = px.shape
@@ -308,7 +350,7 @@ def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
     col_targets = np.arange(sx) + 0.5
     out = np.full((sy, sx), fill)
     rows = np.flatnonzero(np.isfinite(y_src))
-    per_block = max(1, _WARP_BLOCK // sx)
+    per_block = max(1, _BLOCK_CELLS // sx)
     for start in range(0, len(rows), per_block):
         r = rows[start : start + per_block, None]  # the block's rows, as a column
         x_src = (col_targets - b[r]) / a[r]
@@ -337,6 +379,7 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
         for image, name in ((figure, file_a), (warped, file_b)):
             scaled = np.rint(image.pixels / image.hi * 65535.0)
             write_pgm(scaled, out_dir / name, maxval=65535, binary=True)
+        del figure, warped, scaled  # not alive while the next pair is built
         row = {
             "pair": k,
             "seed": spec.seed,

@@ -752,9 +752,11 @@ def test_compare_rejects_malformed_code_rows(tmp_path, capsys, row, message, deg
 GOOD_POINTS = ("1,1", "2,5", "6,3", "4,7")
 
 
-def write_code(path, polarity="light-on-dark", seq="halton", points=GOOD_POINTS):
+def write_code(
+    path, polarity="light-on-dark", seq="halton", points=GOOD_POINTS, sx=8, sy=8
+):
     path.write_text(
-        f"# density-code v1, n=2, m={len(points)}, Sx=8, Sy=8, lambda=0.0001, "
+        f"# density-code v1, n=2, m={len(points)}, Sx={sx}, Sy={sy}, lambda=0.0001, "
         f"alpha=none, polarity={polarity}, seq={seq}\n" + "\n".join(points) + "\n"
     )
     return path
@@ -818,6 +820,44 @@ def test_compare_refuses_codes_of_different_headers(tmp_path, capsys, header, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: codes differ in {message}\n"
+
+
+@pytest.mark.parametrize(
+    "size, warning",
+    [
+        ({}, ""),
+        (
+            {"sx": 16},
+            "warning: --degree 0 compares raw pixel units of a 8x8 and a 16x8 "
+            "image (Sx x Sy); degree >= 1 absorbs scale\n",
+        ),
+        (
+            {"sy": 12},
+            "warning: --degree 0 compares raw pixel units of a 8x8 and a 8x12 "
+            "image (Sx x Sy); degree >= 1 absorbs scale\n",
+        ),
+    ],
+)
+def test_compare_at_degree_0_warns_when_the_image_sizes_differ(
+    tmp_path, capsys, size, warning
+):
+    # the same points under either header: only stderr may tell them apart
+    v, points = write_code(tmp_path / "v.csv"), ("2,1", "1,4", "7,3", "5,7")
+    w = write_code(tmp_path / "w.csv", points=points)
+    sized = write_code(tmp_path / "sized.csv", points=points, **size)
+    runs = {}
+    for degree in ("0", "1"):
+        for name, target in (("plain", w), ("sized", sized)):
+            residuals = tmp_path / f"{name}{degree}.csv"
+            args = ["compare", str(v), str(target), "--degree", degree]
+            rc = main([*args, "--residuals", str(residuals)])
+            captured = capsys.readouterr()
+            runs[name, degree] = (rc, captured.out, residuals.read_bytes())
+            want = warning if (name, degree) == ("sized", "0") else ""
+            assert captured.err == want
+    for degree in ("0", "1"):
+        assert runs["sized", degree] == runs["plain", degree]
+        assert runs["plain", degree][0] == 0
 
 
 def test_compare_rejects_degree_beyond_code_length(tmp_path, capsys):

@@ -35,7 +35,7 @@ from densitycode import (
 import densitycode.corpus as corpus_module
 import densitycode.matcher as matcher_module
 import densitycode.quasirandom as quasirandom_module
-from densitycode.corpus import SweepRow, _bilinear
+from densitycode.corpus import SweepRow, _bilinear, _render_segments
 
 
 def identity_warp():
@@ -109,6 +109,106 @@ def row_by_row_warp(img, warp):
     return np.maximum(out, 0.0)
 
 
+def segment_by_segment(segments, size, width_scale):
+    """The stroke rasterizer as one numpy pass per segment."""
+    canvas = np.zeros((size, size))
+    for x0, y0, x1, y1, width in segments:
+        hw = 0.5 * width * width_scale
+        pad = hw + 1.5
+        c0 = max(int(np.floor(min(x0, x1) - pad)), 0)
+        c1 = min(int(np.ceil(max(x0, x1) + pad)), size - 1)
+        r0 = max(int(np.floor(min(y0, y1) - pad)), 0)
+        r1 = min(int(np.ceil(max(y0, y1) + pad)), size - 1)
+        if c1 < c0 or r1 < r0:
+            continue
+        px = np.arange(c0, c1 + 1) + 0.5
+        py = (np.arange(r0, r1 + 1) + 0.5)[:, None]
+        dx = x1 - x0
+        dy = y1 - y0
+        seg_len_sq = dx * dx + dy * dy
+        if seg_len_sq == 0.0:
+            dist = np.hypot(px - x0, py - y0)
+        else:
+            t = np.clip(((px - x0) * dx + (py - y0) * dy) / seg_len_sq, 0.0, 1.0)
+            dist = np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
+        value = np.clip(hw + 0.5 - dist, 0.0, 1.0)
+        region = canvas[r0 : r1 + 1, c0 : c1 + 1]
+        np.maximum(region, value, out=region)
+    return canvas
+
+
+def hand_made_segments(size):
+    """Segments (x0, y0, x1, y1, width) at the edges of a size x size canvas."""
+    s = float(size)
+    return [
+        (0.3 * s, 0.4 * s, 0.3 * s, 0.4 * s, 6.0),  # zero length
+        (-40.0, 20.0, -15.0, 30.0, 4.0),  # wholly off the left side
+        (s + 15.0, 20.0, s + 40.0, 30.0, 4.0),  # ... the right
+        (20.0, -40.0, 30.0, -15.0, 4.0),  # ... the top
+        (20.0, s + 15.0, 30.0, s + 40.0, 4.0),  # ... the bottom
+        (-5.0, 0.5 * s, 10.0, 0.5 * s + 3.0, 3.0),  # clipped at the left edge
+        (s - 10.0, s / 3.0, s + 5.0, s / 3.0 + 2.0, 3.0),  # ... the right
+        (0.5 * s, -5.0, 0.5 * s + 4.0, 10.0, 3.0),  # ... the top
+        (s / 3.0, s - 10.0, s / 3.0 - 3.0, s + 5.0, 3.0),  # ... the bottom
+        # a diagonal whose box, the whole canvas, is over 2^14 cells from 256^2
+        (5.0, 5.0, s - 5.0, s - 8.0, 7.0),
+    ]
+
+
+class TestRenderSegments:
+    @pytest.mark.parametrize("width_scale", [1.0, 1.3, 1.69])
+    @pytest.mark.parametrize("size", [64, 128, 256, 1024])
+    def test_blocks_equal_the_segment_by_segment_render_bit_for_bit(
+        self, size, width_scale
+    ):
+        skeleton = corpus_module._grow_skeleton(np.random.default_rng([size, 3]), size)
+        for segments in (skeleton, hand_made_segments(size)):
+            got = _render_segments(segments, size, width_scale)
+            want = segment_by_segment(segments, size, width_scale)
+            assert want.any()
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_off_canvas_and_zero_length_segments(self):
+        size = 128
+        off = hand_made_segments(size)[1:5]
+        assert not _render_segments(off, size, 1.0).any()
+        assert not _render_segments([], size, 1.0).any()
+        x0, y0, _, _, width = hand_made_segments(size)[0]
+        dot = _render_segments([(x0, y0, x0, y0, width)], size, 1.0)
+        # a soft disc of radius hw + 0.5 about its one point
+        centres = np.arange(size) + 0.5
+        dist = np.hypot(centres - x0, centres[:, None] - y0)
+        assert np.array_equal(dot, np.clip(0.5 * width + 0.5 - dist, 0.0, 1.0))
+        assert np.count_nonzero(dot) == 40 and dot.max() == 1.0
+
+    def test_blocks_stay_within_the_cell_budget(self, monkeypatch):
+        seen, block_bounds = [], corpus_module._block_bounds
+
+        def recording(heights, widths):
+            bounds = block_bounds(heights, widths)
+            seen.append((heights, widths, bounds))
+            return bounds
+
+        monkeypatch.setattr(corpus_module, "_block_bounds", recording)
+        for size in (64, 128, 256, 1024):
+            generate_figure([size, 4], size)
+        _render_segments(hand_made_segments(1024), 1024, 1.0)
+        alone = 0
+        for heights, widths, bounds in seen:
+            assert heights == sorted(heights)
+            assert bounds[0] == 0 and bounds[-1] == len(heights)
+            for b0, b1 in zip(bounds, bounds[1:]):
+                assert b1 > b0
+                h, w = heights[b0:b1], widths[b0:b1]
+                padded = (b1 - b0) * max(h) * max(w)
+                if b1 - b0 == 1:
+                    alone += padded > 2**14
+                    continue
+                assert padded <= 2**14
+                assert 2 * padded <= 3 * sum(map(int.__mul__, h, w))
+        assert alone >= 1  # the hand-made diagonal's box is 1022 x 1024
+
+
 class TestGenerateFigure:
     def test_deterministic(self):
         a = generate_figure(3, 96)
@@ -128,6 +228,13 @@ class TestGenerateFigure:
     def test_rejects_small_size(self):
         with pytest.raises(ValueError):
             generate_figure(0, 32)
+
+    @pytest.mark.parametrize("size", [4097, 100000])
+    def test_rejects_sizes_over_the_corpus_bound(self, size):
+        # before the (size, size) blur offsets: 74.5 GiB at 100000
+        message = rf"size must be in 64\.\.4096, got {size}"
+        with pytest.raises(ValueError, match=message):
+            generate_figure(0, size)
 
 
 class TestWarp:

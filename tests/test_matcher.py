@@ -1,5 +1,8 @@
 """Tests for the monomial basis, least-squares fit, and median dissimilarity."""
 
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +258,58 @@ def test_affine_absorption_property(seed, scale, theta):
     W = V @ A.T + rng.uniform(-10.0, 10.0, 2)
     assert np.linalg.det(A) > 0
     assert delta_median(V, W, 1).delta <= 1e-6
+
+
+@contextmanager
+def svd_fallback_allowed():
+    """Let a fit go to the SVD without failing the test: near-degenerate
+    random sources do, and the laws hold for either solver."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degree-.* went to the SVD", RuntimeWarning)
+        yield
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    m=st.integers(min_value=36, max_value=4097),  # q = 36 at d = 7
+    span=st.floats(min_value=1.0, max_value=4096.0),
+    related=st.booleans(),
+)
+def test_residual_sum_of_squares_does_not_grow_with_degree(seed, m, span, related):
+    # the degree-d family lies inside the degree-(d+1) one, so its best fit
+    # can only do as well: coordinates up to 4096, the largest image side
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 4096.0 - span, 2)
+    V = lo + rng.uniform(0.0, span, (m, 2))
+    if related:  # a smooth non-polynomial warp plus noise
+        sway = 0.05 * span * np.sin(6.0 * (V[:, ::-1] - lo[::-1]) / span)
+        W = np.clip(V + sway + rng.normal(0.0, 0.01 * span, (m, 2)), 0.0, 4096.0)
+    else:
+        W = lo + rng.uniform(0.0, span, (m, 2))
+    with svd_fallback_allowed():
+        rss = [(delta_median(V, W, d).residuals ** 2).sum() for d in range(1, 8)]
+    for d, (lower, higher) in enumerate(zip(rss, rss[1:]), start=2):
+        assert higher <= lower * (1.0 + 1e-9), (d, lower, higher)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    m=st.integers(min_value=36, max_value=4097),
+    d=st.integers(min_value=1, max_value=7),
+    scale=st.floats(min_value=0.1, max_value=50.0),
+    theta=st.floats(min_value=-0.6, max_value=0.6),
+)
+def test_affine_absorption_at_every_degree(seed, m, d, scale, theta):
+    # every family of degree >= 1 holds the affine maps
+    rng = np.random.default_rng(seed)
+    V = random_code(rng, m, scale=4096.0)
+    c, s = np.cos(theta), np.sin(theta)
+    A = scale * np.array([[c, -s], [s, c]]) @ np.array([[1.0, theta], [0.0, 1.0]])
+    W = V @ A.T + rng.uniform(-10.0, 10.0, 2)
+    with svd_fallback_allowed():
+        assert delta_median(V, W, d).delta <= 1e-6
 
 
 def mapped(v):
