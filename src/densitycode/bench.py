@@ -19,10 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import encode
-from .image_io import GrayImage, Polarity, make_density_field, normalize
-from .quasirandom import halton
-
 
 @dataclass(frozen=True)
 class TimingSample:
@@ -65,6 +61,11 @@ def run_grid(
     together, from a length that moves on by one each round, so the cost
     of moving to a new image size also falls on a cell in few rounds.
     """
+    # the encode chain loads here: fit_model needs none of it
+    from .encoder import encode
+    from .image_io import GrayImage, Polarity, make_density_field, normalize
+    from .quasirandom import halton
+
     heights = [int(h) for h in heights]
     widths = [int(w) for w in widths]
     lengths = [int(m) for m in lengths]

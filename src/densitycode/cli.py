@@ -157,7 +157,7 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     if args.mode == "fit":
         from .bench import TimingSample, fit_model
-        from .corpus import read_table
+        from .encoder import read_table
 
         if not args.infile:
             raise ValueError("bench fit requires --in")

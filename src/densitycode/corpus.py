@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import MAX_POINTS, EncodeParams, code_length, encode, parse_text
+from .encoder import MAX_POINTS, EncodeParams, code_length, encode, read_table
 from .image_io import (
     GrayImage,
     Polarity,
@@ -166,13 +166,14 @@ def _blur_matrix(n: int, sigma: float) -> np.ndarray:
     """Banded n x n K with K @ p = gaussian_filter1d(p, sigma, axis=0, mode="constant").
 
     Taps are scipy's normalized exp(-x^2 / 2 sigma^2), |x| <= int(4 sigma + 0.5);
-    no taps fall past the edge, which is the zero padding.
+    no taps fall past the edge, which is the zero padding. K[i, j] is
+    taps[i - j + radius], so K is a reversed window over the zero-padded taps.
     """
     radius = int(4.0 * sigma + 0.5)
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
-    taps = np.pad(taps / taps.sum(), 1)  # each end's 0 stands for all offsets past it
-    offset = np.subtract.outer(np.arange(n), np.arange(n)) + radius + 1
-    return taps[np.clip(offset, 0, 2 * radius + 2)]
+    line = np.pad(taps / taps.sum(), n - 1)
+    window = np.lib.stride_tricks.sliding_window_view(line, n)
+    return window[radius : radius + n, ::-1].copy()
 
 
 def generate_figure(seed, size: int) -> GrayImage:
@@ -188,7 +189,6 @@ def generate_figure(seed, size: int) -> GrayImage:
     blur = _blur_matrix(size, size / 64.0)
     floor = _MASS_FLOOR_FRACTION * size * size
     width_scale = 1.0
-    canvas = None
     for _ in range(10):
         canvas = blur @ _render_segments(segments, size, width_scale) @ blur.T
         peak = float(canvas.max())
@@ -300,26 +300,18 @@ def _invert_monotone(q, targets, lo: float, hi: float):
     return x
 
 
-def _bilinear(px: np.ndarray, x, y, fill: float):
+def _bilinear(px: np.ndarray, x: np.ndarray, y: np.ndarray, fill: float):
     """Sample the image at geometric coordinates with edge replication.
 
-    Pixel (r, c) has its center at (c + 0.5, r + 0.5). Samples outside the
-    rectangle, or at NaN coordinates, return the fill value.
+    Pixel (r, c) has its center at (c + 0.5, r + 0.5). ``y`` lies in [0, sy],
+    as the source rows :func:`_invert_monotone` solves for do; samples at an
+    ``x`` outside [0, sx], or NaN, return the fill value.
     """
     sy, sx = px.shape
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        ok = (
-            np.isfinite(x)
-            & np.isfinite(y)
-            & (x >= 0.0)
-            & (x <= sx)
-            & (y >= 0.0)
-            & (y <= sy)
-        )
+        ok = (x >= 0.0) & (x <= sx)  # False at NaN and at either infinity
     xc = np.clip(np.nan_to_num(x) - 0.5, 0.0, sx - 1.0)
-    yc = np.clip(np.nan_to_num(y) - 0.5, 0.0, sy - 1.0)
+    yc = np.clip(y - 0.5, 0.0, sy - 1.0)
     j0 = np.minimum(np.floor(xc).astype(np.intp), sx - 2)
     i0 = np.minimum(np.floor(yc).astype(np.intp), sy - 2)
     fx = xc - j0
@@ -355,7 +347,7 @@ def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
         r = rows[start : start + per_block, None]  # the block's rows, as a column
         x_src = (col_targets - b[r]) / a[r]
         out[r[:, 0]] = _bilinear(px, x_src, y_src[r], fill)
-    return GrayImage(pixels=np.maximum(out, 0.0))
+    return GrayImage(pixels=out)
 
 
 def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
@@ -377,9 +369,8 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
         file_a = f"pair{k}_A.pgm"
         file_b = f"pair{k}_B.pgm"
         for image, name in ((figure, file_a), (warped, file_b)):
-            scaled = np.rint(image.pixels / image.hi * 65535.0)
-            write_pgm(scaled, out_dir / name, maxval=65535, binary=True)
-        del figure, warped, scaled  # not alive while the next pair is built
+            write_pgm(image.pixels / image.hi * 65535.0, out_dir / name, maxval=65535)
+        del figure, warped, image  # not alive while the next pair is built
         row = {
             "pair": k,
             "seed": spec.seed,
@@ -394,24 +385,6 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    return rows
-
-
-def read_table(path, columns: dict) -> list[dict]:
-    """Rows of a CSV file with a header row, each as ``{column: parse(text)}``
-    for every ``column: parse`` of ``columns``; a bad value names its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
-        rows, items = [], columns.items()
-        for row in reader:
-            line = reader.line_num
-            if any(row[c] is None for c in columns):  # DictReader's fill value
-                raise ValueError(f"{path}: line {line}: fewer fields than the header")
-            where = f"{path}: line {line}: column "
-            rows.append({c: parse_text(p, row[c], f"{where}{c!r}: ") for c, p in items})
     return rows
 
 
@@ -497,7 +470,7 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     :class:`SweepRow` per alpha, in the order given.
     """
     # the solver and the sequence load here: gen-corpus needs neither
-    from .matcher import _check_coordinates, _fit, _mapped_basis
+    from .matcher import _fit, _mapped_basis
     from .quasirandom import halton
 
     if degree < 0:
@@ -526,7 +499,6 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     seq = halton(points)
     params = EncodeParams(alpha=largest)
     codes = [encode(field, seq, params).points.T for _, field in by_mass]
-    _check_coordinates(*codes)
     n, longest = len(codes), max(code.shape[1] for code in codes)
     full = np.zeros((n, 2, longest))  # coordinate-major, the fit's layout
     for row, code in zip(full, codes):
@@ -580,13 +552,11 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
             fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
             found[start + i0 : start + i0 + len(a)] = fit.delta
     deltas = found[cell_key].reshape(plan.shape)
-    rows, ok_rows = [], iter(deltas)
-    for alpha, is_valid in zip(alphas, valid.tolist()):
-        if not is_valid:
-            rows.append(SweepRow(alpha, None, None, None, None, "invalid"))
-            continue
-        row = next(ok_rows)
-        bands = (row[related], row[~related])
-        edges = [float(f(band)) for band in bands for f in (np.min, np.max)]
-        rows.append(SweepRow(alpha, *edges, "ok"))
-    return rows
+    bands = (deltas[:, related], deltas[:, ~related])
+    ok_rows = zip(*[f(d, axis=1).tolist() for d in bands for f in (np.min, np.max)])
+    return [
+        SweepRow(alpha, *next(ok_rows), "ok")
+        if is_valid
+        else SweepRow(alpha, None, None, None, None, "invalid")
+        for alpha, is_valid in zip(alphas, valid.tolist())
+    ]

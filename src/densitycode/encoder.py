@@ -308,6 +308,26 @@ def parse_text(parse, text: str, label: str):
         raise ValueError(f"{label}{shown!r} is not {kind}") from None
 
 
+def read_table(path, columns: dict) -> list[dict]:
+    """Rows of a CSV file with a header row, each as ``{column: parse(text)}``
+    for every ``column: parse`` of ``columns``; a bad value names its line."""
+    import csv  # loads here: encode and compare read no table
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+        rows, items = [], columns.items()
+        for row in reader:
+            line = reader.line_num
+            if any(row[c] is None for c in columns):  # DictReader's fill value
+                raise ValueError(f"{path}: line {line}: fewer fields than the header")
+            where = f"{path}: line {line}: column "
+            rows.append({c: parse_text(p, row[c], f"{where}{c!r}: ") for c, p in items})
+    return rows
+
+
 def _header(path, meta: dict[str, str], key: str, parse, default=None):
     """``parse(meta[key])``, or a ValueError naming the file and the key."""
     return parse_text(parse, meta.get(key, default), f"{path}: header {key}=")

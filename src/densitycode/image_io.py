@@ -149,9 +149,17 @@ def load_pgm(path) -> GrayImage:
         bytes_per = 2 if maxval > 255 else 1
         if len(data) - j < count * bytes_per:
             raise ValueError("truncated P5 raster")
-        dtype = ">u2" if bytes_per == 2 else "u1"
-        samples = np.frombuffer(data, dtype=dtype, count=count, offset=j)
-    img = GrayImage(pixels=samples.astype(np.float64).reshape(height, width))
+        if bytes_per == 1:
+            samples = np.frombuffer(data, dtype="u1", count=count, offset=j)
+        else:
+            # after an odd-length header the 16-bit view is unaligned and
+            # converts slower: convert 64 KiB slices, each a new aligned
+            # buffer (one slice of a whole large raster costs fresh pages)
+            samples = np.empty(count)
+            for s in range(0, count, 2**15):
+                e = min(s + 2**15, count)
+                samples[s:e] = np.frombuffer(data[j + 2 * s : j + 2 * e], dtype=">u2")
+    img = GrayImage(pixels=samples.reshape(height, width))
     if img.hi > maxval:
         raise ValueError("sample value exceeds declared maxval")
     return img

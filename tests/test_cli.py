@@ -324,6 +324,20 @@ def test_sweep_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_sweep_refuses_a_one_pair_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus), "--size", "64"]) == 0
+    manifest = corpus / "manifest.csv"
+    manifest.write_text("".join(manifest.read_text().splitlines(True)[:2]))
+    capsys.readouterr()
+    rc = main(["sweep", "--corpus", str(corpus), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: corpus incomplete: need at least two pairs\n"
+    )
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_bench_run_and_fit(tmp_path, capsys):
     timing = tmp_path / "timing.csv"
     rc = main(
@@ -421,6 +435,12 @@ def test_bench_requires_out(capsys):
     rc = main(["bench"])
     assert rc == 1
     assert "requires --out" in capsys.readouterr().err
+
+
+def test_bench_fit_requires_in(capsys):
+    rc = main(["bench", "fit"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bench fit requires --in\n"
 
 
 def _encode_args(figure_pgm, tmp_path, *extra):

@@ -209,6 +209,36 @@ class TestRenderSegments:
         assert alone >= 1  # the hand-made diagonal's box is 1022 x 1024
 
 
+def offset_table_blur(n, sigma, rows):
+    """Rows of the blur matrix built as it was: a clipped (n, n) offset
+    table indexing the taps, padded by one zero at each end."""
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = np.pad(taps / taps.sum(), 1)
+    offset = np.subtract.outer(np.arange(n)[rows], np.arange(n)) + radius + 1
+    return taps[np.clip(offset, 0, 2 * radius + 2)]
+
+
+@pytest.mark.parametrize(
+    "n, sigma",
+    [
+        (64, 1.0),
+        (64, 20.0),  # radius 80 > n: every row holds taps of both tails
+        (65, 0.3),
+        (333, 333 / 64),
+        (333, 7.7),
+        (1000, 15.625),
+        (4096, 64.0),
+    ],
+)
+def test_blur_matrix_equals_the_offset_table_bit_for_bit(n, sigma):
+    K = corpus_module._blur_matrix(n, sigma)
+    assert K.shape == (n, n) and K.flags.c_contiguous
+    for r0 in range(0, n, 512):  # the reference in blocks of 512 rows
+        want = offset_table_blur(n, sigma, slice(r0, r0 + 512))
+        assert np.array_equal(K[r0 : r0 + 512].view(np.int64), want.view(np.int64))
+
+
 class TestGenerateFigure:
     def test_deterministic(self):
         a = generate_figure(3, 96)
@@ -229,9 +259,38 @@ class TestGenerateFigure:
         with pytest.raises(ValueError):
             generate_figure(0, 32)
 
+    def test_grows_the_stroke_width_until_the_mass_floor_clears(self, monkeypatch):
+        render, scales = corpus_module._render_segments, []
+
+        def dark_at_first(segments, size, width_scale):
+            scales.append(width_scale)
+            canvas = render(segments, size, width_scale)
+            return canvas if len(scales) == 3 else np.zeros_like(canvas)
+
+        monkeypatch.setattr(corpus_module, "_render_segments", dark_at_first)
+        img = generate_figure(3, 64)
+        assert scales == [1.0, 1.3, 1.3 * 1.3]
+        assert figure_mass(img) > 0.02 * 64 * 64 and img.hi == 255.0
+
+    def test_gives_up_after_ten_widths(self, monkeypatch):
+        scales = []
+
+        def one_pixel(segments, size, width_scale):
+            # lit, but its blur holds far too little mass for the floor
+            scales.append(width_scale)
+            canvas = np.zeros((size, size))
+            canvas[size // 2, size // 2] = 1.0
+            return canvas
+
+        monkeypatch.setattr(corpus_module, "_render_segments", one_pixel)
+        message = "^figure generator failed to reach the mass floor$"
+        with pytest.raises(RuntimeError, match=message):
+            generate_figure(3, 64)
+        assert len(scales) == 10 and scales[-1] == pytest.approx(1.3**9)
+
     @pytest.mark.parametrize("size", [4097, 100000])
     def test_rejects_sizes_over_the_corpus_bound(self, size):
-        # before the (size, size) blur offsets: 74.5 GiB at 100000
+        # before the (size, size) blur matrix: 74.5 GiB at 100000
         message = rf"size must be in 64\.\.4096, got {size}"
         with pytest.raises(ValueError, match=message):
             generate_figure(0, size)
@@ -312,6 +371,24 @@ class TestWarp:
         want = row_by_row_warp(img, warp)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(got[outside] == img.lo)
+
+    def test_samples_at_nan_and_infinite_x_are_fill(self):
+        # a(y) = 1 + 1e307 y and b(y) = -1.5e308 + 1e307 y overflow from
+        # y = 18 on, so x = (c - inf) / inf is NaN there; above row 14 the
+        # source x, about (15 - y) / y, lies inside the image
+        img = GrayImage(pixels=np.random.default_rng(9).uniform(1.0, 9.0, (64, 64)))
+        warp = identity_warp()
+        warp.a[1], warp.b[0], warp.b[1] = 1e307, -1.5e308, 1e307
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = warp_image(img, warp).pixels
+            want = row_by_row_warp(img, warp)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(got[18:] == img.lo) and np.all(got[:14] > img.lo)
+        x = np.array([[np.nan, np.inf, -np.inf, -0.1, 64.1, 0.0, 64.0, 31.3]])
+        y = np.full((1, 1), 40.2)
+        want = row_bilinear(img.pixels, x[0], np.full(8, 40.2), -1.0)
+        assert np.array_equal(_bilinear(img.pixels, x, y, -1.0)[0], want)
+        assert np.all(want[:5] == -1.0) and np.all(want[5:] >= 0.0)
 
     def test_one_sampling_call_per_block(self, monkeypatch):
         calls = []
@@ -719,6 +796,12 @@ def test_sweep_needs_a_related_and_an_unrelated_pair(pairs):
         sweep([(pair, field) for pair in pairs], [1e308], 3)
 
 
+def test_sweep_rejects_a_negative_degree():
+    entries = [(pair, small_field()) for pair in (0, 0, 1)]
+    with pytest.raises(ValueError, match="^degree must be >= 0$"):
+        sweep(entries, [0.1], -1)
+
+
 def test_sweep_names_its_own_parameters(monkeypatch):
     # the stub stands in for halton, so no sequence is built
     def halton_stub(m, n=2):
@@ -737,6 +820,15 @@ def small_field():
     """The density field of one small figure."""
     img = normalize(generate_figure(3, 64), Polarity.LIGHT_ON_DARK)
     return make_density_field(img, 1e-4)
+
+
+def test_load_corpus_needs_two_pairs(tmp_path):
+    generate_corpus(tmp_path, CorpusSpec(pair_count=2, size=64, seed=7))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("".join(manifest.read_text().splitlines(True)[:2]))
+    message = "^corpus incomplete: need at least two pairs$"
+    with pytest.raises(ValueError, match=message):
+        load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
 
 
 def test_load_corpus_reports_missing_image(tmp_path):

@@ -32,6 +32,9 @@ from densitycode import (
 from densitycode import encoder
 
 
+LIGHT, DARK = Polarity.LIGHT_ON_DARK, Polarity.DARK_ON_LIGHT
+
+
 def uniform_field(sy, sx, lam=1e-4, value=1.0):
     g = np.full((sy, sx), value)
     nimg = NormalizedImage(
@@ -216,6 +219,32 @@ class TestEncode:
         long_code = encode(field, halton(600, 2))
         short_code = encode(field, halton(257, 2))
         assert np.array_equal(long_code.points[:257], short_code.points)
+        sy, sx = shape
+        assert np.all((long_code.points > 0.0) & (long_code.points < (sx, sy)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 1024), st.integers(2, 1024)),
+        lam=st.floats(1e-8, 1.0),
+        polarity=st.sampled_from(list(Polarity)),
+        dark=st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(1024, 1024), lam=1e-4, polarity=LIGHT, dark=0.9, seed=0)
+    @example(shape=(2, 1024), lam=1e-8, polarity=DARK, dark=0.0, seed=1)
+    @example(shape=(1024, 2), lam=1.0, polarity=LIGHT, dark=0.999, seed=2)
+    def test_prefix_law_and_open_rectangle_up_to_1024(
+        self, shape, lam, polarity, dark, seed
+    ):
+        # the law above on every image size the tools are tested at, with
+        # codes of up to 4097 points
+        rng = np.random.default_rng(seed)
+        pixels = np.where(rng.random(shape) < dark, 0.0, rng.random(shape))
+        pixels.flat[rng.integers(pixels.size)] = 2.0
+        field = make_density_field(normalize(GrayImage(pixels), polarity), lam)
+        long_code = encode(field, halton(4097, 2))
+        short_code = encode(field, halton(1025, 2))
+        assert np.array_equal(long_code.points[:1025], short_code.points)
         sy, sx = shape
         assert np.all((long_code.points > 0.0) & (long_code.points < (sx, sy)))
 

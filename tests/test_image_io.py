@@ -130,6 +130,45 @@ def test_pgm_p5_raster_one_byte_short_is_truncated(tmp_path, maxval, width):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("maxval", [0, 65536])
+def test_pgm_rejects_maxval_out_of_range(tmp_path, maxval):
+    path = tmp_path / "maxval.pgm"
+    path.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(8))
+    message = rf"^maxval {maxval} out of range \[1, 65535\]$"
+    with pytest.raises(ValueError, match=message):
+        load_pgm(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n300 250\n65535\n", b"P5\n300  250\n65535\n"])
+def test_pgm_16bit_raster_after_odd_and_even_headers(tmp_path, header):
+    # 19 and 20 bytes: the raster starts at an odd and at an even offset;
+    # its 75,000 samples span three slices, and bytes past it are ignored
+    samples = np.random.default_rng(5).integers(0, 65536, (250, 300))
+    path = tmp_path / "offset.pgm"
+    path.write_bytes(header + samples.astype(">u2").tobytes() + b"\xff\xff\xff")
+    got = load_pgm(path).pixels
+    assert got.dtype == np.float64
+    assert np.array_equal(got, samples)
+
+
+@pytest.mark.parametrize(
+    "pixels, maxval, message",
+    [
+        (np.zeros(4), 255, "^PGM output requires a 2-D array$"),
+        (np.zeros((2, 2, 1)), 255, "^PGM output requires a 2-D array$"),
+        (np.zeros((2, 2)), 0, r"^maxval 0 out of range \[1, 65535\]$"),
+        (np.zeros((2, 2)), 65536, r"^maxval 65536 out of range \[1, 65535\]$"),
+        (np.array([[0.0, 1.0], [2.0, -1.0]]), 255, "^sample values out of range"),
+        (np.array([[0.0, 256.0], [2.0, 1.0]]), 255, "^sample values out of range"),
+    ],
+)
+def test_write_pgm_refuses_what_it_cannot_write(tmp_path, pixels, maxval, message):
+    path = tmp_path / "out.pgm"
+    with pytest.raises(ValueError, match=message):
+        write_pgm(pixels, path, maxval=maxval)
+    assert not path.exists()
+
+
 def test_load_image_sniffs_format(tmp_path):
     path = tmp_path / "noext"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]))
@@ -191,6 +230,12 @@ def test_normalize_rejects_flat_image():
         normalize(img, Polarity.LIGHT_ON_DARK)
 
 
+def test_normalize_rejects_an_unknown_polarity():
+    img = GrayImage(pixels=np.array([[0.0, 1.0], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="^unknown polarity 'light-on-dark'$"):
+        normalize(img, "light-on-dark")  # the flag's text, not the Polarity
+
+
 def test_normalize_idempotent():
     rng = np.random.default_rng(4)
     img = GrayImage(pixels=rng.uniform(0.0, 255.0, (6, 6)))
@@ -250,6 +295,15 @@ def test_density_field_invariants():
         # positivity floor from the background lift
         floor = field.c / (nimg.foreground_mass + field.c * g.size)
         assert field.f.min() >= floor * (1.0 - 1e-12)
+
+
+def test_density_field_rejects_a_hand_built_zero_mass_image():
+    # normalize never gives one: its maximum is exactly 1
+    nimg = NormalizedImage(
+        pixels=np.zeros((3, 3)), foreground_mass=0.0, polarity=Polarity.LIGHT_ON_DARK
+    )
+    with pytest.raises(ValueError, match="^foreground mass must be > 0$"):
+        make_density_field(nimg, 1e-4)
 
 
 def test_density_field_rejects_bad_lambda():

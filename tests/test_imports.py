@@ -82,6 +82,10 @@ def codes_dir(tmp_path_factory):
     image = str(work / "corpus" / "pair0_A.pgm")
     encode = ["encode", "--image", image, "--polarity", "light-on-dark"]
     assert main([*encode, "--points", "256", "--out", str(work / "a.csv")]) == 0
+    # a timing table of 12 cells, t = HW + m, for `bench fit`
+    cells = [(h, w, m) for h in (16, 32) for w in (16, 32, 64) for m in (16, 64)]
+    rows = [f"{h},{w},{m},5,{h * w + m}" for h, w, m in cells]
+    (work / "timing.csv").write_text("\n".join(["H,W,m,reps,median_ms", *rows]) + "\n")
     return work
 
 
@@ -104,6 +108,7 @@ COMMAND_MODULES = [
         ["gen-corpus", "--out", "corpus2", "--pairs", "2", "--size", "64"],
         ["cli", "corpus", "encoder", "image_io"],
     ),
+    (["bench", "fit", "--in", "timing.csv"], ["bench", "cli", "encoder"]),
 ]
 
 

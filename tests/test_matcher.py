@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densitycode import (
@@ -43,6 +43,10 @@ class TestAllPowers:
     def test_cached(self):
         assert all_powers(5) is all_powers(5)
 
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="^d must be >= 0$"):
+            all_powers(-1)
+
 
 class TestBasisMatrix:
     def test_monomial_row(self):
@@ -60,6 +64,10 @@ class TestBasisMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match=r"\(m, 2\) matrix"):
             basis_matrix(np.ones((3, 3)), 1)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="^d must be >= 0$"):
+            basis_matrix(np.ones((3, 2)), -1)
 
     def test_columns_follow_all_powers_order_at_degree_six(self):
         # small integers keep every product exact, and x != y tells the
@@ -104,6 +112,13 @@ class TestLeastSquaresFit:
         assert np.allclose(T, oracle, atol=1e-5)
         # equal share across the duplicated columns is the min-norm signature
         assert np.allclose(T[0], T[2], atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "b_shape, w_shape", [((5, 3), (4, 2)), ((5,), (5, 2)), ((5, 3), (5,))]
+    )
+    def test_rejects_mismatched_shapes(self, b_shape, w_shape):
+        with pytest.raises(ValueError, match="^B and W must be 2-D with matching row"):
+            least_squares_fit(np.ones(b_shape), np.ones(w_shape))
 
     def test_underdetermined_rejected(self):
         B = np.ones((3, 5))
@@ -416,6 +431,40 @@ class TestFitStack:
             if d == 0:
                 assert stack.coefficients is stack.rank is stack.condition is None
             else:
+                assert np.array_equal(stack.coefficients[i], report.coefficients)
+                assert stack.rank[i] == report.rank
+                assert stack.condition[i] == report.condition
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        sources=st.integers(min_value=1, max_value=3),
+        targets=st.integers(min_value=1, max_value=3),
+        items=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=36, max_value=4097),  # q = 36 at d = 7
+        d=st.integers(min_value=0, max_value=7),
+    )
+    @example(seed=0, sources=2, targets=2, items=4, m=4097, d=7)
+    @example(seed=1, sources=1, targets=3, items=3, m=36, d=7)
+    def test_indexed_items_equal_their_one_pair_fits_at_every_size(
+        self, seed, sources, targets, items, m, d
+    ):
+        # the same law up to the sweep's longest codes and its highest
+        # degree, on coordinates up to 4096, the largest image side
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(0.0, 4096.0, size=(sources, 2, m))
+        W = rng.uniform(0.0, 4096.0, size=(targets, 2, m))
+        W[0] = V[0] + rng.normal(0.0, 2.0, size=(2, m))
+        source = rng.integers(0, sources, items)
+        target = rng.integers(0, targets, items)
+        with svd_fallback_allowed():
+            stack = _fit(V, W, d, source, target)
+            reports = [delta_median(V[a].T, W[b].T, d) for a, b in zip(source, target)]
+        for i, report in enumerate(reports):
+            assert stack.delta[i] == report.delta
+            assert np.array_equal(stack.residuals[i], report.residuals)
+            assert stack.target_scale[i] == report.target_scale
+            if d:
                 assert np.array_equal(stack.coefficients[i], report.coefficients)
                 assert stack.rank[i] == report.rank
                 assert stack.condition[i] == report.condition
