@@ -38,8 +38,10 @@ FIT_CELLS_FLOOR = 2**17
 # per-call cost well, few enough that the temporaries stay small
 _BLOCK_CELLS = 2**14
 # the figure sizes CorpusSpec and generate_figure accept: 64 .. MAX_FIGURE_SIZE
-# (a 4096^2 figure peaks near 0.4 GiB)
+# (a 4096^2 figure peaks at 0.25 GiB: the render canvas and the blur's row pass)
 MAX_FIGURE_SIZE = 4096
+# rows, then columns, that one matmul of the figure blur writes
+_BLUR_BLOCK = 64
 
 
 def _check_size(size: int) -> None:
@@ -162,42 +164,59 @@ def _render_segments(segments, size: int, width_scale: float) -> np.ndarray:
     return canvas
 
 
-def _blur_matrix(n: int, sigma: float) -> np.ndarray:
-    """Banded n x n K with K @ p = gaussian_filter1d(p, sigma, axis=0, mode="constant").
+def _blur(canvas: np.ndarray, sigma: float) -> np.ndarray:
+    """gaussian_filter(canvas, sigma, mode="constant") of a square canvas, in place.
 
-    Taps are scipy's normalized exp(-x^2 / 2 sigma^2), |x| <= int(4 sigma + 0.5);
-    no taps fall past the edge, which is the zero padding. K[i, j] is
-    taps[i - j + radius], so K is a reversed window over the zero-padded taps.
+    Taps are scipy's normalized exp(-x^2 / 2 sigma^2), |x| <= r = int(4 sigma
+    + 0.5); no taps fall past the edge, which is the zero padding. Rows are
+    blurred in blocks of ``_BLUR_BLOCK``, then columns: each block is one
+    matmul of its cut of a single b x (b + 2r) Toeplitz window, W[a, c] =
+    taps[a - c + 2r], against only the rows or columns it reaches. The
+    column pass writes into ``canvas``, which is returned.
     """
+    n, b = len(canvas), _BLUR_BLOCK
     radius = int(4.0 * sigma + 0.5)
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
-    line = np.pad(taps / taps.sum(), n - 1)
-    window = np.lib.stride_tricks.sliding_window_view(line, n)
-    return window[radius : radius + n, ::-1].copy()
+    line = np.pad(taps / taps.sum(), b - 1)
+    window = np.lib.stride_tricks.sliding_window_view(line, b + 2 * radius)
+    window = window[:, ::-1].copy()
+    cuts = []  # (output block, input span, the window's cut for them)
+    for i0 in range(0, n, b):
+        i1 = min(i0 + b, n)
+        j0, j1 = max(i0 - radius, 0), min(i1 + radius, n)
+        cut = window[: i1 - i0, j0 - i0 + radius : j1 - i0 + radius]
+        cuts.append((slice(i0, i1), slice(j0, j1), cut))
+    rows = np.empty_like(canvas)
+    for out, span, cut in cuts:
+        np.matmul(cut, canvas[span], out=rows[out])
+    for out, span, cut in cuts:
+        np.matmul(rows[:, span], cut.T, out=canvas[:, out])
+    return canvas
 
 
 def generate_figure(seed, size: int) -> GrayImage:
     """Deterministic blurred branching figure, light on dark.
 
-    The Gaussian blur's sigma is size / 64 pixels (K p K^T, `_blur_matrix`).
-    Stroke width is grown until the normalized foreground mass clears 2% of
-    the pixel count, so every figure carries enough mass to encode.
+    The Gaussian blur's sigma is size / 64 pixels (`_blur`: in bands, so a
+    figure peaks at about 2 size^2 doubles, 16 MiB at 1024^2). Stroke width
+    is grown until the normalized foreground mass clears 2% of the pixel
+    count, so every figure carries enough mass to encode.
     """
     _check_size(size)
     rng = np.random.default_rng(seed)
     segments = _grow_skeleton(rng, size)
-    blur = _blur_matrix(size, size / 64.0)
     floor = _MASS_FLOOR_FRACTION * size * size
     width_scale = 1.0
     for _ in range(10):
-        canvas = blur @ _render_segments(segments, size, width_scale) @ blur.T
+        canvas = _blur(_render_segments(segments, size, width_scale), size / 64.0)
         peak = float(canvas.max())
         if peak > 0.0 and float(canvas.sum()) / peak > floor:
             break
         width_scale *= 1.3
     else:
         raise RuntimeError("figure generator failed to reach the mass floor")
-    return GrayImage(pixels=canvas * (255.0 / peak))
+    canvas *= 255.0 / peak
+    return GrayImage(pixels=canvas)
 
 
 def _poly(coeffs, y):
@@ -245,7 +264,10 @@ def check_warp_family(warp: WindWarp, sy: int) -> None:
             "not in transformation family: a(y) above degree 2, "
             "or b(y) or q(y) above degree 3"
         )
-    if not (_least_on(warp.a, sy) > 0.0 and _least_on(_derivative(warp.q), sy) > 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, or NaN fails
+        a_least = _least_on(warp.a, sy)
+        dq_least = _least_on(_derivative(warp.q), sy)
+    if not (a_least > 0.0 and dq_least > 0.0):
         raise ValueError(
             "not in transformation family: Jacobian diagonal not positive"
         )
@@ -337,15 +359,18 @@ def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
     check_warp_family(warp, sy)
     fill = img.lo
     y_src = _invert_monotone(warp.q, np.arange(sy) + 0.5, 0.0, float(sy))
-    a = _poly(warp.a, y_src)
-    b = _poly(warp.b, y_src)
+    # a, b or x past the float range makes an infinite or NaN x: fill
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _poly(warp.a, y_src)
+        b = _poly(warp.b, y_src)
     col_targets = np.arange(sx) + 0.5
     out = np.full((sy, sx), fill)
     rows = np.flatnonzero(np.isfinite(y_src))
     per_block = max(1, _BLOCK_CELLS // sx)
     for start in range(0, len(rows), per_block):
         r = rows[start : start + per_block, None]  # the block's rows, as a column
-        x_src = (col_targets - b[r]) / a[r]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_src = (col_targets - b[r]) / a[r]
         out[r[:, 0]] = _bilinear(px, x_src, y_src[r], fill)
     return GrayImage(pixels=out)
 

@@ -261,3 +261,26 @@ def test_criterion_10_code_length_rule():
         and code_length(8923.0, 0.25, 1025) == 1025
     )
     _report(10, "code-length rule at reported mass extremes", ok)
+
+
+def test_criterion_11_codes_converge_as_the_image_grows():
+    # one figure's codes at s^2 against its 1024^2 code, whose scale degree 1
+    # absorbs: the delta at least halves at each doubling of s
+    seq = halton(4097, 2)
+    worst = 0.0
+    readings = []
+    for k in range(3):
+        codes = {}
+        for size in (128, 256, 512, 1024):
+            nimg = normalize(generate_figure([7, k], size), Polarity.LIGHT_ON_DARK)
+            codes[size] = encode(make_density_field(nimg, 1e-4), seq).points
+        deltas = [delta_median(codes[s], codes[1024], 1).delta for s in (128, 256, 512)]
+        readings.append(" -> ".join(f"{d:.2f}" for d in deltas))
+        worst = max(worst, deltas[1] / deltas[0], deltas[2] / deltas[1])
+    _report(
+        11,
+        "codes converge as the image grows",
+        worst <= 0.5,
+        f"d=1 delta against 1024^2 at 128/256/512: {'; '.join(readings)}, "
+        f"worst ratio {worst:.2f}",
+    )

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 import warnings
 from itertools import permutations
 from math import comb
@@ -209,14 +210,21 @@ class TestRenderSegments:
         assert alone >= 1  # the hand-made diagonal's box is 1022 x 1024
 
 
-def offset_table_blur(n, sigma, rows):
-    """Rows of the blur matrix built as it was: a clipped (n, n) offset
-    table indexing the taps, padded by one zero at each end."""
+def offset_table_blur(n, sigma, rows=slice(None), cols=slice(None)):
+    """Rows and columns of the dense n x n blur matrix K, K[i, j] the tap at
+    offset i - j: a clipped offset table indexing the taps, padded by one
+    zero at each end."""
     radius = int(4.0 * sigma + 0.5)
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     taps = np.pad(taps / taps.sum(), 1)
-    offset = np.subtract.outer(np.arange(n)[rows], np.arange(n)) + radius + 1
+    offset = np.subtract.outer(np.arange(n)[rows], np.arange(n)[cols]) + radius + 1
     return taps[np.clip(offset, 0, 2 * radius + 2)]
+
+
+def dense_blur(canvas, sigma):
+    """K p K^T with the dense blur matrix."""
+    K = offset_table_blur(len(canvas), sigma)
+    return K @ canvas @ K.T
 
 
 @pytest.mark.parametrize(
@@ -231,12 +239,72 @@ def offset_table_blur(n, sigma, rows):
         (4096, 64.0),
     ],
 )
-def test_blur_matrix_equals_the_offset_table_bit_for_bit(n, sigma):
-    K = corpus_module._blur_matrix(n, sigma)
-    assert K.shape == (n, n) and K.flags.c_contiguous
-    for r0 in range(0, n, 512):  # the reference in blocks of 512 rows
-        want = offset_table_blur(n, sigma, slice(r0, r0 + 512))
-        assert np.array_equal(K[r0 : r0 + 512].view(np.int64), want.view(np.int64))
+def test_blur_equals_the_dense_matrix_product(n, sigma):
+    # p is lit on the cells of up to 40 random rows and columns and the
+    # edges; K p K^T is summed over those cells alone, as K[:, R] p[R, C]
+    # K[:, C]^T (every other term is a zero), in blocks of 512 rows
+    rng = np.random.default_rng(n)
+    R, C = (
+        np.union1d([0, n - 1], rng.choice(n, min(n, 40), replace=False)) for _ in "RC"
+    )
+    lit = rng.uniform(0.5, 2.0, (len(R), len(C)))
+    canvas = np.zeros((n, n))
+    canvas[np.ix_(R, C)] = lit
+    got = corpus_module._blur(canvas, sigma)
+    assert got is canvas
+    right = lit @ offset_table_blur(n, sigma, cols=C).T
+    for r0 in range(0, n, 512):
+        want = offset_table_blur(n, sigma, slice(r0, r0 + 512), R) @ right
+        block = got[r0 : r0 + 512]
+        assert np.array_equal(block == 0.0, want == 0.0)
+        assert np.all(np.abs(block - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("n", [64, 65, 333, 1024, 4096])
+def test_blur_of_lone_pixels_is_the_outer_product_of_two_tap_columns(n):
+    # corners, edge midpoints and centre lie n / 2 apart, farther than their
+    # blurs reach (radius about n / 16): each output is one product, exact
+    sigma, at = n / 64.0, [0, n // 2, n - 1]
+    radius = int(4.0 * sigma + 0.5)
+    canvas = np.zeros((n, n))
+    canvas[np.ix_(at, at)] = 1.0
+    got = corpus_module._blur(canvas, sigma)
+    for i in at:
+        for j in at:
+            rows = slice(max(i - radius, 0), i + radius + 1)
+            cols = slice(max(j - radius, 0), j + radius + 1)
+            column_i = offset_table_blur(n, sigma, rows, [i])[:, 0]
+            column_j = offset_table_blur(n, sigma, cols, [j])[:, 0]
+            want = np.outer(column_i, column_j)
+            assert np.array_equal(got[rows, cols].view(np.int64), want.view(np.int64))
+            got[rows, cols] = 0.0
+    assert not got.any()  # nothing lit outside the nine supports
+
+
+@pytest.mark.parametrize(
+    "seed, size", [(0, 64), (3, 96), ([7, 2], 300), ([1, 1], 1024)]
+)
+def test_figure_writes_the_raster_of_the_dense_blur(tmp_path, monkeypatch, seed, size):
+    def written(name):  # as generate_corpus writes a figure
+        img = generate_figure(seed, size)
+        write_pgm(img.pixels / img.hi * 65535.0, tmp_path / name, maxval=65535)
+        return (tmp_path / name).read_bytes()
+
+    banded = written("banded.pgm")
+    monkeypatch.setattr(corpus_module, "_blur", dense_blur)
+    assert written("dense.pgm") == banded
+
+
+def test_a_1024_figure_peaks_within_two_and_a_quarter_canvases():
+    # the render canvas, the row pass and the blur's small window and cuts
+    n = 1024
+    tracemalloc.start()
+    try:
+        generate_figure([1, 0], n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
 
 
 class TestGenerateFigure:
@@ -290,7 +358,7 @@ class TestGenerateFigure:
 
     @pytest.mark.parametrize("size", [4097, 100000])
     def test_rejects_sizes_over_the_corpus_bound(self, size):
-        # before the (size, size) blur matrix: 74.5 GiB at 100000
+        # before any (size, size) canvas: 74.5 GiB at 100000
         message = rf"size must be in 64\.\.4096, got {size}"
         with pytest.raises(ValueError, match=message):
             generate_figure(0, size)
@@ -372,6 +440,7 @@ class TestWarp:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(got[outside] == img.lo)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_samples_at_nan_and_infinite_x_are_fill(self):
         # a(y) = 1 + 1e307 y and b(y) = -1.5e308 + 1e307 y overflow from
         # y = 18 on, so x = (c - inf) / inf is NaN there; above row 14 the
@@ -379,8 +448,8 @@ class TestWarp:
         img = GrayImage(pixels=np.random.default_rng(9).uniform(1.0, 9.0, (64, 64)))
         warp = identity_warp()
         warp.a[1], warp.b[0], warp.b[1] = 1e307, -1.5e308, 1e307
+        got = warp_image(img, warp).pixels  # the mark makes a warning fail
         with np.errstate(over="ignore", invalid="ignore"):
-            got = warp_image(img, warp).pixels
             want = row_by_row_warp(img, warp)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(got[18:] == img.lo) and np.all(got[:14] > img.lo)

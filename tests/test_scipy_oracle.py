@@ -1,9 +1,9 @@
 """scipy as a test-only oracle for the figure blur and the timing fit.
 
-The package computes both in numpy: the blur as K p K^T with scipy's
-Gaussian kernel, the timing fit as exact three-column NNLS. These tests
-compare them with `gaussian_filter` and `scipy.optimize.nnls`; they skip
-where scipy is not installed.
+The package computes both in numpy: the blur as banded matrix products
+with scipy's Gaussian kernel, the timing fit as exact three-column NNLS.
+These tests compare them with `gaussian_filter` and `scipy.optimize.nnls`;
+they skip where scipy is not installed.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from densitycode import GrayImage, TimingSample, fit_model, generate_figure
 from densitycode.bench import _nnls, _regressors
 from densitycode.corpus import (
     _MASS_FLOOR_FRACTION,
-    _blur_matrix,
+    _blur,
     _grow_skeleton,
     _render_segments,
 )
@@ -36,8 +36,7 @@ DESIGN = np.array(
 @pytest.mark.parametrize("size", [64, 72, 128, 1024])
 def test_blur_equals_gaussian_filter(size):
     canvas = np.random.default_rng(size).random((size, size))
-    blur = _blur_matrix(size, size / 64.0)
-    got = blur @ canvas @ blur.T
+    got = _blur(canvas.copy(), size / 64.0)
     want = scipy_ndimage.gaussian_filter(canvas, sigma=size / 64.0, mode="constant")
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
