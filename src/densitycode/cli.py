@@ -59,6 +59,11 @@ def _check_points(points: int) -> None:
         raise ValueError(f"--points {points} exceeds the limit of {MAX_POINTS}")
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0 < lam < math.inf:
+        raise ValueError(f"--lambda must be finite and > 0, got {lam:g}")
+
+
 def _check_degree(degree: int) -> None:
     if degree < 0:
         raise ValueError(f"--degree must be >= 0, got {degree}")
@@ -72,6 +77,7 @@ def cmd_encode(args) -> int:
     _check_points(args.points)
     if args.alpha is not None and not 0 < args.alpha < math.inf:
         raise ValueError(f"--alpha must be finite and > 0, got {args.alpha:g}")
+    _check_lambda(args.lam)
     img = load_image(args.image)
     polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
@@ -129,6 +135,7 @@ def cmd_sweep(args) -> int:
     if args.points is not None:
         _check_points(args.points)
     _check_degree(args.degree)
+    _check_lambda(args.lam)
     entries = load_corpus(Path(args.corpus), Polarity(args.polarity), args.lam)
     # the grid ends at the last step within --alpha-max; a count a rounding
     # error short of an integer (decimal flags rounded to binary) takes that step
@@ -174,8 +181,11 @@ def cmd_bench(args) -> int:
     heights = _grid_sizes(args.heights, "--heights")
     widths = _grid_sizes(args.widths, "--widths")
     lengths = _grid_sizes(args.lengths, "--lengths")
+    if max(lengths) > MAX_POINTS:
+        raise ValueError(f"--lengths sizes must be <= {MAX_POINTS}, got {max(lengths)}")
     if args.reps < MIN_REPS:
         raise ValueError(f"--reps must be >= {MIN_REPS}, got {args.reps}")
+    _check_lambda(args.lam)
     from .bench import run_grid
 
     samples = run_grid(

@@ -387,15 +387,18 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     for k in range(spec.pair_count):
+        file_a = f"pair{k}_A.pgm"
+        file_b = f"pair{k}_B.pgm"
+        # each write runs beside one image: the figure is written before it
+        # is warped and dropped before the warped image is written
         figure = generate_figure([spec.seed, k], spec.size)
+        write_pgm(figure.pixels / figure.hi * 65535.0, out_dir / file_a, maxval=65535)
         warp_rng = np.random.default_rng([spec.seed, k, 1])
         warp = wind_warp_coefficients(warp_rng, spec.size)
         warped = warp_image(figure, warp)
-        file_a = f"pair{k}_A.pgm"
-        file_b = f"pair{k}_B.pgm"
-        for image, name in ((figure, file_a), (warped, file_b)):
-            write_pgm(image.pixels / image.hi * 65535.0, out_dir / name, maxval=65535)
-        del figure, warped, image  # not alive while the next pair is built
+        del figure
+        write_pgm(warped.pixels / warped.hi * 65535.0, out_dir / file_b, maxval=65535)
+        del warped  # not alive while the next pair is built
         row = {
             "pair": k,
             "seed": spec.seed,

@@ -10,13 +10,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import Polarity
 
-_PNM_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+# a header field, or a comment (run to end of line) to skip; a comment may
+# touch a field, and whitespace separates the rest
+_HEADER_FIELD = re.compile(rb"#[^\n\r]*|[^\s#]+")
 
 
 @dataclass(frozen=True)
@@ -74,28 +77,6 @@ class DensityField:
     polarity: Polarity | None = None
 
 
-def _next_token(data: bytes, i: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token at or after offset i.
-
-    Skips '#' comments, which run to end of line. Returns the token and the
-    offset one past its final byte.
-    """
-    n = len(data)
-    while i < n:
-        ch = data[i]
-        if ch in _PNM_WHITESPACE:
-            i += 1
-        elif ch == 0x23:  # '#'
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-        else:
-            break
-    start = i
-    while i < n and data[i] not in _PNM_WHITESPACE and data[i] != 0x23:
-        i += 1
-    return data[start:i], i
-
-
 def _p2_samples(raster: bytes, count: int) -> np.ndarray:
     """The first ``count`` samples of a P2 raster, as int64.
 
@@ -123,17 +104,16 @@ def load_pgm(path) -> GrayImage:
     big-endian when maxval > 255, per the Netpbm convention.
     """
     data = Path(path).read_bytes()
-    magic, i = _next_token(data, 0)
+    matches = (m for m in _HEADER_FIELD.finditer(data) if m[0][:1] != b"#")
+    fields = list(islice(matches, 4))  # magic, width, height, maxval
+    magic = fields[0][0] if fields else b""
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"unsupported PNM magic {magic!r} (expected P2 or P5)")
-    tokens = []
-    for _ in range(3):
-        tok, i = _next_token(data, i)
-        tokens.append(tok)
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(m[0]) for m in fields[1:])
     except ValueError as exc:
         raise ValueError("malformed PGM header") from exc
+    i = fields[3].end()
     if width < 2 or height < 2:
         raise ValueError("image smaller than 2x2")
     if not 1 <= maxval <= 65535:
@@ -195,26 +175,24 @@ def load_image(path) -> GrayImage:
 
 
 def write_pgm(pixels, path, maxval: int = 255, binary: bool = True) -> None:
-    """Write integer-valued samples as P5 (binary) or P2 (ASCII) PGM."""
-    arr = np.rint(np.asarray(pixels, dtype=np.float64)).astype(np.int64)
+    """Write samples, rounded once, as P5 (binary) or P2 (ASCII) PGM."""
+    arr = np.rint(np.asarray(pixels, dtype=np.float64))
     if arr.ndim != 2:
         raise ValueError("PGM output requires a 2-D array")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval {maxval} out of range [1, 65535]")
-    if arr.min() < 0 or arr.max() > maxval:
+    if not (arr.min() >= 0 and arr.max() <= maxval):  # NaN fails both tests
         raise ValueError("sample values out of range for maxval")
-    height, width = arr.shape
-    magic = "P5" if binary else "P2"
-    header = f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
+    samples = arr.astype(">u2" if maxval > 255 else "u1", order="C")
+    height, width = samples.shape
     if binary:
-        dtype = ">u2" if maxval > 255 else "u1"
-        body = arr.astype(dtype).tobytes()
+        magic, body = "P5", samples  # written through its buffer, not copied
     else:
-        body = "\n".join(
-            " ".join(str(v) for v in row) for row in arr.tolist()
-        ).encode("ascii")
-        body += b"\n"
-    Path(path).write_bytes(header + body)
+        rows = (" ".join(map(str, row)) + "\n" for row in samples.tolist())
+        magic, body = "P2", "".join(rows).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii"))
+        fh.write(body)
 
 
 def normalize(img: GrayImage, polarity: Polarity) -> NormalizedImage:

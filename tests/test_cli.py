@@ -682,6 +682,11 @@ def test_bad_corpus_flags_are_named_before_anything_is_written(
         ("--heights", "8", "--heights sizes must be >= 16, got 8"),
         ("--widths", "32,15", "--widths sizes must be >= 16, got 15"),
         ("--lengths", "-16", "--lengths sizes must be >= 16, got -16"),
+        (
+            "--lengths",
+            "16,10000001",
+            "--lengths sizes must be <= 10000000, got 10000001",
+        ),
         ("--reps", "2", "--reps must be >= 5, got 2"),
         ("--reps", "-1", "--reps must be >= 5, got -1"),
     ],
@@ -722,6 +727,27 @@ def test_bad_alpha_and_degree_are_named_before_anything_loads(
     command, *flags = args
     rc = main([command, *inputs[command], str(out), *flags])
     assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "sweep", "bench"])
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_bad_lambda_is_named_before_anything_loads(
+    loaders_refused, tmp_path, capsys, monkeypatch, command, value
+):
+    # nor can the bench module load: bench refuses the flag before it would
+    monkeypatch.delattr(densitycode, "bench")
+    monkeypatch.setitem(sys.modules, "densitycode.bench", None)
+    out = tmp_path / "out.csv"
+    inputs = {
+        "encode": ["--image", "absent.pgm", "--polarity", "light-on-dark"],
+        "sweep": ["--corpus", "absent"],
+        "bench": [],
+    }
+    rc = main([command, *inputs[command], "--lambda", value, "--out", str(out)])
+    assert rc == 1
+    message = f"--lambda must be finite and > 0, got {value}"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -1,8 +1,11 @@
 """Tests for image loading, normalization, and density-field construction."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from densitycode import (
@@ -160,13 +163,145 @@ def test_pgm_16bit_raster_after_odd_and_even_headers(tmp_path, header):
         (np.zeros((2, 2)), 65536, r"^maxval 65536 out of range \[1, 65535\]$"),
         (np.array([[0.0, 1.0], [2.0, -1.0]]), 255, "^sample values out of range"),
         (np.array([[0.0, 256.0], [2.0, 1.0]]), 255, "^sample values out of range"),
+        *(
+            (np.array([[0.0, bad], [2.0, 1.0]]), maxval, "^sample values out of range")
+            for bad in (np.nan, np.inf, -np.inf, 1e300)
+            for maxval in (255, 65535)
+        ),
     ],
 )
 def test_write_pgm_refuses_what_it_cannot_write(tmp_path, pixels, maxval, message):
+    # refused by the range check, not warned about by a cast
     path = tmp_path / "out.pgm"
-    with pytest.raises(ValueError, match=message):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+        warnings.simplefilter("error")
         write_pgm(pixels, path, maxval=maxval)
     assert not path.exists()
+
+
+def test_write_pgm_writes_any_memory_layout_in_row_order(tmp_path):
+    samples = np.arange(35.0).reshape(5, 7) * 1000.0
+    for view in (samples.T, samples[::-2, 1::2], np.asfortranarray(samples)):
+        for maxval, binary in ((65535, True), (65535, False), (40000, True)):
+            path = tmp_path / "view.pgm"
+            write_pgm(view, path, maxval=maxval, binary=binary)
+            assert np.array_equal(load_pgm(path).pixels, view)
+
+
+def _next_token(data: bytes, i: int) -> tuple[bytes, int]:
+    """The byte-at-a-time header tokenizer load_pgm once used, as an oracle.
+
+    Skips whitespace and '#' comments, which run to end of line. Returns
+    the next token and the offset one past its final byte.
+    """
+    n = len(data)
+    while i < n:
+        ch = data[i]
+        if ch in b" \t\n\r\x0b\x0c":
+            i += 1
+        elif ch == 0x23:  # '#'
+            while i < n and data[i] not in (0x0A, 0x0D):
+                i += 1
+        else:
+            break
+    start = i
+    while i < n and data[i] not in b" \t\n\r\x0b\x0c" and data[i] != 0x23:
+        i += 1
+    return data[start:i], i
+
+
+def _oracle_header(data: bytes):
+    """(magic, width, height, maxval, offset past maxval), or None if invalid."""
+    tokens, i = [], 0
+    for _ in range(4):
+        token, i = _next_token(data, i)
+        tokens.append(token)
+    magic, *numbers = tokens
+    try:
+        width, height, maxval = (int(t) for t in numbers)
+    except ValueError:
+        return None
+    if magic not in (b"P2", b"P5") or width < 2 or height < 2:
+        return None
+    if not 1 <= maxval <= 65535:
+        return None
+    return magic, width, height, maxval, i
+
+
+_RUN = st.lists(
+    st.sampled_from([bytes([b]) for b in b" \t\n\r\x0b\x0c#P25x0123456789+-_"]),
+    max_size=4,
+).map(b"".join)
+# mostly whitespace and comments (a lone '#' comments out what follows)
+_SPACE = st.lists(
+    st.sampled_from([*(bytes([b]) for b in b" \t\n\r\x0b\x0c#"), b"#x\n", b"#P5 2\r"]),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+
+
+def _mostly(common, rare=_RUN):
+    """``common`` about nine times in ten, otherwise ``rare``."""
+    pick = st.tuples(st.integers(0, 9), common, rare)
+    return pick.map(lambda t: t[2] if t[0] == 9 else t[1])
+
+
+# magic, width, height and maxval between separators, each drawn mostly
+# from plausible values and otherwise from the same alphabet at random
+_HEADER = st.tuples(
+    _mostly(st.just(b""), _SPACE),
+    _mostly(st.sampled_from([b"P2", b"P5"])),
+    _mostly(_SPACE),
+    _mostly(st.sampled_from([b"2", b"3", b"017"])),  # width
+    _mostly(_SPACE),
+    _mostly(st.sampled_from([b"2", b"5", b"+3"])),  # height
+    _mostly(_SPACE),
+    _mostly(st.sampled_from([b"1", b"255", b"256"])),  # maxval
+    _mostly(_SPACE),
+).map(b"".join)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(header=_HEADER)
+def test_pgm_header_reads_as_the_byte_tokenizer_does(tmp_path, header):
+    path = tmp_path / "header.pgm"
+    parsed = _oracle_header(header)
+    if parsed is None:
+        # past the header comes one run of NUL bytes, which is no number
+        data = header + b"\n" + bytes(64)
+        assert _oracle_header(data) is None
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_pgm(path)
+        return
+    magic, width, height, maxval, i = parsed
+    assume(width * height <= 10**5)
+    samples = np.arange(width * height).reshape(height, width) % (maxval + 1)
+    if magic == b"P5":
+        # the byte after maxval, whatever it is, separates header and raster
+        dtype = ">u2" if maxval > 255 else "u1"
+        data = header[: i + 1].ljust(i + 1, b"\n") + samples.astype(dtype).tobytes()
+    else:
+        data = header[:i] + b"\n" + " ".join(map(str, samples.flat)).encode()
+    path.write_bytes(data)
+    assert np.array_equal(load_pgm(path).pixels, samples)
+
+
+@pytest.mark.parametrize(
+    "data", [b"P5 " + b"#" * 10**6 + b"\nx", b"P5" + b" " * 10**6 + b"x"]
+)
+def test_pgm_hostile_header_is_refused_in_linear_time(tmp_path, data):
+    path = tmp_path / "hostile.pgm"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^malformed PGM header$"):
+        load_pgm(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_load_image_sniffs_format(tmp_path):
