@@ -82,7 +82,9 @@ def cmd_encode(args) -> int:
     polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
     nimg = normalize(img, polarity)
+    del img  # two canvases alive at most: each stage's input goes once used
     field = make_density_field(nimg, args.lam)
+    del nimg
     seq = halton(args.points)
     code = encode(field, seq, EncodeParams(alpha=args.alpha))
     elapsed_ms = (time.perf_counter() - t0) * 1e3
@@ -120,7 +122,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .corpus import SweepRow, load_corpus, sweep, sweep_length
+    from .corpus import SweepRow, load_corpus, sweep
 
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
@@ -143,15 +145,7 @@ def cmd_sweep(args) -> int:
     if math.isclose(count, steps + 1, rel_tol=1e-9):
         steps += 1
     alphas = [min(lo + i * step, hi) for i in range(steps + 1)]
-    points = args.points
-    if points is None:  # the grid ascends: its last alpha asks the longest codes
-        points = sweep_length(entries, alphas[-1])
-        if points > MAX_POINTS:
-            raise ValueError(
-                f"--alpha-max {hi:g} asks for codes over {MAX_POINTS} points; "
-                "set --points"
-            )
-    rows = sweep(entries, alphas, args.degree, points)
+    rows = sweep(entries, alphas, args.degree, args.points)
     lines = [",".join(SweepRow._fields)]
     for *values, status in rows:  # an invalid row has no band edges
         cells = ["" if value is None else f"{value:.17g}" for value in values]
@@ -185,6 +179,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--lengths sizes must be <= {MAX_POINTS}, got {max(lengths)}")
     if args.reps < MIN_REPS:
         raise ValueError(f"--reps must be >= {MIN_REPS}, got {args.reps}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     _check_lambda(args.lam)
     from .bench import run_grid
 
@@ -281,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--points",
         type=int,
         default=None,
-        help="sequence length (default: longest code the sweep needs)",
+        help="cap on code lengths (default: none; the sequence is as long as "
+        "the longest code the grid asks for)",
     )
     p.add_argument("--out", required=True, help="output CSV of boundary curves")
     p.set_defaults(func=cmd_sweep)

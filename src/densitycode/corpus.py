@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import MAX_POINTS, EncodeParams, code_length, encode, read_table
+from .encoder import MAX_POINTS, EncodeParams, encode, read_table
 from .image_io import (
     GrayImage,
     Polarity,
@@ -447,18 +447,6 @@ class SweepRow(NamedTuple):
     status: str  # "ok", or "invalid" when a code is shorter than the basis
 
 
-def sweep_length(entries, alpha: float) -> int:
-    """Length of the longest code ``alpha`` asks of the entries' images.
-
-    Lengths are counted up to ``MAX_POINTS + 1``, so an overflowing
-    ``alpha * mass`` reads as just over the limit.
-    """
-    return max(
-        code_length(field.foreground_mass, alpha, MAX_POINTS + 1)
-        for _, field in entries
-    )
-
-
 def _box_runs(code: np.ndarray) -> np.ndarray:
     """Ascending ends of the runs of prefix lengths that share one bounding box.
 
@@ -474,12 +462,15 @@ def _box_runs(code: np.ndarray) -> np.ndarray:
 def sweep(entries, alphas, degree: int, points: int | None = None) -> list[SweepRow]:
     """Delta of every ordered image pair per alpha, split related/unrelated.
 
-    ``entries`` are (pair id, field) as from :func:`load_corpus`. Every
-    image is encoded once at the largest alpha from a Halton sequence of
-    ``points`` (default: :func:`sweep_length` of that alpha; either way at
-    most :data:`MAX_POINTS`). Code lengths only grow with alpha under one
-    cap, so each alpha compares prefixes of those codes, which equal the
-    codes encoded at that alpha bit for bit.
+    ``entries`` are (pair id, field) as from :func:`load_corpus`. One
+    table holds the code length L = round(alpha * mass) of every (alpha,
+    image), capped at ``points`` when given; a largest alpha that asks for
+    codes over :data:`MAX_POINTS` without it is refused. An alpha whose
+    shortest code has fewer points than the basis, or none, gives an
+    "invalid" row. Every image is encoded once at the largest alpha from a
+    Halton sequence as long as the longest code in the table. Code lengths
+    only grow with alpha under one cap, so each alpha compares prefixes of
+    those codes, which equal the codes encoded at that alpha bit for bit.
 
     The plan is the (alphas x ordered pairs) array of common lengths
     min(L_i, L_j), walked once in ascending length. Each distinct (pair,
@@ -509,41 +500,45 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
             "entries give no related or no unrelated pair: need two images "
             "of one pair and images of two pairs"
         )
+    if points is not None and points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     if points is not None and points > MAX_POINTS:
         raise ValueError(f"points={points} exceeds the limit of {MAX_POINTS}")
     if len(alphas) == 0:
         return []
-    largest = max(alphas)
-    if points is None:
-        points = sweep_length(entries, largest)
-        if points > MAX_POINTS:
-            raise ValueError(
-                f"alpha={largest:g} asks for codes over {MAX_POINTS} points; "
-                "pass points"
-            )
+    alpha = np.array(alphas, dtype=float)
+    if not ((alpha > 0) & (alpha < math.inf)).all():
+        raise ValueError("alpha must be finite and > 0")
     # images by mass: lengths then ascend at every alpha, so the images that
     # share a common length are always a run of consecutive rows
     by_mass = sorted(entries, key=lambda entry: entry[1].foreground_mass)
-    seq = halton(points)
-    params = EncodeParams(alpha=largest)
+    mass = np.array([field.foreground_mass for _, field in by_mass])
+    # code_length's arithmetic for every (alpha, image) at once; without
+    # points, an overflowing alpha * mass reads as just over the limit
+    cap = MAX_POINTS + 1 if points is None else points
+    with np.errstate(over="ignore"):
+        lengths = np.floor(np.minimum(alpha[:, None] * mass + 0.5, cap)).astype(np.intp)
+    top = lengths[alpha.argmax()]  # the largest alpha's: the longest codes
+    if top.max() > MAX_POINTS:
+        raise ValueError(
+            f"alpha={alpha.max():g} asks for codes over {MAX_POINTS} points; "
+            "set --points (points=) to cap them"
+        )
+    # an alpha is invalid when a code is shorter than the basis, or empty;
+    # lengths grow with alpha, so if the largest is invalid, all are
+    q = math.comb(degree + 2, 2)  # len(all_powers(degree)), without building it
+    valid = lengths.min(axis=1) >= q
+    if not valid.any():
+        return [SweepRow(a, None, None, None, None, "invalid") for a in alphas]
+    n, longest = len(by_mass), int(top.max())
+    seq = halton(longest)
+    params = EncodeParams(alpha=float(alpha.max()))
     codes = [encode(field, seq, params).points.T for _, field in by_mass]
-    n, longest = len(codes), max(code.shape[1] for code in codes)
     full = np.zeros((n, 2, longest))  # coordinate-major, the fit's layout
     for row, code in zip(full, codes):
         row[:, : code.shape[1]] = code
     pairs = np.array(list(permutations(range(n), 2)))
     related = np.array([by_mass[i][0] == by_mass[j][0] for i, j in pairs])
-    lengths = np.array(
-        [
-            code_length(field.foreground_mass, alpha, points)
-            for alpha in alphas
-            for _, field in by_mass
-        ],
-        dtype=np.intp,
-    ).reshape(-1, n)
-    # an alpha is invalid when a code is shorter than the basis
-    q = math.comb(degree + 2, 2)  # len(all_powers(degree)), without building it
-    valid = lengths.min(axis=1) >= q
     ok = lengths[valid]
     plan = np.minimum(ok[:, pairs[:, 0]], ok[:, pairs[:, 1]])
     # one key per distinct (length, pair), in walking order; a pair tied at

@@ -553,13 +553,44 @@ def test_sweep_encodes_no_longer_than_its_last_alpha(
     assert lengths != tuple(code_length(mass, 0.055, 10**9) for mass in masses)
 
 
-def test_sweep_degree_beyond_every_code_gives_invalid_rows(small_corpus, tmp_path):
-    # q = C(30002, 2) basis terms: the sweep must not build them to find out
+def test_sweep_degree_beyond_every_code_gives_invalid_rows(
+    small_corpus, tmp_path, monkeypatch
+):
+    # q = C(30002, 2) basis terms: the sweep must not build them to find out,
+    # and with no row valid it builds no sequence and encodes nothing
+    def halton_stub(m, n=2):
+        raise AssertionError(f"halton({m}, {n}) built for no valid row")
+
+    monkeypatch.setattr(densitycode.quasirandom, "halton", halton_stub)
     out = tmp_path / "s.csv"
     args = ["sweep", "--corpus", str(small_corpus), "--out", str(out)]
     assert main([*args, "--degree", "30000"]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 50 and {row["status"] for row in rows} == {"invalid"}
+
+
+@pytest.fixture(scope="module")
+def default_corpus(tmp_path_factory):
+    corpus_dir = tmp_path_factory.mktemp("default_corpus")
+    assert main(["gen-corpus", "--out", str(corpus_dir)]) == 0
+    return corpus_dir
+
+
+def test_sweep_alpha_that_empties_a_code_gives_an_invalid_row(default_corpus, tmp_path):
+    # at alpha 0.0001 the lightest images round to no points; an empty code
+    # is a short code, so its row is invalid and the sweep goes on
+    out = tmp_path / "s.csv"
+    grid = ["--alpha-min", "0.0001", "--alpha-max", "0.02", "--alpha-step", "0.0001"]
+    args = ["sweep", "--corpus", str(default_corpus), "--out", str(out), *grid]
+    assert main(args) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    polarity = densitycode.image_io.Polarity.LIGHT_ON_DARK
+    entries = densitycode.corpus.load_corpus(default_corpus, polarity, 1e-4)
+    lightest = min(field.foreground_mass for _, field in entries)
+    emptied = [row for row in rows if float(row["alpha"]) * lightest + 0.5 < 1]
+    assert emptied and {row["status"] for row in emptied} == {"invalid"}
+    statuses = [row["status"] for row in rows]
+    assert (statuses.count("invalid"), statuses.count("ok")) == (82, 118)
 
 
 def test_sweep_bounds_the_sequence_length_it_derives(
@@ -689,6 +720,7 @@ def test_bad_corpus_flags_are_named_before_anything_is_written(
         ),
         ("--reps", "2", "--reps must be >= 5, got 2"),
         ("--reps", "-1", "--reps must be >= 5, got -1"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ],
 )
 def test_bench_grid_flags_are_named_before_any_timing(

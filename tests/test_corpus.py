@@ -746,6 +746,25 @@ def default_images(tmp_path_factory):
     return load_corpus(out, Polarity.LIGHT_ON_DARK, 1e-4)
 
 
+def test_sweep_sequence_is_the_longest_code_under_any_cap(default_images, monkeypatch):
+    # points only caps the lengths: a cap above every code changes no row,
+    # and the sequence is as long as the longest code, not as the cap
+    alphas = [0.01 * i for i in range(1, 51)]
+    rows = sweep(default_images, alphas, 3)
+    requested = []
+    build = quasirandom_module.halton
+
+    def recording_halton(m, n=2):
+        requested.append(m)
+        return build(m, n)
+
+    monkeypatch.setattr(quasirandom_module, "halton", recording_halton)
+    capped = sweep(default_images, alphas, 3, points=corpus_module.MAX_POINTS)
+    longest = max(len(code) for code in prefix_plan(default_images, [], 0.5)[0])
+    assert requested == [longest] == [783]
+    assert capped == rows
+
+
 def fits_by_length(entries, alphas, degree, monkeypatch):
     """The item count of every _fit call the sweep makes, by code length."""
     calls = {}
@@ -883,6 +902,10 @@ def test_sweep_names_its_own_parameters(monkeypatch):
     limit = corpus_module.MAX_POINTS
     with pytest.raises(ValueError, match=f"^points={limit + 1} exceeds the limit"):
         sweep(entries, [0.1], 3, points=limit + 1)
+    with pytest.raises(ValueError, match="^points must be >= 1, got 0$"):
+        sweep(entries, [0.1], 3, points=0)
+    with pytest.raises(ValueError, match="^alpha must be finite and > 0$"):
+        sweep(entries, [0.1, float("nan")], 3)
 
 
 def small_field():
