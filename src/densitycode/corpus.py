@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
@@ -42,6 +45,12 @@ _BLOCK_CELLS = 2**14
 MAX_FIGURE_SIZE = 4096
 # rows, then columns, that one matmul of the figure blur writes
 _BLUR_BLOCK = 64
+# processes a sweep's walk may use: every host it was measured on had 2 cores
+SWEEP_PROCESSES = 2
+# a solver call's fixed cost in basis cells of its arithmetic, at degree 0
+# and from degree 1 on (about 50 us against 20 ns a cell, 250 us against 4
+# ns, at 128^2 and 512^2): it weighs the walk's two shares
+_CALL_CELLS = (2**11, 2**16)
 
 
 def _check_size(size: int) -> None:
@@ -459,6 +468,89 @@ def _box_runs(code: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(grows) + 1, code.shape[1])
 
 
+def _walk_processes(lengths: int) -> int:
+    """SWEEP_PROCESSES where a forked child can walk a share, else 1.
+
+    That takes os.fork and os.sched_getaffinity (Linux), as many usable CPUs,
+    at least 2 lengths to share, and a process of one OS thread: fork copies
+    only the calling thread, so a BLAS pool or any other thread keeps the
+    walk in process.
+    """
+    if lengths < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if len(os.sched_getaffinity(0)) < SWEEP_PROCESSES:
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc mounted: the threads cannot be counted
+        return 1
+    return SWEEP_PROCESSES if threads == 1 else 1
+
+
+@contextmanager
+def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
+    """Yield the walked lengths this process fits into ``found``.
+
+    In one process that is every length. In two, ``lengths`` splits into
+    two contiguous shares of about equal ``cost``. The parent walks the
+    first. A child made by os.fork walks the second, sends back its part of
+    ``found``, any exception and the warnings it recorded, and ends in
+    os._exit. The parent then fills ``found``, re-issues each warning with
+    its category, text, file and line, and re-raises the child's exception.
+    The parent always reaps the child, and kills it first if its own share
+    raises. A child killed by a signal is a MemoryError (SIGKILL, the kernel's
+    out-of-memory killer) or a RuntimeError.
+    """
+    if _walk_processes(len(lengths)) == 1:
+        yield lengths
+        return
+    import pickle  # a second process's report alone needs these
+    import signal
+
+    total = np.cumsum(cost)
+    split = int(np.abs(2 * total[:-1] - total[-1]).argmin()) + 1
+    theirs = slice(lengths[split][1], len(found))  # the child's items
+    read, write = os.pipe()
+    with open(read, "rb") as pipe, open(write, "wb") as out:
+        pid = os.fork()
+        if pid == 0:  # the child
+            status = 1
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    try:
+                        yield lengths[split:]
+                        error = None
+                    except BaseException as exc:  # sent to the parent
+                        error = exc
+                heard = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+                out.write(pickle.dumps((found[theirs], error, heard)))
+                out.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        out.close()  # the child holds the write end: its exit ends the read
+        try:
+            yield lengths[:split]
+            sent = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == -signal.SIGKILL:
+        raise MemoryError("the sweep's second process was killed, likely out of memory")
+    if code < 0:
+        name = signal.Signals(-code).name
+        raise RuntimeError(f"the sweep's second process was killed by {name}")
+    if code:
+        raise RuntimeError(f"the sweep's second process exited with status {code}")
+    found[theirs], error, heard = pickle.loads(sent)  # bytes its own child wrote
+    for message, category, filename, lineno in heard:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if error is not None:
+        raise error
+
+
 def sweep(entries, alphas, degree: int, points: int | None = None) -> list[SweepRow]:
     """Delta of every ordered image pair per alpha, split related/unrelated.
 
@@ -487,6 +579,14 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     columns, and a new basis is built only when the box grows. Every delta
     is :func:`delta_median`'s on the same prefixes, bit for bit. Returns one
     :class:`SweepRow` per alpha, in the order given.
+
+    On Linux, with at least 2 usable CPUs and 2 walked lengths, in a
+    process of one OS thread (one BLAS thread: a BLAS pool is a thread), the
+    walk runs in two processes. A forked child walks the longer lengths and
+    this process the shorter ones, shares of about equal estimated cost.
+    Each process keeps its own live bases, up to n q max(L) doubles each,
+    and the child shares this process's other memory until either writes
+    it. The rows are the same bit for bit.
     """
     # the solver and the sequence load here: gen-corpus needs neither
     from .matcher import _fit, _mapped_basis
@@ -548,32 +648,38 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     )
     key_m, key_pair = np.divmod(keys, len(pairs))
     walked, starts = np.unique(key_m, return_index=True)
-    bounds = [*starts.tolist(), len(keys)]
+    bounds = np.append(starts, len(keys))
+    items = np.diff(bounds)
+    # a fit gathers each item's q x m basis: at most half the cells of the
+    # live bases, or FIT_CELLS_FLOOR where that is more
+    per_fit = np.maximum(1, max(n * q * longest // 2, FIT_CELLS_FLOOR) // (q * walked))
+    cost = -(-items // per_fit) * _CALL_CELLS[degree > 0] + items * q * walked
+    lengths = list(zip(*[x.tolist() for x in (walked, bounds, bounds[1:], per_fit)]))
     found = np.empty(len(keys))
     if degree and len(keys):  # each image's live basis, the last length it serves
         runs = [_box_runs(code) for code in codes]
         live, live_end = np.empty((n, q, longest)), [0] * n
-    for m, start, stop in zip(walked.tolist(), bounds, bounds[1:]):
-        # keys run source by source; every source is also a target, and
-        # they are the images of length m and up: rows first.. of full
-        source, target = pairs[key_pair[start:stop]].T
-        first = source[0]
-        W = full[first:, :, :m]
-        # a fit gathers each item's q x m basis: at most half the cells of
-        # the live bases, or FIT_CELLS_FLOOR where that is more
-        per_fit = max(1, max(n * q * longest // 2, FIT_CELLS_FLOOR) // (q * m))
-        for i0 in range(0, stop - start, per_fit):
-            a, b = source[i0 : i0 + per_fit], target[i0 : i0 + per_fit]
-            s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
-            basis = None
-            if degree:
-                for r in range(s0, s1):
-                    if live_end[r] < m:  # the prefix box grew: map its next run
-                        end = live_end[r] = runs[r][np.searchsorted(runs[r], m)]
-                        live[r, :, :end] = _mapped_basis(full[r, None, :, :end], degree)
-                basis = live[s0:s1, :, :m]
-            fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
-            found[start + i0 : start + i0 + len(a)] = fit.delta
+    with _shares(lengths, cost, found) as share:
+        for m, start, stop, step in share:
+            # keys run source by source; every source is also a target, and
+            # they are the images of length m and up: rows first.. of full
+            source, target = pairs[key_pair[start:stop]].T
+            first = source[0]
+            W = full[first:, :, :m]
+            for i0 in range(0, stop - start, step):
+                a, b = source[i0 : i0 + step], target[i0 : i0 + step]
+                s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
+                basis = None
+                if degree:
+                    for r in range(s0, s1):
+                        if live_end[r] < m:  # the prefix box grew: map its next run
+                            end = live_end[r] = runs[r][np.searchsorted(runs[r], m)]
+                            live[r, :, :end] = _mapped_basis(
+                                full[r, None, :, :end], degree
+                            )
+                    basis = live[s0:s1, :, :m]
+                fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
+                found[start + i0 : start + i0 + len(a)] = fit.delta
     deltas = found[cell_key].reshape(plan.shape)
     bands = (deltas[:, related], deltas[:, ~related])
     ok_rows = zip(*[f(d, axis=1).tolist() for d in bands for f in (np.min, np.max)])

@@ -1,16 +1,25 @@
 """Tests for figure generation, polynomial warping and the corpus sweep."""
 
+import contextlib
 import csv
+import dataclasses
+import os
 import re
+import signal
+import subprocess
+import sys
+import traceback
 import tracemalloc
 import warnings
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+import densitycode
 from densitycode import (
     CorpusSpec,
     EncodeParams,
@@ -625,6 +634,56 @@ def image_of(codes, points):
     return index
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """A context in which the sweep sees one usable CPU, so walks in process.
+
+    A spy patched into a test sees only the fits of its own process: a
+    second process walks on a copy of the spy and its records.
+    """
+
+    @contextlib.contextmanager
+    def context():
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            yield patch
+
+    return context
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """A context in which the sweep walks in two processes; it yields the forks.
+
+    The sweep forks only on 2 usable CPUs in a process of one OS thread, and
+    an unpinned BLAS pool is a second thread, so the context lifts both
+    rules. Python 3.12 warns at a fork beside threads; OpenBLAS shuts its
+    pool down at fork, so the context drops that one warning.
+    """
+    fork = os.fork
+
+    @contextlib.contextmanager
+    def context():
+        forks = []
+
+        def counted_fork():
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "This process .* is multi-threaded", DeprecationWarning
+                )
+                pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "_walk_processes", lambda n: min(n, 2))
+            patch.setattr(os, "fork", counted_fork)
+            yield forks
+
+    return context
+
+
 def test_sweep_rows_match_direct_delta_median(tmp_path):
     generate_corpus(tmp_path, CorpusSpec(pair_count=2, size=64, seed=7))
     entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
@@ -644,7 +703,7 @@ def six_images(tmp_path_factory):
     return load_corpus(out, Polarity.LIGHT_ON_DARK, 1e-4)
 
 
-def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, monkeypatch):
+def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, one_cpu):
     # where the shortest code has exactly q = 10 points the fit interpolates
     # and delta is pure rounding, so a fit of many items must repeat a
     # one-pair fit bit for bit to give the same row
@@ -659,7 +718,7 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, monkey
         fits.append((V, W, d, a, b, result))
         return result
 
-    with monkeypatch.context() as patch:
+    with one_cpu() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
         rows = sweep(entries, alphas, 3)
     assert [row.status for row in rows] == ["ok"] * 4
@@ -680,7 +739,7 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, monkey
     assert len(set(walked)) == len({m for *_, m in want})
 
 
-def test_sweep_builds_one_basis_per_image_and_length(six_images, monkeypatch):
+def test_sweep_builds_one_basis_per_image_and_length(six_images, one_cpu):
     # one basis per (image, prefix bounding box) over the whole sweep: a
     # box serves every length up to the point that widens it
     entries = six_images
@@ -692,7 +751,7 @@ def test_sweep_builds_one_basis_per_image_and_length(six_images, monkeypatch):
         built.append(s.shape[0])
         return power_basis(s, d)
 
-    with monkeypatch.context() as patch:
+    with one_cpu() as patch:
         patch.setattr(matcher_module, "_power_basis", recording_power_basis)
         rows = sweep(entries, alphas, 3)
     assert [row.status for row in rows] == ["ok"] * 3
@@ -715,7 +774,7 @@ def test_sweep_rows_equal_delta_median_rows(six_images, degree):
     assert [row.alpha for row in rows] == alphas
 
 
-def test_sweep_fits_tied_lengths_once(six_images, monkeypatch):
+def test_sweep_fits_tied_lengths_once(six_images, one_cpu):
     # points=60 caps every code at 60 from alpha 0.2 on, so pairs of several
     # alphas share one length; each distinct (pair, length) is fitted once
     alphas = [0.05, 0.2, 0.25, 0.3]
@@ -728,7 +787,7 @@ def test_sweep_fits_tied_lengths_once(six_images, monkeypatch):
         items.extend((V.shape[2], s, t) for s, t in zip(a, b))
         return fit(V, W, d, a, b, basis)
 
-    with monkeypatch.context() as patch:
+    with one_cpu() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
         rows = sweep(six_images, alphas, 3, points=60)
     assert rows == delta_median_rows(six_images, alphas, 0.3, 3, points=60)
@@ -765,7 +824,7 @@ def test_sweep_sequence_is_the_longest_code_under_any_cap(default_images, monkey
     assert capped == rows
 
 
-def fits_by_length(entries, alphas, degree, monkeypatch):
+def fits_by_length(entries, alphas, degree, one_cpu):
     """The item count of every _fit call the sweep makes, by code length."""
     calls = {}
     fit = matcher_module._fit
@@ -774,20 +833,20 @@ def fits_by_length(entries, alphas, degree, monkeypatch):
         calls.setdefault(V.shape[2], []).append(len(a))
         return fit(V, W, d, a, b, basis)
 
-    with monkeypatch.context() as patch:
+    with one_cpu() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
         rows = sweep(entries, alphas, degree)
     assert {row.status for row in rows} == {"ok"}
     return calls
 
 
-def test_sweep_fits_a_length_in_one_call_under_the_floor(default_images, monkeypatch):
+def test_sweep_fits_a_length_in_one_call_under_the_floor(default_images, one_cpu):
     # at 128^2 half the live bases (12 images x 10 rows x 783 points / 2)
     # are below the floor, so the floor caps every fit; a length whose
     # items' bases fit under it is one call (387 calls for 336 lengths; the
     # half-live rule alone split the same items into 645)
     alphas = [0.01 * i for i in range(1, 51)]
-    calls = fits_by_length(default_images, alphas, 3, monkeypatch)
+    calls = fits_by_length(default_images, alphas, 3, one_cpu)
     q, floor = 10, corpus_module.FIT_CELLS_FLOOR
     longest = max(len(code) for code in prefix_plan(default_images, [], 0.5)[0])
     assert 12 * q * longest // 2 < floor
@@ -803,10 +862,10 @@ def test_sweep_fits_a_length_in_one_call_under_the_floor(default_images, monkeyp
     assert sum(map(len, calls.values())) < half_live_runs
 
 
-def test_sweep_keeps_half_the_live_bases_above_the_floor(default_images, monkeypatch):
+def test_sweep_keeps_half_the_live_bases_above_the_floor(default_images, one_cpu):
     # at alpha 2.5 the live bases are 12 x 10 x 3915 cells, and half of
     # them exceed the floor: that half bounds every fit, as at 512^2 and up
-    calls = fits_by_length(default_images, [0.5, 1.5, 2.5], 3, monkeypatch)
+    calls = fits_by_length(default_images, [0.5, 1.5, 2.5], 3, one_cpu)
     codes, _ = prefix_plan(default_images, [], 2.5)
     q, longest = 10, max(len(code) for code in codes)
     cap = 12 * q * longest // 2
@@ -823,7 +882,7 @@ def diagonal_field(shift):
     return make_density_field(img, 1e-4)
 
 
-def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
+def test_sweep_takes_the_svd_fallback_item_by_item(one_cpu, two_processes):
     # the diagonals' cubic bases are past MAX_CONDITION, so their items go to
     # the SVD inside fits that also hold well-conditioned figure items; each
     # fit warns once, counting its own SVD items
@@ -841,7 +900,7 @@ def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
         fits.append((V, W, d, a, b, result))
         return result
 
-    with monkeypatch.context() as patch:
+    with one_cpu() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
         with pytest.warns(RuntimeWarning) as record:
             rows = sweep(entries, alphas, 3)
@@ -861,10 +920,202 @@ def test_sweep_takes_the_svd_fallback_item_by_item(monkeypatch):
         assert want in str(warning.message)
     with pytest.warns(RuntimeWarning, match="went to the SVD"):
         assert rows == delta_median_rows(entries, alphas, 0.3, 3)
-    # unpatched, each warning names the sweep's caller
-    with pytest.warns(RuntimeWarning, match="went to the SVD") as record:
-        assert sweep(entries, alphas, 3) == rows
+    texts = [str(warning.message) for warning in record]
+    # unpatched, each warning names the sweep's caller, also from a second
+    # process, and the two processes warn as one did
+    with two_processes() as forks:
+        with pytest.warns(RuntimeWarning, match="went to the SVD") as record:
+            assert sweep(entries, alphas, 3) == rows
     assert {warning.filename for warning in record} == {__file__}
+    assert len(forks) == 1 and [str(warning.message) for warning in record] == texts
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 5])
+def test_two_processes_give_the_one_process_rows(
+    default_images, one_cpu, two_processes, degree
+):
+    alphas = [0.3, 0.05, 0.5, 0.2, 0.05, 0.3, 0.12]
+    for points in (None, 60):
+        with one_cpu():
+            alone = sweep(default_images, alphas, degree, points)
+        with two_processes() as forks:
+            shared = sweep(default_images, alphas, degree, points)
+        assert shared == alone and len(forks) == 1
+    with pytest.raises(ChildProcessError):  # every child is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypatch):
+    # every fit warns, naming its length: the child's warnings come back
+    # after the parent's with their text, category, file and line
+    fit = matcher_module._fit
+
+    def warning_fit(V, W, d, a, b, basis=None):
+        warnings.warn(f"fit at length {V.shape[2]}", UserWarning, stacklevel=3)
+        return fit(V, W, d, a, b, basis)
+
+    def heard():
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            sweep(six_images, [0.1, 0.2, 0.3], 3)
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in record]
+
+    monkeypatch.setattr(matcher_module, "_fit", warning_fit)
+    with one_cpu():
+        alone = heard()
+    with two_processes() as forks:
+        shared = heard()
+    assert len(forks) == 1 and shared == alone
+    assert {filename for _, _, filename, _ in alone} == {__file__}
+
+
+def coinciding_encode(entries, k):
+    """``encode`` with the heaviest image's target scale 0 past 2k points.
+
+    Its first k points (k even), rounded to 1/64, are mirrored in pairs
+    about the image centre, and every later point is the centre. The sums
+    are exact, so in a prefix of more than 2k points most points lie on
+    their centroid, and their median distance to it is 0.
+    """
+    heaviest = max(entries, key=lambda entry: entry[1].foreground_mass)[1]
+    centre = np.array(heaviest.f.shape[::-1]) / 2.0  # (x, y)
+
+    def encoded(field, seq, params):
+        code = encode(field, seq, params)
+        if field is not heaviest:
+            return code
+        points = np.tile(centre, (len(code.points), 1))
+        offsets = np.round((code.points[: k // 2] - centre) * 64.0) / 64.0
+        points[0:k:2] += offsets
+        points[1:k:2] -= offsets
+        return dataclasses.replace(code, points=points)
+
+    return encoded
+
+
+def walked_lengths(entries, alphas):
+    """The common lengths a sweep walks, ascending."""
+    _, lengths = prefix_plan(entries, alphas, max(alphas))
+    pairs = permutations(range(len(entries)), 2)
+    return sorted({min(cut[i], cut[j]) for i, j in pairs for cut in lengths})
+
+
+def last_frame(info):
+    """The function a caught exception was raised in."""
+    return traceback.extract_tb(info.tb)[-1].name
+
+
+@pytest.mark.parametrize("share", ["parent", "child"])
+def test_an_error_in_either_process_reaches_the_caller(
+    six_images, one_cpu, two_processes, monkeypatch, share
+):
+    # the degenerate target's items fail from the shortest lengths, which
+    # the parent walks, or only at the longest, which the child walks
+    alphas = [0.1, 0.2, 0.3]
+    walked = walked_lengths(six_images, alphas)
+    k = 10 if share == "parent" else (walked[-1] - 1) // 4 * 2
+    monkeypatch.setattr(corpus_module, "encode", coinciding_encode(six_images, k))
+    message = "^degenerate target scale: target points coincide$"
+    with one_cpu(), pytest.raises(ValueError, match=message) as alone:
+        sweep(six_images, alphas, 1)
+    with two_processes() as forks, pytest.raises(ValueError, match=message) as shared:
+        sweep(six_images, alphas, 1)
+    assert len(forks) == 1 and last_frame(alone) == "_fit"
+    # the parent re-raises the child's error from its report
+    assert last_frame(shared) == {"parent": "_fit", "child": "_shares"}[share]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupted_parent_kills_and_reaps_the_child(
+    six_images, two_processes, monkeypatch
+):
+    shortest = walked_lengths(six_images, [0.1, 0.2, 0.3])[0]
+    fit = matcher_module._fit
+
+    def interrupted_fit(V, W, d, a, b, basis=None):
+        if V.shape[2] == shortest:  # the parent's first fit
+            raise KeyboardInterrupt
+        return fit(V, W, d, a, b, basis)
+
+    monkeypatch.setattr(matcher_module, "_fit", interrupted_fit)
+    with two_processes() as forks, pytest.raises(KeyboardInterrupt):
+        sweep(six_images, [0.1, 0.2, 0.3], 3)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "signum, error, message",
+    [
+        (signal.SIGKILL, MemoryError, "was killed, likely out of memory"),
+        (signal.SIGTERM, RuntimeError, "was killed by SIGTERM"),
+    ],
+)
+def test_a_killed_child_is_an_error(
+    six_images, two_processes, monkeypatch, signum, error, message
+):
+    longest = walked_lengths(six_images, [0.1, 0.2, 0.3])[-1]
+    fit = matcher_module._fit
+
+    def dying_fit(V, W, d, a, b, basis=None):
+        if V.shape[2] == longest:  # walked by the child alone
+            os.kill(os.getpid(), signum)
+        return fit(V, W, d, a, b, basis)
+
+    monkeypatch.setattr(matcher_module, "_fit", dying_fit)
+    with two_processes(), pytest.raises(error, match=f"second process {message}$"):
+        sweep(six_images, [0.1, 0.2, 0.3], 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FORKS_OF_EACH_SWEEP = """
+import os, sys, threading
+from densitycode import CorpusSpec, Polarity, generate_corpus, load_corpus, sweep
+
+forks, fork = [], os.fork
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+def forks_of(*args):
+    forks.clear()
+    sweep(entries, *args)
+    return len(forks)
+
+os.fork = counted_fork
+generate_corpus(sys.argv[1], CorpusSpec(pair_count=3, size=64, seed=11))
+entries = load_corpus(sys.argv[1], Polarity.LIGHT_ON_DARK, 1e-4)
+counts = [forks_of([0.1, 0.2], 3), forks_of([0.3], 3, 10)]  # 10 points: one length
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+counts.append(forks_of([0.1, 0.2], 3))
+stop.set()
+thread.join()
+os.sched_getaffinity = lambda pid: {0}
+counts.append(forks_of([0.1, 0.2], 3))
+print(*counts)
+"""
+
+
+def test_sweep_forks_only_alone_on_two_cpus_over_two_lengths(tmp_path):
+    # a fresh interpreter with one BLAS thread has no thread but its own; a
+    # second thread, one length or one usable CPU keeps the walk in process
+    src = str(Path(densitycode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1"))
+    cmd = [sys.executable, "-c", FORKS_OF_EACH_SWEEP, str(tmp_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    two_cpus = len(os.sched_getaffinity(0)) >= 2
+    assert proc.stdout.split() == ["1" if two_cpus else "0", "0", "0", "0"]
 
 
 def test_sweep_encodes_at_its_largest_alpha(six_images):
