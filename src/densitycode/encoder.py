@@ -27,6 +27,8 @@ CODE_FORMAT_TAG = "density-code v1"
 # a sequence takes 16 bytes a point and each code as much again; without
 # --points a sweep encodes every image at the longest code its largest alpha asks for
 MAX_POINTS = 10**7
+# cells of pixel rows in one band of invert's cumulative table: 1 MiB of doubles
+_BAND_CELLS = 2**17
 
 
 class Polarity(Enum):
@@ -103,6 +105,12 @@ def invert(field: DensityField, u) -> np.ndarray:
     linear, so that CDF is the same blend of the rows' zero-padded cumulative
     sums. Columns are bisected for all points in lockstep by flat-index
     gathers, keeping C(lo) <= target < C(hi): no bracket has zero width.
+
+    The cumulative sums are built for one band of about ``_BAND_CELLS``
+    cells of pixel rows at a time, plus the row above the band (the zero
+    row above the first), in one reused table; each band's points are
+    grouped by one stable sort and bisected together. Every point reads the
+    same row sums and takes the same steps as with a full-image table.
     """
     u = np.asarray(u, dtype=np.float64)
     if not np.all((u > 0.0) & (u < 1.0)):
@@ -112,26 +120,44 @@ def invert(field: DensityField, u) -> np.ndarray:
     row_cdf = np.concatenate(([0.0], field.row_cdf))
     iy = np.searchsorted(row_cdf[1:-1], uy, side="right")
     wy = (uy - row_cdf[iy]) / (row_cdf[iy + 1] - row_cdf[iy])
-    cum = np.zeros((sy + 1, sx + 1))  # padded row r holds pixel row r - 1
-    np.cumsum(field.f, axis=1, out=cum[1:, 1:])
-    cum = cum.ravel()
-    above = iy * (sx + 1)
-    below = above + (sx + 1)
+    band = min(max(1, _BAND_CELLS // (sx + 1)), sy)
+    cum = np.zeros((band + 1, sx + 1))  # row k holds pixel row r0 + k - 1
+    flat = cum.ravel()
 
-    def blended(k):
-        a = cum[above + k]
-        return a + wy * (cum[below + k] - a)
+    def columns(r0, iy, wy, ux):
+        r1 = min(r0 + band, sy)
+        top = max(r0 - 1, 0)
+        np.cumsum(field.f[top:r1], axis=1, out=cum[top - r0 + 1 : r1 - r0 + 1, 1:])
+        above = (iy - r0) * (sx + 1)
+        below = above + (sx + 1)
 
-    target = ux * blended(sx)
-    lo = np.zeros_like(iy)
-    hi = np.full_like(iy, sx)
-    for _ in range((sx - 1).bit_length()):
-        mid = (lo + hi) >> 1
-        left = blended(mid) <= target
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    c_lo = blended(lo)
-    return np.column_stack((lo + (target - c_lo) / (blended(hi) - c_lo), iy + wy))
+        def blended(k):
+            a = flat[above + k]
+            return a + wy * (flat[below + k] - a)
+
+        target = ux * blended(sx)
+        lo = np.zeros_like(iy)
+        hi = np.full_like(iy, sx)
+        for _ in range((sx - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            left = blended(mid) <= target
+            lo = np.where(left, mid, lo)
+            hi = np.where(left, hi, mid)
+        c_lo = blended(lo)
+        return lo + (target - c_lo) / (blended(hi) - c_lo)
+
+    if band == sy:
+        return np.column_stack((columns(0, iy, wy, ux), iy + wy))
+    key = (iy // band).astype(np.min_scalar_type(sy // band))
+    # O(m): numpy sorts keys of 16 bits or fewer by radix
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=-(-sy // band))).tolist()
+    x = np.empty_like(ux)
+    for r0, start, end in zip(range(0, sy, band), [0, *ends], ends):
+        if end > start:
+            sel = order[start:end]
+            x[sel] = columns(r0, iy[sel], wy[sel], ux[sel])
+    return np.column_stack((x, iy + wy))
 
 
 def encode(

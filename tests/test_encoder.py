@@ -1,7 +1,9 @@
 """Tests for code-length selection, CDF inversion, and the array encoder."""
 
 import bisect
+import contextlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +48,44 @@ def uniform_field(sy, sx, lam=1e-4, value=1.0):
 def figure_field(seed, size, lam=1e-4):
     img = generate_figure(seed, size)
     return make_density_field(normalize(img, Polarity.LIGHT_ON_DARK), lam)
+
+
+def random_field(shape, seed, dark=0.5, polarity=LIGHT, lam=1e-3):
+    """A share ``dark`` of the pixels at 0, the rest uniform on [0, 1), one
+    at 2 so none is flat."""
+    rng = np.random.default_rng(seed)
+    pixels = np.where(rng.random(shape) < dark, 0.0, rng.random(shape))
+    pixels.flat[rng.integers(pixels.size)] = 2.0
+    return make_density_field(normalize(GrayImage(pixels), polarity), lam)
+
+
+# random_field's inputs for the prefix-law properties
+IMAGES = dict(
+    lam=st.floats(1e-8, 1.0),
+    polarity=st.sampled_from(list(Polarity)),
+    dark=st.floats(0.0, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def check_uniform_closed_form(shape):
+    """The closed form u * S per axis, to 1e-9 of that axis's size."""
+    sy, sx = shape
+    seq = halton(4097)
+    code = encode(uniform_field(sy, sx), seq)
+    assert code.m == 4097
+    scale = np.array([sx, sy], dtype=float)
+    assert np.max(np.abs(code.points - seq.points * scale) / scale) <= 1e-9
+
+
+def check_prefix_law(shape, lam, polarity, dark, seed, long, short):
+    """A short code is the long one's prefix; every point is inside the image."""
+    field = random_field(shape, seed, dark, polarity, lam)
+    long_code = encode(field, halton(long, 2))
+    short_code = encode(field, halton(short, 2))
+    assert np.array_equal(long_code.points[:short], short_code.points)
+    sy, sx = shape
+    assert np.all((long_code.points > 0.0) & (long_code.points < (sx, sy)))
 
 
 class TestCodeLength:
@@ -133,13 +173,7 @@ class TestEncode:
     @example(shape=(1024, 2))
     @example(shape=(1000, 7))
     def test_uniform_image_scales_sequence_at_every_size(self, shape):
-        # the closed form u * S per axis, to 1e-9 of that axis's size
-        sy, sx = shape
-        seq = halton(4097)
-        code = encode(uniform_field(sy, sx), seq)
-        assert code.m == 4097
-        scale = np.array([sx, sy], dtype=float)
-        assert np.max(np.abs(code.points - seq.points * scale) / scale) <= 1e-9
+        check_uniform_closed_form(shape)
 
     def test_determinism(self):
         field = figure_field(1, 64)
@@ -201,35 +235,14 @@ class TestEncode:
         assert in_box2 == pytest.approx(0.75, abs=0.03)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        shape=st.tuples(st.integers(2, 64), st.integers(2, 64)),
-        lam=st.floats(1e-8, 1.0),
-        polarity=st.sampled_from(list(Polarity)),
-        dark=st.floats(0.0, 0.999),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(shape=st.tuples(st.integers(2, 64), st.integers(2, 64)), **IMAGES)
     def test_prefix_law_and_open_rectangle_at_every_size(
         self, shape, lam, polarity, dark, seed
     ):
-        # random pixels, a share `dark` of them at 0, one at 2 so none is flat
-        rng = np.random.default_rng(seed)
-        pixels = np.where(rng.random(shape) < dark, 0.0, rng.random(shape))
-        pixels.flat[rng.integers(pixels.size)] = 2.0
-        field = make_density_field(normalize(GrayImage(pixels), polarity), lam)
-        long_code = encode(field, halton(600, 2))
-        short_code = encode(field, halton(257, 2))
-        assert np.array_equal(long_code.points[:257], short_code.points)
-        sy, sx = shape
-        assert np.all((long_code.points > 0.0) & (long_code.points < (sx, sy)))
+        check_prefix_law(shape, lam, polarity, dark, seed, 600, 257)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        shape=st.tuples(st.integers(2, 1024), st.integers(2, 1024)),
-        lam=st.floats(1e-8, 1.0),
-        polarity=st.sampled_from(list(Polarity)),
-        dark=st.floats(0.0, 0.999),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(shape=st.tuples(st.integers(2, 1024), st.integers(2, 1024)), **IMAGES)
     @example(shape=(1024, 1024), lam=1e-4, polarity=LIGHT, dark=0.9, seed=0)
     @example(shape=(2, 1024), lam=1e-8, polarity=DARK, dark=0.0, seed=1)
     @example(shape=(1024, 2), lam=1.0, polarity=LIGHT, dark=0.999, seed=2)
@@ -238,15 +251,7 @@ class TestEncode:
     ):
         # the law above on every image size the tools are tested at, with
         # codes of up to 4097 points
-        rng = np.random.default_rng(seed)
-        pixels = np.where(rng.random(shape) < dark, 0.0, rng.random(shape))
-        pixels.flat[rng.integers(pixels.size)] = 2.0
-        field = make_density_field(normalize(GrayImage(pixels), polarity), lam)
-        long_code = encode(field, halton(4097, 2))
-        short_code = encode(field, halton(1025, 2))
-        assert np.array_equal(long_code.points[:1025], short_code.points)
-        sy, sx = shape
-        assert np.all((long_code.points > 0.0) & (long_code.points < (sx, sy)))
+        check_prefix_law(shape, lam, polarity, dark, seed, 4097, 1025)
 
     def test_translation_equivariance(self):
         fig = generate_figure(9, 96).pixels
@@ -276,6 +281,127 @@ class TestEncode:
         ).points
         assert np.median(np.abs(code_b[:, 0] - 2.0 * code_a[:, 0])) <= 1.0
         assert np.median(np.abs(code_b[:, 1] - code_a[:, 1])) <= 0.5
+
+
+def full_table_invert(field, u):
+    """Reference: invert with one zero-padded cumulative table of the image."""
+    u = np.asarray(u, dtype=np.float64)
+    sy, sx = field.f.shape
+    ux, uy = u[:, 0], u[:, 1]
+    row_cdf = np.concatenate(([0.0], field.row_cdf))
+    iy = np.searchsorted(row_cdf[1:-1], uy, side="right")
+    wy = (uy - row_cdf[iy]) / (row_cdf[iy + 1] - row_cdf[iy])
+    cum = np.zeros((sy + 1, sx + 1))  # padded row r holds pixel row r - 1
+    np.cumsum(field.f, axis=1, out=cum[1:, 1:])
+    cum = cum.ravel()
+    above = iy * (sx + 1)
+    below = above + (sx + 1)
+
+    def blended(k):
+        a = cum[above + k]
+        return a + wy * (cum[below + k] - a)
+
+    target = ux * blended(sx)
+    lo = np.zeros_like(iy)
+    hi = np.full_like(iy, sx)
+    for _ in range((sx - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        left = blended(mid) <= target
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    c_lo = blended(lo)
+    return np.column_stack((lo + (target - c_lo) / (blended(hi) - c_lo), iy + wy))
+
+
+def points_in_every_row(field, per_row, seed):
+    """Points whose y falls in each pixel row in turn, at several heights."""
+    rng = np.random.default_rng(seed)
+    row_cdf = np.concatenate(([0.0], field.row_cdf))
+    rows = np.repeat(np.arange(field.f.shape[0]), per_row)
+    share = rng.uniform(0.05, 0.95, rows.size)
+    uy = row_cdf[rows] + share * (row_cdf[rows + 1] - row_cdf[rows])
+    u = np.column_stack((rng.uniform(0.01, 0.99, rows.size), uy))
+    return u, rows
+
+
+@contextlib.contextmanager
+def bands_of(cells):
+    """Within the block, invert builds its table ``cells`` cells a band."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "_BAND_CELLS", cells)
+        yield
+
+
+class TestBandedInvert:
+    """``invert`` in bands of rows equals one full-image table, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(37, 5), (13, 29), (64, 3), (5, 2), (101, 64), (1000, 257), (300, 4096)],
+    )
+    @pytest.mark.parametrize("band", [1, 2, 3, 7, None])
+    def test_bands_match_the_full_table(self, shape, band):
+        # band None keeps the default: one band for the five small shapes,
+        # 2 bands of 508 rows at 1000 x 257 and 10 of 31 rows at 300 x 4096
+        sy, sx = shape
+        cells = encoder._BAND_CELLS if band is None else band * (sx + 1)
+        field = random_field(shape, sy * sx)
+        u, rows = points_in_every_row(field, 3, sy + sx)
+        # every row is some point's iy: row 0 reads the zero row, each band's
+        # first row the last row of the band before, and the last band is
+        # partial whenever band does not divide sy
+        assert np.array_equal(
+            np.searchsorted(field.row_cdf[:-1], u[:, 1], side="right"), rows
+        )
+        u = np.vstack((u, halton(4097).points))
+        with bands_of(cells):
+            assert np.array_equal(invert(field, u), full_table_invert(field, u))
+
+    def test_points_of_one_band_only(self):
+        # bands of 4 rows: only rows 20-23, the sixth band, hold points
+        field = random_field((40, 16), 3)
+        u, rows = points_in_every_row(field, 5, 4)
+        u = u[(rows >= 20) & (rows < 24)]
+        with bands_of(4 * 17):
+            assert np.array_equal(invert(field, u), full_table_invert(field, u))
+            assert invert(field, u[:0]).shape == (0, 2)
+
+    # TestEncode's Hypothesis properties once more, in small bands: 2**14
+    # cells are 15 rows of a 1024-pixel row, 2**7 one row of a 64-pixel one
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(2, 1024), st.integers(2, 1024)))
+    @example(shape=(1024, 1024))
+    def test_uniform_closed_form_in_small_bands(self, shape):
+        with bands_of(2**14):
+            check_uniform_closed_form(shape)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(2, 64), st.integers(2, 64)), **IMAGES)
+    def test_prefix_law_in_bands_of_one_row(self, shape, lam, polarity, dark, seed):
+        with bands_of(2**7):
+            check_prefix_law(shape, lam, polarity, dark, seed, 600, 257)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(2, 1024), st.integers(2, 1024)), **IMAGES)
+    @example(shape=(1024, 1024), lam=1e-4, polarity=LIGHT, dark=0.9, seed=0)
+    def test_prefix_law_up_to_1024_in_small_bands(
+        self, shape, lam, polarity, dark, seed
+    ):
+        with bands_of(2**14):
+            check_prefix_law(shape, lam, polarity, dark, seed, 4097, 1025)
+
+    def test_encode_allocates_a_band_not_a_canvas(self):
+        # a full-image table alone was one canvas of doubles
+        n = 1024
+        field = figure_field([0, 0], n)
+        seq = halton(16385)
+        tracemalloc.start()
+        try:
+            encode(field, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * 8 * n * n
 
 
 class TestCodeCsv:
