@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -329,8 +330,10 @@ def run() -> int:
     them again, during the command and in the full collections of
     interpreter shutdown, which still runs in full (atexit handlers,
     flushing, module teardown). The command's own objects are collected
-    as usual. Call main() to run a command in process.
+    as usual. Call main() to run a command in process. A warning prints as
+    one ``warning: ...`` line, as the CLI's own warnings do.
     """
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     gc.freeze()
     gc.enable()
     try:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import MAX_POINTS, EncodeParams, encode, read_table
+from .encoder import MAX_POINTS, invert, read_table
 from .image_io import (
     GrayImage,
     Polarity,
@@ -45,8 +45,6 @@ _BLOCK_CELLS = 2**14
 MAX_FIGURE_SIZE = 4096
 # rows, then columns, that one matmul of the figure blur writes
 _BLUR_BLOCK = 64
-# processes a sweep's walk may use: every host it was measured on had 2 cores
-SWEEP_PROCESSES = 2
 # a solver call's fixed cost in basis cells of its arithmetic, at degree 0
 # and from degree 1 on (about 50 us against 20 ns a cell, 250 us against 4
 # ns, at 128^2 and 512^2): it weighs the walk's two shares
@@ -468,23 +466,22 @@ def _box_runs(code: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(grows) + 1, code.shape[1])
 
 
-def _walk_processes(lengths: int) -> int:
-    """SWEEP_PROCESSES where a forked child can walk a share, else 1.
+def _walk_in_two(lengths: int) -> bool:
+    """Whether a forked child can walk a share of ``lengths`` walked lengths.
 
-    That takes os.fork and os.sched_getaffinity (Linux), as many usable CPUs,
-    at least 2 lengths to share, and a process of one OS thread: fork copies
+    That takes os.fork and os.sched_getaffinity (Linux), 2 usable CPUs, at
+    least 2 lengths to share, and a process of one OS thread: fork copies
     only the calling thread, so a BLAS pool or any other thread keeps the
     walk in process.
     """
     if lengths < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if len(os.sched_getaffinity(0)) < SWEEP_PROCESSES:
-        return 1
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
     try:
-        threads = len(os.listdir("/proc/self/task"))
+        return len(os.listdir("/proc/self/task")) == 1
     except OSError:  # no /proc mounted: the threads cannot be counted
-        return 1
-    return SWEEP_PROCESSES if threads == 1 else 1
+        return False
 
 
 @contextmanager
@@ -501,7 +498,7 @@ def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
     raises. A child killed by a signal is a MemoryError (SIGKILL, the kernel's
     out-of-memory killer) or a RuntimeError.
     """
-    if _walk_processes(len(lengths)) == 1:
+    if not _walk_in_two(len(lengths)):
         yield lengths
         return
     import pickle  # a second process's report alone needs these
@@ -559,10 +556,10 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     image), capped at ``points`` when given; a largest alpha that asks for
     codes over :data:`MAX_POINTS` without it is refused. An alpha whose
     shortest code has fewer points than the basis, or none, gives an
-    "invalid" row. Every image is encoded once at the largest alpha from a
-    Halton sequence as long as the longest code in the table. Code lengths
-    only grow with alpha under one cap, so each alpha compares prefixes of
-    those codes, which equal the codes encoded at that alpha bit for bit.
+    "invalid" row. Each image is inverted once, at its length in the largest
+    alpha's row, from one Halton sequence as long as the longest code, into
+    the stack the fits read. Lengths only grow with alpha under one cap, so
+    each alpha compares prefixes of those codes: its own codes, bit for bit.
 
     The plan is the (alphas x ordered pairs) array of common lengths
     min(L_i, L_j), walked once in ascending length. Each distinct (pair,
@@ -631,12 +628,10 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     if not valid.any():
         return [SweepRow(a, None, None, None, None, "invalid") for a in alphas]
     n, longest = len(by_mass), int(top.max())
-    seq = halton(longest)
-    params = EncodeParams(alpha=float(alpha.max()))
-    codes = [encode(field, seq, params).points.T for _, field in by_mass]
+    seq = halton(longest).points
     full = np.zeros((n, 2, longest))  # coordinate-major, the fit's layout
-    for row, code in zip(full, codes):
-        row[:, : code.shape[1]] = code
+    for row, (_, field), m in zip(full, by_mass, top.tolist()):
+        row[:, :m] = invert(field, seq[:m]).T  # the image's code at the largest alpha
     pairs = np.array(list(permutations(range(n), 2)))
     related = np.array([by_mass[i][0] == by_mass[j][0] for i, j in pairs])
     ok = lengths[valid]
@@ -656,8 +651,8 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     cost = -(-items // per_fit) * _CALL_CELLS[degree > 0] + items * q * walked
     lengths = list(zip(*[x.tolist() for x in (walked, bounds, bounds[1:], per_fit)]))
     found = np.empty(len(keys))
-    if degree and len(keys):  # each image's live basis, the last length it serves
-        runs = [_box_runs(code) for code in codes]
+    if degree:  # each image's live basis, the last length it serves
+        runs = [_box_runs(row[:, :m]) for row, m in zip(full, top.tolist())]
         live, live_end = np.empty((n, q, longest)), [0] * n
     with _shares(lengths, cost, found) as share:
         for m, start, stop, step in share:

@@ -532,14 +532,13 @@ def test_sweep_encodes_no_longer_than_its_last_alpha(
     # --alpha-max 0.055 ends the grid at 0.05, so every image is encoded to
     # the length 0.05 asks for, not to the longer one 0.055 would
     encoded = []
-    encode = densitycode.corpus.encode
+    invert = densitycode.corpus.invert
 
-    def recording_encode(field, seq, params=None):
-        code = encode(field, seq, params)
-        encoded.append((field.foreground_mass, code.m))
-        return code
+    def recording_invert(field, u):
+        encoded.append((field.foreground_mass, len(u)))
+        return invert(field, u)
 
-    monkeypatch.setattr(densitycode.corpus, "encode", recording_encode)
+    monkeypatch.setattr(densitycode.corpus, "invert", recording_invert)
     text = {}
     for hi in ("0.05", "0.055"):
         out = tmp_path / f"s{hi}.csv"
@@ -967,6 +966,24 @@ def test_compare_checks_hold_without_asserts(tmp_path):
         proc = run_python(tmp_path, *cli, str(target), "--degree", "1")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+def test_the_process_prints_a_numerics_warning_as_one_line(tmp_path):
+    # three equal source points send the degree-1 fit to the SVD, which
+    # warns: the process prints it as the CLI prints its own warnings
+    same = write_code(tmp_path / "same.csv", points=("3,4",) * 3)
+    spread = write_code(tmp_path / "spread.csv", points=("1,2", "5,3", "2.5,7"))
+    args = ["compare", str(same), str(spread), "--degree", "1"]
+    proc = run_python(tmp_path, "-m", "densitycode.cli", *args)
+    assert proc.returncode == 0 and proc.stdout == "delta=100\n"
+    assert proc.stderr.startswith("warning: degree-1 fit went to the SVD for 1 of 1")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    # in process, main() leaves Python's warnings as they are
+    formatwarning = warnings.formatwarning
+    with pytest.warns(RuntimeWarning, match="went to the SVD") as record:
+        assert main(args) == 0
+    assert record[0].filename == densitycode.cli.__file__
+    assert warnings.formatwarning is formatwarning
 
 
 # tokens a mutated header or row may take: empty, signed, non-finite, past

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import os
 import re
 import signal
@@ -33,6 +32,7 @@ from densitycode import (
     generate_corpus,
     generate_figure,
     halton,
+    invert,
     load_corpus,
     load_pgm,
     make_density_field,
@@ -677,7 +677,7 @@ def two_processes(monkeypatch):
             return pid
 
         with monkeypatch.context() as patch:
-            patch.setattr(corpus_module, "_walk_processes", lambda n: min(n, 2))
+            patch.setattr(corpus_module, "_walk_in_two", lambda n: n >= 2)
             patch.setattr(os, "fork", counted_fork)
             yield forks
 
@@ -969,8 +969,8 @@ def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypat
     assert {filename for _, _, filename, _ in alone} == {__file__}
 
 
-def coinciding_encode(entries, k):
-    """``encode`` with the heaviest image's target scale 0 past 2k points.
+def coinciding_invert(entries, k):
+    """``invert`` with the heaviest image's target scale 0 past 2k points.
 
     Its first k points (k even), rounded to 1/64, are mirrored in pairs
     about the image centre, and every later point is the centre. The sums
@@ -980,17 +980,17 @@ def coinciding_encode(entries, k):
     heaviest = max(entries, key=lambda entry: entry[1].foreground_mass)[1]
     centre = np.array(heaviest.f.shape[::-1]) / 2.0  # (x, y)
 
-    def encoded(field, seq, params):
-        code = encode(field, seq, params)
+    def inverted(field, u):
+        code = invert(field, u)
         if field is not heaviest:
             return code
-        points = np.tile(centre, (len(code.points), 1))
-        offsets = np.round((code.points[: k // 2] - centre) * 64.0) / 64.0
+        points = np.tile(centre, (len(code), 1))
+        offsets = np.round((code[: k // 2] - centre) * 64.0) / 64.0
         points[0:k:2] += offsets
         points[1:k:2] -= offsets
-        return dataclasses.replace(code, points=points)
+        return points
 
-    return encoded
+    return inverted
 
 
 def walked_lengths(entries, alphas):
@@ -1014,7 +1014,7 @@ def test_an_error_in_either_process_reaches_the_caller(
     alphas = [0.1, 0.2, 0.3]
     walked = walked_lengths(six_images, alphas)
     k = 10 if share == "parent" else (walked[-1] - 1) // 4 * 2
-    monkeypatch.setattr(corpus_module, "encode", coinciding_encode(six_images, k))
+    monkeypatch.setattr(corpus_module, "invert", coinciding_invert(six_images, k))
     message = "^degenerate target scale: target points coincide$"
     with one_cpu(), pytest.raises(ValueError, match=message) as alone:
         sweep(six_images, alphas, 1)
@@ -1126,6 +1126,27 @@ def test_sweep_encodes_at_its_largest_alpha(six_images):
     # where the sequence caps both lengths, the codes are the same
     capped = sweep(six_images, [0.4, 0.36], 3, points=60)
     assert capped[0][1:] == capped[1][1:] and capped[0].status == "ok"
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_sweep_caps_only_the_codes_longer_than_points(
+    six_images, one_cpu, two_processes, degree
+):
+    # a cap between the shortest and the longest code at the largest alpha
+    # cuts only some codes: the stack's rows end at different lengths, some
+    # at the cap and some at their own length
+    alphas = [0.3, 0.1, 0.2]
+    codes, _ = prefix_plan(six_images, [], 0.3)
+    shortest, longest = min(map(len, codes)), max(map(len, codes))
+    points = (shortest + longest) // 2
+    assert shortest < points < longest
+    expected = delta_median_rows(six_images, alphas, 0.3, degree, points)
+    assert all(row.status == "ok" for row in expected)
+    with one_cpu():
+        assert sweep(six_images, alphas, degree, points) == expected
+    with two_processes() as forks:
+        assert sweep(six_images, alphas, degree, points) == expected
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("pairs", [[], [0, 0], [0, 1, 2]])
