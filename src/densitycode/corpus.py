@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -493,7 +494,9 @@ def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
     first. A child made by os.fork walks the second, sends back its part of
     ``found``, any exception and the warnings it recorded, and ends in
     os._exit. The parent then fills ``found``, re-issues each warning with
-    its category, text, file and line, and re-raises the child's exception.
+    its category, text, file and line, against the registry of the frame it
+    names (as warnings.warn would: a text the parent has shown at that line
+    is not shown again), and re-raises the child's exception.
     The parent always reaps the child, and kills it first if its own share
     raises. A child killed by a signal is a MemoryError (SIGKILL, the kernel's
     out-of-memory killer) or a RuntimeError.
@@ -543,7 +546,15 @@ def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
         raise RuntimeError(f"the sweep's second process exited with status {code}")
     found[theirs], error, heard = pickle.loads(sent)  # bytes its own child wrote
     for message, category, filename, lineno in heard:
-        warnings.warn_explicit(message, category, filename, lineno)
+        # a fit's warning names the sweep's caller, a frame still on the stack
+        frame, named = sys._getframe(), (filename, lineno)
+        while frame and (frame.f_code.co_filename, frame.f_lineno) != named:
+            frame = frame.f_back
+        names = frame.f_globals if frame else {}
+        registry = names.setdefault("__warningregistry__", {})
+        warnings.warn_explicit(
+            message, category, filename, lineno, names.get("__name__"), registry
+        )
     if error is not None:
         raise error
 

@@ -216,18 +216,23 @@ def _first_bad_point(points, sx: int, sy: int):
     """(row, reason) of the first point not finite or outside (0, sx) x (0, sy).
 
     Every non-finite row is reported before any outside one; None when all
-    points are good.
+    points are good. The whole array is tested first, and rows are searched
+    only when that test fails.
     """
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        return int(bad[0]), "non-finite coordinate"
-    outside = np.flatnonzero(~((points > 0.0) & (points < (sx, sy))).all(axis=1))
-    if outside.size:
-        x, y = points[outside[0]].tolist()
-        return int(outside[0]), (
-            f"point ({x!r}, {y!r}) outside the image (0, {sx}) x (0, {sy})"
-        )
-    return None
+    finite = np.isfinite(points)
+    if not finite.all():
+        return int(np.flatnonzero(~finite.all(axis=1))[0]), "non-finite coordinate"
+    # all finite: the least and the greatest coordinates decide
+    if (
+        points.min(initial=np.inf) > 0.0
+        and points[:, 0].max(initial=-np.inf) < sx
+        and points[:, 1].max(initial=-np.inf) < sy
+    ):
+        return None
+    inside = (points > 0.0) & (points < (sx, sy))
+    row = int(np.flatnonzero(~inside.all(axis=1))[0])
+    x, y = points[row].tolist()
+    return row, f"point ({x!r}, {y!r}) outside the image (0, {sx}) x (0, {sy})"
 
 
 # %.17g prints a positive double in fixed notation when its decimal exponent

@@ -1,8 +1,8 @@
 """Grayscale image loading and the normalization / density-field pipeline.
 
 PGM (P2/P5, maxval up to 65535) is parsed natively so pixel values are
-bit-exact; PNG is optional and goes through Pillow's luminance conversion.
-All arithmetic is double precision.
+bit-exact, and kept at the file's integer width; PNG is optional and goes
+through Pillow's luminance conversion. All arithmetic is double precision.
 """
 
 from __future__ import annotations
@@ -20,15 +20,19 @@ from .encoder import Polarity
 # a header field, or a comment (run to end of line) to skip; a comment may
 # touch a field, and whitespace separates the rest
 _HEADER_FIELD = re.compile(rb"#[^\n\r]*|[^\s#]+")
+# samples write_pgm rounds and casts in one block: 512 KiB of doubles
+_WRITE_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
 class GrayImage:
     """2-D array of finite, nonnegative pixel values, at least 2x2.
 
-    The pixels are checked and summarized when the image is built: ``lo``
-    and ``hi`` are their least and greatest values, so the steps that need
-    them do not scan the pixels again.
+    Unsigned-integer and float64 pixels are kept as given (a loaded PGM is
+    uint8 or uint16, 1 or 2 bytes a pixel); any other dtype is converted to
+    float64. The pixels are checked and summarized when the image is built:
+    ``lo`` and ``hi`` are their least and greatest values, as floats, so the
+    steps that need them do not scan the pixels again.
     """
 
     pixels: np.ndarray
@@ -36,7 +40,9 @@ class GrayImage:
     hi: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.asarray(self.pixels)
+        if px.dtype.kind != "u":
+            px = px.astype(np.float64, copy=False)
         if px.ndim != 2 or px.shape[0] < 2 or px.shape[1] < 2:
             raise ValueError("image smaller than 2x2")
         lo, hi = float(px.min()), float(px.max())  # NaN fails both tests
@@ -99,9 +105,12 @@ def _p2_samples(raster: bytes, count: int) -> np.ndarray:
 def load_pgm(path) -> GrayImage:
     """Decode a P2 (ASCII) or P5 (binary) PGM file bit-exactly.
 
-    Sample values are kept on the file's native integer scale, stored as
-    doubles. maxval up to 65535 is supported; P5 samples are two bytes
-    big-endian when maxval > 255, per the Netpbm convention.
+    Sample values are kept on the file's native integer scale, in the
+    smallest unsigned type that holds maxval: uint8 up to 255, otherwise
+    uint16 in native byte order, in a writable array of their own. maxval
+    up to 65535 is supported; P5 samples are two bytes big-endian when
+    maxval > 255, per the Netpbm convention. A sample above maxval is
+    refused.
     """
     data = Path(path).read_bytes()
     matches = (m for m in _HEADER_FIELD.finditer(data) if m[0][:1] != b"#")
@@ -119,27 +128,20 @@ def load_pgm(path) -> GrayImage:
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval {maxval} out of range [1, 65535]")
     count = width * height
+    dtype = np.dtype("u1" if maxval <= 255 else "u2")
     if magic == b"P2":
         # each sample takes a digit and the separator before it
         if len(data) - i < 2 * count:
             raise ValueError("truncated P2 raster")
         samples = _p2_samples(data[i:], count)
+        if samples.max() > maxval:  # checked before the cast can wrap it
+            raise ValueError("sample value exceeds declared maxval")
     else:
         j = i + 1  # exactly one whitespace byte separates header from raster
-        bytes_per = 2 if maxval > 255 else 1
-        if len(data) - j < count * bytes_per:
+        if len(data) - j < count * dtype.itemsize:
             raise ValueError("truncated P5 raster")
-        if bytes_per == 1:
-            samples = np.frombuffer(data, dtype="u1", count=count, offset=j)
-        else:
-            # after an odd-length header the 16-bit view is unaligned and
-            # converts slower: convert 64 KiB slices, each a new aligned
-            # buffer (one slice of a whole large raster costs fresh pages)
-            samples = np.empty(count)
-            for s in range(0, count, 2**15):
-                e = min(s + 2**15, count)
-                samples[s:e] = np.frombuffer(data[j + 2 * s : j + 2 * e], dtype=">u2")
-    img = GrayImage(pixels=samples.reshape(height, width))
+        samples = np.frombuffer(data, dtype.newbyteorder(">"), count, offset=j)
+    img = GrayImage(pixels=samples.astype(dtype).reshape(height, width))
     if img.hi > maxval:
         raise ValueError("sample value exceeds declared maxval")
     return img
@@ -175,16 +177,29 @@ def load_image(path) -> GrayImage:
 
 
 def write_pgm(pixels, path, maxval: int = 255, binary: bool = True) -> None:
-    """Write samples, rounded once, as P5 (binary) or P2 (ASCII) PGM."""
-    arr = np.rint(np.asarray(pixels, dtype=np.float64))
+    """Write samples, rounded once, as P5 (binary) or P2 (ASCII) PGM.
+
+    The samples are rounded, range-checked and cast to 8 or 16 bits one
+    block of rows at a time, into the one array the raster is written
+    from; no rounded or float copy of the whole input is made. Anything
+    that cannot be written is refused before the file is opened.
+    """
+    arr = np.asarray(pixels)
     if arr.ndim != 2:
         raise ValueError("PGM output requires a 2-D array")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval {maxval} out of range [1, 65535]")
-    if not (arr.min() >= 0 and arr.max() <= maxval):  # NaN fails both tests
-        raise ValueError("sample values out of range for maxval")
-    samples = arr.astype(">u2" if maxval > 255 else "u1", order="C")
-    height, width = samples.shape
+    if not arr.size:
+        raise ValueError("PGM output requires at least one sample")
+    height, width = arr.shape
+    samples = np.empty((height, width), ">u2" if maxval > 255 else "u1")
+    step = max(1, _WRITE_BLOCK_CELLS // width)
+    for r in range(0, height, step):
+        block = arr[r : r + step].astype(np.float64)
+        np.rint(block, out=block)
+        if not (block.min() >= 0 and block.max() <= maxval):  # NaN fails both
+            raise ValueError("sample values out of range for maxval")
+        samples[r : r + step] = block
     if binary:
         magic, body = "P5", samples  # written through its buffer, not copied
     else:
@@ -204,10 +219,11 @@ def normalize(img: GrayImage, polarity: Polarity) -> NormalizedImage:
     h, lo, hi = img.pixels, img.lo, img.hi
     if hi == lo:
         raise ValueError("degenerate contrast: image is flat (max == min)")
+    # integer pixels promote to float64 exactly: the same bits as from doubles
     if polarity is Polarity.LIGHT_ON_DARK:
-        g = h - lo
+        g = np.subtract(h, lo, dtype=np.float64)
     elif polarity is Polarity.DARK_ON_LIGHT:
-        g = hi - h
+        g = np.subtract(hi, h, dtype=np.float64)
     else:
         raise ValueError(f"unknown polarity {polarity!r}")
     g /= hi - lo

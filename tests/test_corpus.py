@@ -433,6 +433,20 @@ class TestWarp:
         want = row_by_row_warp(img, warp)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_integer_pixels_warp_as_their_float64_copy(self, tmp_path, maxval):
+        figure = generate_figure([4, 2], 160)
+        path = tmp_path / "figure.pgm"
+        write_pgm(figure.pixels / figure.hi * maxval, path, maxval=maxval)
+        loaded = load_pgm(path)
+        assert loaded.pixels.dtype.kind == "u"
+        warp = wind_warp_coefficients(np.random.default_rng(maxval), 160)
+        warp.q[0] = 2.0  # the top rows' sources lie off the image: fill
+        got = warp_image(loaded, warp).pixels
+        want = warp_image(GrayImage(pixels=loaded.pixels.astype(float)), warp).pixels
+        assert got.dtype == np.float64 and np.all(got[:2] == loaded.lo)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize(
         "shift, outside",
         [(3.0, slice(None, 3)), (-3.0, slice(-3, None)), (250.0, slice(None, 250))],
@@ -967,6 +981,36 @@ def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypat
         shared = heard()
     assert len(forks) == 1 and shared == alone
     assert {filename for _, _, filename, _ in alone} == {__file__}
+
+
+def test_two_processes_print_a_repeated_warning_as_one(
+    six_images, one_cpu, two_processes, monkeypatch, capsys
+):
+    # every fit warns one text, in both shares: Python's default filter
+    # prints it once at the sweep's calling line, in one process and in two
+    fit = matcher_module._fit
+
+    def warning_fit(V, W, d, a, b, basis=None):
+        warnings.warn("every fit warns this", RuntimeWarning, stacklevel=3)
+        return fit(V, W, d, a, b, basis)
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno))
+
+    def stderr():
+        with warnings.catch_warnings():  # a fresh registry for each sweep
+            warnings.simplefilter("default")
+            warnings.showwarning = to_stderr
+            sweep(six_images, [0.1, 0.2, 0.3], 3)
+        return capsys.readouterr().err
+
+    monkeypatch.setattr(matcher_module, "_fit", warning_fit)
+    with one_cpu():
+        alone = stderr()
+    with two_processes() as forks:
+        shared = stderr()
+    assert len(forks) == 1 and shared == alone
+    assert alone.count("every fit warns this") == 1 and __file__ in alone
 
 
 def coinciding_invert(entries, k):

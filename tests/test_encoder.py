@@ -576,7 +576,8 @@ class TestCodeCsv:
         rows=st.lists(
             st.sampled_from(
                 ["1,2", " 3.5 ,\t4", "1_0,2", "1e-3,7", "", "  ", "\t", "1,2,3",
-                 "4", "x,1", "# a, b", "nan,1", "1,inf", "0,5", "5,11"]
+                 "4", "x,1", "# a, b", "nan,1", "1,inf", "0,5", "5,11", "10,5",
+                 "3,10", "-0,1"]
             ),
             max_size=12,
         ),

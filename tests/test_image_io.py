@@ -8,10 +8,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import densitycode.image_io as image_io_module
 from densitycode import (
     GrayImage,
     NormalizedImage,
     Polarity,
+    encode,
+    generate_figure,
+    halton,
     load_image,
     load_pgm,
     make_density_field,
@@ -144,14 +148,132 @@ def test_pgm_rejects_maxval_out_of_range(tmp_path, maxval):
 
 @pytest.mark.parametrize("header", [b"P5\n300 250\n65535\n", b"P5\n300  250\n65535\n"])
 def test_pgm_16bit_raster_after_odd_and_even_headers(tmp_path, header):
-    # 19 and 20 bytes: the raster starts at an odd and at an even offset;
-    # its 75,000 samples span three slices, and bytes past it are ignored
+    # 19 and 20 bytes: the raster starts at an odd and at an even offset,
+    # and bytes past it are ignored
     samples = np.random.default_rng(5).integers(0, 65536, (250, 300))
     path = tmp_path / "offset.pgm"
     path.write_bytes(header + samples.astype(">u2").tobytes() + b"\xff\xff\xff")
     got = load_pgm(path).pixels
-    assert got.dtype == np.float64
+    assert got.dtype == np.uint16
     assert np.array_equal(got, samples)
+
+
+@pytest.mark.parametrize(
+    "magic, maxval, dtype",
+    [
+        (b"P5", 255, np.uint8),
+        (b"P5", 256, np.uint16),
+        (b"P5", 65535, np.uint16),
+        (b"P2", 1, np.uint8),
+        (b"P2", 255, np.uint8),
+        (b"P2", 65535, np.uint16),
+    ],
+)
+def test_pgm_samples_keep_the_file_integer_width(tmp_path, magic, maxval, dtype):
+    samples = np.random.default_rng(maxval).integers(0, maxval + 1, (9, 13))
+    samples[0, :2] = 0, maxval
+    path = tmp_path / "width.pgm"
+    write_pgm(samples, path, maxval=maxval, binary=magic == b"P5")
+    got = load_pgm(path).pixels
+    assert got.dtype == dtype and got.dtype.isnative
+    assert np.array_equal(got, samples)
+    assert got.flags.writeable  # an array of its own, not a view of the file
+    got[0, 0] = 1
+    assert load_pgm(path).pixels[0, 0] == 0
+
+
+@pytest.mark.parametrize(
+    "maxval, sample", [(255, b"300"), (255, b"256"), (1, b"2"), (65535, b"65541")]
+)
+def test_pgm_p2_sample_above_maxval_is_refused_before_it_can_wrap(
+    tmp_path, maxval, sample
+):
+    # 300 would wrap to 44 in 8 bits and 65541 to 5 in 16
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P2\n2 2\n%d\n0 1 1 " % maxval + sample + b"\n")
+    with pytest.raises(ValueError, match="exceeds declared maxval"):
+        load_pgm(path)
+
+
+@pytest.mark.parametrize("polarity", list(Polarity))
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_a_loaded_image_encodes_as_its_float64_copy(tmp_path, polarity, maxval):
+    figure = generate_figure([3, 1], 96)
+    path = tmp_path / "figure.pgm"
+    write_pgm(figure.pixels / figure.hi * maxval, path, maxval=maxval)
+    loaded = load_pgm(path)
+    copy = GrayImage(pixels=loaded.pixels.astype(np.float64))
+    assert loaded.pixels.dtype.kind == "u"
+    assert (loaded.lo, loaded.hi) == (copy.lo, copy.hi)
+    seq = halton(4097)
+    stages = []
+    for img in (loaded, copy):
+        nimg = normalize(img, polarity)
+        field = make_density_field(nimg)
+        code = encode(field, seq)
+        stages.append(
+            (nimg.pixels, nimg.foreground_mass, field.f, field.row_cdf, code.points)
+        )
+    for got, want in zip(*stages):  # bit for bit, signed zeros too
+        bits = [np.asarray(x, dtype=np.float64).view(np.int64) for x in (got, want)]
+        assert np.array_equal(*bits)
+
+
+def pgm_reference(pixels, maxval: int, binary: bool) -> bytes:
+    """The PGM bytes of one pass: round the whole canvas, cast it, write it."""
+    samples = np.rint(np.asarray(pixels, dtype=np.float64))
+    samples = samples.astype(">u2" if maxval > 255 else "u1")
+    height, width = samples.shape
+    if binary:
+        body = samples.tobytes()
+    else:
+        body = "".join(" ".join(map(str, row)) + "\n" for row in samples.tolist())
+        body = body.encode("ascii")
+    magic = "P5" if binary else "P2"
+    return f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii") + body
+
+
+@pytest.mark.parametrize("cells", [7, 40, None])  # None: the module's own
+@pytest.mark.parametrize("maxval", [1, 255, 256, 65535])
+def test_write_pgm_blocks_write_the_one_pass_bytes(
+    tmp_path, monkeypatch, maxval, cells
+):
+    if cells is not None:
+        monkeypatch.setattr(image_io_module, "_WRITE_BLOCK_CELLS", cells)
+    rng = np.random.default_rng([maxval, cells or 0])
+    # halves round to even; the ends round into range from just outside it
+    canvas = rng.integers(0, 2 * maxval + 1, (300, 260)) / 2.0
+    canvas[0, :4] = -0.49, -0.0, maxval + 0.49, maxval
+    integers = rng.integers(0, maxval + 1, (37, 11))
+    inputs = [
+        canvas,
+        canvas.T,
+        canvas[::-3, 1::2],
+        np.asfortranarray(canvas[:70]),
+        canvas[:1, :1],
+        integers,
+        integers.astype(np.uint16),
+        integers.T.astype(np.float32),
+    ]
+    if maxval >= 255:
+        inputs.append(integers.astype(np.uint8))
+    path = tmp_path / "block.pgm"
+    for pixels in inputs:
+        for binary in (True, False):
+            write_pgm(pixels, path, maxval=maxval, binary=binary)
+            assert path.read_bytes() == pgm_reference(pixels, maxval, binary)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.51, 65535.5, np.inf])
+def test_write_pgm_refuses_a_bad_sample_in_its_last_block(tmp_path, bad):
+    canvas = np.random.default_rng(6).uniform(0.0, 65535.0, (600, 256))
+    canvas[-1, -1] = bad  # 256 rows a block: the third block's last sample
+    assert len(range(0, 600, image_io_module._WRITE_BLOCK_CELLS // 256)) > 2
+    path = tmp_path / "late.pgm"
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="out of range"):
+        warnings.simplefilter("error")
+        write_pgm(canvas, path, maxval=65535)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -168,6 +290,8 @@ def test_pgm_16bit_raster_after_odd_and_even_headers(tmp_path, header):
             for bad in (np.nan, np.inf, -np.inf, 1e300)
             for maxval in (255, 65535)
         ),
+        (np.zeros((0, 4)), 255, "^PGM output requires at least one sample$"),
+        (np.zeros((4, 0)), 255, "^PGM output requires at least one sample$"),
     ],
 )
 def test_write_pgm_refuses_what_it_cannot_write(tmp_path, pixels, maxval, message):
