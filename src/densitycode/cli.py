@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -487,76 +486,55 @@ def _walk_in_two(lengths: int) -> bool:
 
 @contextmanager
 def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
-    """Yield the walked lengths this process fits into ``found``.
+    """Yield the shares of walked lengths this process fits into ``found``.
 
-    In one process that is every length. In two, ``lengths`` splits into
-    two contiguous shares of about equal ``cost``. The parent walks the
-    first. A child made by os.fork walks the second, sends back its part of
-    ``found``, any exception and the warnings it recorded, and ends in
-    os._exit. The parent then fills ``found``, re-issues each warning with
-    its category, text, file and line, against the registry of the frame it
-    names (as warnings.warn would: a text the parent has shown at that line
-    is not shown again), and re-raises the child's exception.
-    The parent always reaps the child, and kills it first if its own share
-    raises. A child killed by a signal is a MemoryError (SIGKILL, the kernel's
-    out-of-memory killer) or a RuntimeError.
+    In one process that is one share, every length. In two, ``lengths``
+    splits into two contiguous shares of about equal ``cost``. A child made
+    by os.fork walks the second with every warning an error, sends its part
+    of ``found`` only if it finished cleanly, and ends in os._exit. The
+    parent walks the first and then reads the child's part; if the child
+    raised, warned or died, the part is short and the parent walks the
+    second share itself. Rows, warnings and errors are thus those of one
+    process. The parent always reaps the child, and kills it first if its
+    own walk raises.
     """
     if not _walk_in_two(len(lengths)):
-        yield lengths
+        yield [lengths]
         return
-    import pickle  # a second process's report alone needs these
-    import signal
+    import signal  # a second process alone needs it
 
     total = np.cumsum(cost)
     split = int(np.abs(2 * total[:-1] - total[-1]).argmin()) + 1
-    theirs = slice(lengths[split][1], len(found))  # the child's items
+    theirs = found[lengths[split][1] :]  # the child's items
     read, write = os.pipe()
     with open(read, "rb") as pipe, open(write, "wb") as out:
         pid = os.fork()
         if pid == 0:  # the child
-            status = 1
             try:
-                with warnings.catch_warnings(record=True) as caught:
-                    try:
-                        yield lengths[split:]
-                        error = None
-                    except BaseException as exc:  # sent to the parent
-                        error = exc
-                heard = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-                out.write(pickle.dumps((found[theirs], error, heard)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    yield [lengths[split:]]
+                out.write(theirs.tobytes())
                 out.flush()
-                status = 0
             finally:
-                os._exit(status)
+                os._exit(0)
         out.close()  # the child holds the write end: its exit ends the read
-        try:
+
+        def walked():
             yield lengths[:split]
             sent = pipe.read()
+            if len(sent) == theirs.nbytes:
+                theirs[:] = np.frombuffer(sent)
+            else:  # the child raised, warned or died: walk its share here
+                yield lengths[split:]
+
+        try:
+            yield walked()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == -signal.SIGKILL:
-        raise MemoryError("the sweep's second process was killed, likely out of memory")
-    if code < 0:
-        name = signal.Signals(-code).name
-        raise RuntimeError(f"the sweep's second process was killed by {name}")
-    if code:
-        raise RuntimeError(f"the sweep's second process exited with status {code}")
-    found[theirs], error, heard = pickle.loads(sent)  # bytes its own child wrote
-    for message, category, filename, lineno in heard:
-        # a fit's warning names the sweep's caller, a frame still on the stack
-        frame, named = sys._getframe(), (filename, lineno)
-        while frame and (frame.f_code.co_filename, frame.f_lineno) != named:
-            frame = frame.f_back
-        names = frame.f_globals if frame else {}
-        registry = names.setdefault("__warningregistry__", {})
-        warnings.warn_explicit(
-            message, category, filename, lineno, names.get("__name__"), registry
-        )
-    if error is not None:
-        raise error
+            os.waitpid(pid, 0)
 
 
 def sweep(entries, alphas, degree: int, points: int | None = None) -> list[SweepRow]:
@@ -594,7 +572,9 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     this process the shorter ones, shares of about equal estimated cost.
     Each process keeps its own live bases, up to n q max(L) doubles each,
     and the child shares this process's other memory until either writes
-    it. The rows are the same bit for bit.
+    it. The child only hands back finished work: if it raises, warns or
+    dies, this process walks its share after its own, so the rows, warnings
+    and errors are those of one process.
     """
     # the solver and the sequence load here: gen-corpus needs neither
     from .matcher import _fit, _mapped_basis
@@ -665,27 +645,28 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     if degree:  # each image's live basis, the last length it serves
         runs = [_box_runs(row[:, :m]) for row, m in zip(full, top.tolist())]
         live, live_end = np.empty((n, q, longest)), [0] * n
-    with _shares(lengths, cost, found) as share:
-        for m, start, stop, step in share:
-            # keys run source by source; every source is also a target, and
-            # they are the images of length m and up: rows first.. of full
-            source, target = pairs[key_pair[start:stop]].T
-            first = source[0]
-            W = full[first:, :, :m]
-            for i0 in range(0, stop - start, step):
-                a, b = source[i0 : i0 + step], target[i0 : i0 + step]
-                s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
-                basis = None
-                if degree:
-                    for r in range(s0, s1):
-                        if live_end[r] < m:  # the prefix box grew: map its next run
-                            end = live_end[r] = runs[r][np.searchsorted(runs[r], m)]
-                            live[r, :, :end] = _mapped_basis(
-                                full[r, None, :, :end], degree
-                            )
-                    basis = live[s0:s1, :, :m]
-                fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
-                found[start + i0 : start + i0 + len(a)] = fit.delta
+    with _shares(lengths, cost, found) as shares:
+        for share in shares:
+            for m, start, stop, step in share:
+                # keys run source by source; every source is also a target, and
+                # they are the images of length m and up: rows first.. of full
+                source, target = pairs[key_pair[start:stop]].T
+                first = source[0]
+                W = full[first:, :, :m]
+                for i0 in range(0, stop - start, step):
+                    a, b = source[i0 : i0 + step], target[i0 : i0 + step]
+                    s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
+                    basis = None
+                    if degree:
+                        for r in range(s0, s1):
+                            if live_end[r] < m:  # the prefix box grew: map its next run
+                                end = live_end[r] = runs[r][np.searchsorted(runs[r], m)]
+                                live[r, :, :end] = _mapped_basis(
+                                    full[r, None, :, :end], degree
+                                )
+                        basis = live[s0:s1, :, :m]
+                    fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
+                    found[start + i0 : start + i0 + len(a)] = fit.delta
     deltas = found[cell_key].reshape(plan.shape)
     bands = (deltas[:, related], deltas[:, ~related])
     ok_rows = zip(*[f(d, axis=1).tolist() for d in bands for f in (np.min, np.max)])

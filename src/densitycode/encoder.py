@@ -11,6 +11,7 @@ is what makes two codes comparable point for point.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -339,23 +340,31 @@ def parse_text(parse, text: str, label: str):
         raise ValueError(f"{label}{shown!r} is not {kind}") from None
 
 
+def _read_text(path, newline=None) -> str:
+    """The text of a UTF-8 file; a ValueError names a file that is not."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_table(path, columns: dict) -> list[dict]:
     """Rows of a CSV file with a header row, each as ``{column: parse(text)}``
     for every ``column: parse`` of ``columns``; a bad value names its line."""
     import csv  # loads here: encode and compare read no table
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
-        rows, items = [], columns.items()
-        for row in reader:
-            line = reader.line_num
-            if any(row[c] is None for c in columns):  # DictReader's fill value
-                raise ValueError(f"{path}: line {line}: fewer fields than the header")
-            where = f"{path}: line {line}: column "
-            rows.append({c: parse_text(p, row[c], f"{where}{c!r}: ") for c, p in items})
+    reader = csv.DictReader(io.StringIO(_read_text(path, ""), newline=""))
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+    rows, items = [], columns.items()
+    for row in reader:
+        line = reader.line_num
+        if any(row[c] is None for c in columns):  # DictReader's fill value
+            raise ValueError(f"{path}: line {line}: fewer fields than the header")
+        where = f"{path}: line {line}: column "
+        rows.append({c: parse_text(p, row[c], f"{where}{c!r}: ") for c, p in items})
     return rows
 
 
@@ -371,7 +380,7 @@ def read_code_csv(path) -> DensityCode:
     that is not two finite numbers, or a point outside the image
     (0, Sx) x (0, Sy) the header gives, is rejected with its line number.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].lstrip().startswith("#"):
         raise ValueError(f"{path}: missing code-file header")

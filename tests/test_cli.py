@@ -870,6 +870,23 @@ def test_compare_names_the_code_file_whose_header_is_bad(
     assert capsys.readouterr().err == f"error: {nohdr}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep", "bench"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    bad = tmp_path / ("manifest.csv" if command == "sweep" else "bad.csv")
+    bad.write_bytes(b"\xff\xfe#, not text\n")
+    good = str(write_code(tmp_path / "good.csv"))
+    argv = {
+        "compare": ["compare", str(bad), good, "--degree", "0"],
+        "sweep": ["sweep", "--corpus", str(tmp_path), "--out", str(tmp_path / "s.csv")],
+        "bench": ["bench", "fit", "--in", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
 def test_compare_rejects_point_outside_image(tmp_path, capsys):
     good = write_code(tmp_path / "good.csv")
     bad = write_code(tmp_path / "bad.csv", points=("1,1", "2,5", "6,8", "4,7"))
@@ -984,6 +1001,25 @@ def test_the_process_prints_a_numerics_warning_as_one_line(tmp_path):
         assert main(args) == 0
     assert record[0].filename == densitycode.cli.__file__
     assert warnings.formatwarning is formatwarning
+
+
+def test_a_numerics_warning_raised_as_an_error_ends_as_an_error(tmp_path):
+    # under -W error::RuntimeWarning the near-collinear source's fit warns
+    # by raising: the process prints it as one error line, not a traceback
+    rng = np.random.default_rng(21)
+    t = rng.uniform(0.0, 100.0, size=80)
+    V = np.column_stack((t, t + 1e-7 * rng.normal(size=80)))
+    W = np.column_stack((t, t**2 / 100.0)) + rng.normal(0.0, 0.5, size=(80, 2))
+    codes = []  # moved into a 128 x 128 image; the fit maps each source anyway
+    for name, points in (("v", V + 10.0), ("w", W + 10.0)):
+        rows = [f"{x!r},{y!r}" for x, y in points.tolist()]
+        path = write_code(tmp_path / f"{name}.csv", points=rows, sx=128, sy=128)
+        codes.append(str(path))
+    args = ["-W", "error::RuntimeWarning", "-m", "densitycode.cli", "compare", *codes]
+    proc = run_python(tmp_path, *args, "--degree", "1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: degree-1 fit went to the SVD for 1 of 1")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 # tokens a mutated header or row may take: empty, signed, non-finite, past

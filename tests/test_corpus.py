@@ -935,8 +935,8 @@ def test_sweep_takes_the_svd_fallback_item_by_item(one_cpu, two_processes):
     with pytest.warns(RuntimeWarning, match="went to the SVD"):
         assert rows == delta_median_rows(entries, alphas, 0.3, 3)
     texts = [str(warning.message) for warning in record]
-    # unpatched, each warning names the sweep's caller, also from a second
-    # process, and the two processes warn as one did
+    # unpatched, each warning names the sweep's caller, and two processes
+    # warn as one did
     with two_processes() as forks:
         with pytest.warns(RuntimeWarning, match="went to the SVD") as record:
             assert sweep(entries, alphas, 3) == rows
@@ -960,8 +960,8 @@ def test_two_processes_give_the_one_process_rows(
 
 
 def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypatch):
-    # every fit warns, naming its length: the child's warnings come back
-    # after the parent's with their text, category, file and line
+    # every fit warns, naming its length: the child's first warning hands
+    # its share back, and the parent's walk of it warns after its own
     fit = matcher_module._fit
 
     def warning_fit(V, W, d, a, b, basis=None):
@@ -1064,9 +1064,8 @@ def test_an_error_in_either_process_reaches_the_caller(
         sweep(six_images, alphas, 1)
     with two_processes() as forks, pytest.raises(ValueError, match=message) as shared:
         sweep(six_images, alphas, 1)
-    assert len(forks) == 1 and last_frame(alone) == "_fit"
-    # the parent re-raises the child's error from its report
-    assert last_frame(shared) == {"parent": "_fit", "child": "_shares"}[share]
+    # a child that fails hands its share back: the parent's own walk raises
+    assert len(forks) == 1 and last_frame(alone) == last_frame(shared) == "_fit"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1091,26 +1090,64 @@ def test_an_interrupted_parent_kills_and_reaps_the_child(
 
 
 @pytest.mark.parametrize(
-    "signum, error, message",
-    [
-        (signal.SIGKILL, MemoryError, "was killed, likely out of memory"),
-        (signal.SIGTERM, RuntimeError, "was killed by SIGTERM"),
-    ],
+    "signum", [signal.SIGKILL, signal.SIGTERM], ids=lambda signum: signum.name
 )
-def test_a_killed_child_is_an_error(
-    six_images, two_processes, monkeypatch, signum, error, message
+def test_a_killed_child_hands_its_share_back(
+    six_images, one_cpu, two_processes, monkeypatch, signum
 ):
-    longest = walked_lengths(six_images, [0.1, 0.2, 0.3])[-1]
-    fit = matcher_module._fit
+    # the child dies at the longest length, which it alone walks; the
+    # parent then walks the child's share, and its rows are one process's
+    alphas = [0.1, 0.2, 0.3]
+    longest = walked_lengths(six_images, alphas)[-1]
+    fit, parent, walked = matcher_module._fit, os.getpid(), []
 
     def dying_fit(V, W, d, a, b, basis=None):
-        if V.shape[2] == longest:  # walked by the child alone
+        walked.append(V.shape[2])
+        if V.shape[2] == longest and os.getpid() != parent:
             os.kill(os.getpid(), signum)
         return fit(V, W, d, a, b, basis)
 
+    with one_cpu():
+        alone = sweep(six_images, alphas, 3)
     monkeypatch.setattr(matcher_module, "_fit", dying_fit)
-    with two_processes(), pytest.raises(error, match=f"second process {message}$"):
-        sweep(six_images, [0.1, 0.2, 0.3], 3)
+    with two_processes() as forks:
+        assert sweep(six_images, alphas, 3) == alone
+    assert len(forks) == 1 and longest in walked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_warning_in_the_child_share_comes_from_the_parent(
+    six_images, one_cpu, two_processes, monkeypatch
+):
+    # only the longest length warns, and only the child's share holds it:
+    # the child's warning hands the share back, and the parent's own walk
+    # of it warns as one process did
+    alphas = [0.1, 0.2, 0.3]
+    longest = walked_lengths(six_images, alphas)[-1]
+    fit, walked = matcher_module._fit, []
+
+    def warning_fit(V, W, d, a, b, basis=None):
+        walked.append(V.shape[2])
+        if V.shape[2] == longest:
+            warnings.warn(f"fit at length {longest}", UserWarning, stacklevel=3)
+        return fit(V, W, d, a, b, basis)
+
+    def heard():
+        walked.clear()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            rows = sweep(six_images, alphas, 3)
+        heard = [(str(w.message), w.category, w.filename, w.lineno) for w in record]
+        return rows, heard
+
+    monkeypatch.setattr(matcher_module, "_fit", warning_fit)
+    with one_cpu():
+        alone = heard()
+    with two_processes() as forks:
+        shared = heard()
+    assert len(forks) == 1 and longest in walked and shared == alone
+    assert alone[1] and {filename for _, _, filename, _ in alone[1]} == {__file__}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

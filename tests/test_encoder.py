@@ -159,6 +159,49 @@ class TestInvertPoint:
                 invert(field, np.array([u]))
 
 
+def exact_invert(field, u):
+    """Reference: invert's steps on the stored ``field.f`` in exact arithmetic.
+
+    The row CDF, iy and wy, the row blended from the padded rows iy - 1 and
+    iy (the zero row above the first), and its bracket, all as Fractions of
+    the stored doubles and of u; each coordinate is rounded once at the end.
+    """
+    sy, sx = field.f.shape
+    cum = [[Fraction(0)] * (sx + 1)]  # padded row r holds pixel row r - 1
+    for row in field.f.tolist():
+        cum.append([Fraction(0)])
+        for value in row:
+            cum[-1].append(cum[-1][-1] + Fraction(value))
+    total = sum(row[-1] for row in cum)
+    row_cdf = [Fraction(0)]
+    for row in cum[1:]:
+        row_cdf.append(row_cdf[-1] + row[-1] / total)
+    out = []
+    for ux, uy in u.tolist():
+        ux, uy = Fraction(ux), Fraction(uy)
+        iy = bisect.bisect_right(row_cdf, uy, 1, sy) - 1
+        wy = (uy - row_cdf[iy]) / (row_cdf[iy + 1] - row_cdf[iy])
+        above, below = cum[iy], cum[iy + 1]
+        blended = [a + wy * (b - a) for a, b in zip(above, below)]
+        target = ux * blended[sx]
+        lo = bisect.bisect_right(blended, target, 0, sx) - 1
+        x = lo + (target - blended[lo]) / (blended[lo + 1] - blended[lo])
+        out.append((float(x), float(iy + wy)))
+    return np.array(out)
+
+
+def test_invert_equals_exact_arithmetic_on_random_fields():
+    # 40 fields from 2 x 2 to 24 x 24, a quarter of them half background
+    # (zero pixels, lifted by lambda): every coordinate within 1e-10 px
+    rng = np.random.default_rng(2026)
+    u = halton(257).points
+    for k in range(40):
+        shape = tuple(rng.integers(2, 25, 2).tolist())
+        field = random_field(shape, k, dark=0.5 if k % 4 == 0 else 0.0)
+        got, want = invert(field, u), exact_invert(field, u)
+        assert np.max(np.abs(got - want)) <= 1e-10, (shape, k)
+
+
 class TestEncode:
     def test_uniform_image_scales_sequence(self):
         field = uniform_field(16, 16)
