@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import warnings
 from contextlib import contextmanager
@@ -490,13 +491,13 @@ def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
 
     In one process that is one share, every length. In two, ``lengths``
     splits into two contiguous shares of about equal ``cost``. A child made
-    by os.fork walks the second with every warning an error, sends its part
-    of ``found`` only if it finished cleanly, and ends in os._exit. The
-    parent walks the first and then reads the child's part; if the child
-    raised, warned or died, the part is short and the parent walks the
-    second share itself. Rows, warnings and errors are thus those of one
-    process. The parent always reaps the child, and kills it first if its
-    own walk raises.
+    by os.fork walks the second with every warning an error, writes its
+    deltas straight into ``found`` (shared memory holding NaN) and ends in
+    os._exit. The parent walks the first, waits for the child to exit, and
+    walks those of the child's lengths that still hold a NaN: the lengths
+    from the one where the child raised, warned or died. Rows, warnings and
+    errors are thus those of one process. The parent always reaps the
+    child, and kills it first if its own walk raises.
     """
     if not _walk_in_two(len(lengths)):
         yield [lengths]
@@ -505,36 +506,29 @@ def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
 
     total = np.cumsum(cost)
     split = int(np.abs(2 * total[:-1] - total[-1]).argmin()) + 1
-    theirs = found[lengths[split][1] :]  # the child's items
-    read, write = os.pipe()
-    with open(read, "rb") as pipe, open(write, "wb") as out:
-        pid = os.fork()
-        if pid == 0:  # the child
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    yield [lengths[split:]]
-                out.write(theirs.tobytes())
-                out.flush()
-            finally:
-                os._exit(0)
-        out.close()  # the child holds the write end: its exit ends the read
-
-        def walked():
-            yield lengths[:split]
-            sent = pipe.read()
-            if len(sent) == theirs.nbytes:
-                theirs[:] = np.frombuffer(sent)
-            else:  # the child raised, warned or died: walk its share here
-                yield lengths[split:]
-
+    pid = os.fork()
+    if pid == 0:  # the child
         try:
-            yield walked()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                yield [lengths[split:]]
         finally:
-            os.waitpid(pid, 0)
+            os._exit(0)
+
+    def walked():
+        yield lengths[:split]
+        # exited but not reaped: the pid stays the child's until waitpid
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        # what the child left: the lengths from the one it stopped at
+        yield [t for t in lengths[split:] if np.isnan(found[t[1] : t[2]]).any()]
+
+    try:
+        yield walked()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
 
 
 def sweep(entries, alphas, degree: int, points: int | None = None) -> list[SweepRow]:
@@ -572,9 +566,9 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     this process the shorter ones, shares of about equal estimated cost.
     Each process keeps its own live bases, up to n q max(L) doubles each,
     and the child shares this process's other memory until either writes
-    it. The child only hands back finished work: if it raises, warns or
-    dies, this process walks its share after its own, so the rows, warnings
-    and errors are those of one process.
+    it, but for the deltas, which both write in one shared array. If the
+    child raises, warns or dies, this process walks the lengths it left
+    after its own, so the rows, warnings and errors are those of one process.
     """
     # the solver and the sequence load here: gen-corpus needs neither
     from .matcher import _fit, _mapped_basis
@@ -641,7 +635,9 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     per_fit = np.maximum(1, max(n * q * longest // 2, FIT_CELLS_FLOOR) // (q * walked))
     cost = -(-items // per_fit) * _CALL_CELLS[degree > 0] + items * q * walked
     lengths = list(zip(*[x.tolist() for x in (walked, bounds, bounds[1:], per_fit)]))
-    found = np.empty(len(keys))
+    # shared with a forked child; NaN marks a delta not found (_fit gives none)
+    found = np.frombuffer(mmap.mmap(-1, 8 * len(keys)))
+    found[:] = np.nan
     if degree:  # each image's live basis, the last length it serves
         runs = [_box_runs(row[:, :m]) for row, m in zip(full, top.tolist())]
         live, live_end = np.empty((n, q, longest)), [0] * n

@@ -960,8 +960,8 @@ def test_two_processes_give_the_one_process_rows(
 
 
 def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypatch):
-    # every fit warns, naming its length: the child's first warning hands
-    # its share back, and the parent's walk of it warns after its own
+    # every fit warns, naming its length: the child stops at its first fit,
+    # and the parent's walk of the child's share warns after its own
     fit = matcher_module._fit
 
     def warning_fit(V, W, d, a, b, basis=None):
@@ -1044,6 +1044,18 @@ def walked_lengths(entries, alphas):
     return sorted({min(cut[i], cut[j]) for i, j in pairs for cut in lengths})
 
 
+def only_the_last_of_theirs(walked, lengths):
+    """Whether the parent's ``walked`` lengths are its share and the last.
+
+    The parent's share is a prefix of the ascending ``lengths`` and the
+    child's the rest, so this holds when the parent fitted a prefix and the
+    longest length, and skipped at least one length between them.
+    """
+    mine = sorted(set(walked))
+    prefix = mine[:-1] == lengths[: len(mine) - 1]
+    return prefix and mine[-1] == lengths[-1] and len(mine) < len(lengths)
+
+
 def last_frame(info):
     """The function a caught exception was raised in."""
     return traceback.extract_tb(info.tb)[-1].name
@@ -1064,7 +1076,8 @@ def test_an_error_in_either_process_reaches_the_caller(
         sweep(six_images, alphas, 1)
     with two_processes() as forks, pytest.raises(ValueError, match=message) as shared:
         sweep(six_images, alphas, 1)
-    # a child that fails hands its share back: the parent's own walk raises
+    # a child that fails leaves its lengths from there to the parent, whose
+    # own walk raises
     assert len(forks) == 1 and last_frame(alone) == last_frame(shared) == "_fit"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1096,14 +1109,16 @@ def test_a_killed_child_hands_its_share_back(
     six_images, one_cpu, two_processes, monkeypatch, signum
 ):
     # the child dies at the longest length, which it alone walks; the
-    # parent then walks the child's share, and its rows are one process's
+    # parent then walks that length alone of the child's share, and its rows
+    # are one process's
     alphas = [0.1, 0.2, 0.3]
-    longest = walked_lengths(six_images, alphas)[-1]
+    lengths = walked_lengths(six_images, alphas)
     fit, parent, walked = matcher_module._fit, os.getpid(), []
 
     def dying_fit(V, W, d, a, b, basis=None):
-        walked.append(V.shape[2])
-        if V.shape[2] == longest and os.getpid() != parent:
+        if os.getpid() == parent:
+            walked.append(V.shape[2])
+        elif V.shape[2] == lengths[-1]:
             os.kill(os.getpid(), signum)
         return fit(V, W, d, a, b, basis)
 
@@ -1112,7 +1127,7 @@ def test_a_killed_child_hands_its_share_back(
     monkeypatch.setattr(matcher_module, "_fit", dying_fit)
     with two_processes() as forks:
         assert sweep(six_images, alphas, 3) == alone
-    assert len(forks) == 1 and longest in walked
+    assert len(forks) == 1 and only_the_last_of_theirs(walked, lengths)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1121,14 +1136,16 @@ def test_a_warning_in_the_child_share_comes_from_the_parent(
     six_images, one_cpu, two_processes, monkeypatch
 ):
     # only the longest length warns, and only the child's share holds it:
-    # the child's warning hands the share back, and the parent's own walk
-    # of it warns as one process did
+    # the child stops there, and the parent's walk of that length alone of
+    # the child's share warns as one process did
     alphas = [0.1, 0.2, 0.3]
-    longest = walked_lengths(six_images, alphas)[-1]
-    fit, walked = matcher_module._fit, []
+    lengths = walked_lengths(six_images, alphas)
+    longest = lengths[-1]
+    fit, parent, walked = matcher_module._fit, os.getpid(), []
 
     def warning_fit(V, W, d, a, b, basis=None):
-        walked.append(V.shape[2])
+        if os.getpid() == parent:
+            walked.append(V.shape[2])
         if V.shape[2] == longest:
             warnings.warn(f"fit at length {longest}", UserWarning, stacklevel=3)
         return fit(V, W, d, a, b, basis)
@@ -1146,8 +1163,44 @@ def test_a_warning_in_the_child_share_comes_from_the_parent(
         alone = heard()
     with two_processes() as forks:
         shared = heard()
-    assert len(forks) == 1 and longest in walked and shared == alone
+    assert len(forks) == 1 and shared == alone
+    assert only_the_last_of_theirs(walked, lengths)
     assert alone[1] and {filename for _, _, filename, _ in alone[1]} == {__file__}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_in_what_the_child_left_reaps_it_once(
+    six_images, two_processes, monkeypatch
+):
+    # the child warns at the longest length, past its first, and exits; the
+    # parent's walk of that length is interrupted. Killing the exited child
+    # must raise nothing, so the interrupt reaches the caller, and the
+    # child is reaped once
+    alphas = [0.1, 0.2, 0.3]
+    lengths = walked_lengths(six_images, alphas)
+    fit, kill, parent = matcher_module._fit, os.kill, os.getpid()
+    walked, kills = [], []
+
+    def failing_fit(V, W, d, a, b, basis=None):
+        if os.getpid() == parent:
+            walked.append(V.shape[2])
+        if V.shape[2] == lengths[-1]:
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            warnings.warn("the child stops here", UserWarning)
+        return fit(V, W, d, a, b, basis)
+
+    def recorded_kill(pid, signum):
+        kills.append(pid)
+        kill(pid, signum)
+
+    monkeypatch.setattr(matcher_module, "_fit", failing_fit)
+    monkeypatch.setattr(os, "kill", recorded_kill)
+    with two_processes() as forks, pytest.raises(KeyboardInterrupt):
+        sweep(six_images, alphas, 3)
+    assert len(forks) == 1 and kills == forks
+    assert only_the_last_of_theirs(walked, lengths)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
