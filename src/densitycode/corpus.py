@@ -16,7 +16,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, takewhile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,10 +46,6 @@ _BLOCK_CELLS = 2**14
 MAX_FIGURE_SIZE = 4096
 # rows, then columns, that one matmul of the figure blur writes
 _BLUR_BLOCK = 64
-# a solver call's fixed cost in basis cells of its arithmetic, at degree 0
-# and from degree 1 on (about 50 us against 20 ns a cell, 250 us against 4
-# ns, at 128^2 and 512^2): it weighs the walk's two shares
-_CALL_CELLS = (2**11, 2**16)
 
 
 def _check_size(size: int) -> None:
@@ -456,15 +452,16 @@ class SweepRow(NamedTuple):
 
 
 def _box_runs(code: np.ndarray) -> np.ndarray:
-    """Ascending ends of the runs of prefix lengths that share one bounding box.
+    """0, then the ascending ends of the runs of prefix lengths with one box.
 
     ``code`` is coordinate-major (2, L). Prefix length t ends a run when
     point t lies outside the box of the first t points; L ends the last.
+    The run that ends at bounds[k] holds the lengths over bounds[k - 1].
     """
     lo = np.minimum.accumulate(code, axis=1)
     hi = np.maximum.accumulate(code, axis=1)
     grows = ((lo[:, 1:] < lo[:, :-1]) | (hi[:, 1:] > hi[:, :-1])).any(axis=0)
-    return np.append(np.flatnonzero(grows) + 1, code.shape[1])
+    return np.flatnonzero(np.r_[True, grows, True])
 
 
 def _walk_in_two(lengths: int) -> bool:
@@ -486,44 +483,39 @@ def _walk_in_two(lengths: int) -> bool:
 
 
 @contextmanager
-def _shares(lengths: list, cost: np.ndarray, found: np.ndarray):
-    """Yield the shares of walked lengths this process fits into ``found``.
+def _shares(lengths: list, found: np.ndarray):
+    """Yield the lengths this process fits into ``found``, in walking order.
 
-    In one process that is one share, every length. In two, ``lengths``
-    splits into two contiguous shares of about equal ``cost``. A child made
-    by os.fork walks the second with every warning an error, writes its
-    deltas straight into ``found`` (shared memory holding NaN) and ends in
-    os._exit. The parent walks the first, waits for the child to exit, and
-    walks those of the child's lengths that still hold a NaN: the lengths
-    from the one where the child raised, warned or died. Rows, warnings and
-    errors are thus those of one process. The parent always reaps the
-    child, and kills it first if its own walk raises.
+    Each is (m, start, stop, step); length m's deltas fill found[start:stop]
+    in order. In one process the walk is every length, ascending. In two, a
+    child made by os.fork walks them descending with every warning an
+    error, writes its deltas straight into ``found`` (shared memory holding
+    NaN) and ends in os._exit, while this process walks them ascending.
+    Each walk stops at the first length whose last delta the other has
+    written: the child finishes lengths one after another from the longest,
+    so this walk covers every length the child left, from the one where it
+    raised, warned or died. Rows, warnings and errors are thus those of one
+    process. This process always reaps the child, and kills it first if its
+    own walk raises.
     """
     if not _walk_in_two(len(lengths)):
-        yield [lengths]
+        yield lengths
         return
     import signal  # a second process alone needs it
 
-    total = np.cumsum(cost)
-    split = int(np.abs(2 * total[:-1] - total[-1]).argmin()) + 1
+    def unmet(walk):  # found[stop - 1], written last, is a NaN until written
+        return takewhile(lambda length: math.isnan(found[length[2] - 1]), walk)
+
     pid = os.fork()
     if pid == 0:  # the child
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                yield [lengths[split:]]
+                yield unmet(reversed(lengths))
         finally:
             os._exit(0)
-
-    def walked():
-        yield lengths[:split]
-        # exited but not reaped: the pid stays the child's until waitpid
-        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        # what the child left: the lengths from the one it stopped at
-        yield [t for t in lengths[split:] if np.isnan(found[t[1] : t[2]]).any()]
-
     try:
-        yield walked()
+        yield unmet(lengths)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
@@ -562,13 +554,14 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
 
     On Linux, with at least 2 usable CPUs and 2 walked lengths, in a
     process of one OS thread (one BLAS thread: a BLAS pool is a thread), the
-    walk runs in two processes. A forked child walks the longer lengths and
-    this process the shorter ones, shares of about equal estimated cost.
-    Each process keeps its own live bases, up to n q max(L) doubles each,
-    and the child shares this process's other memory until either writes
-    it, but for the deltas, which both write in one shared array. If the
-    child raises, warns or dies, this process walks the lengths it left
-    after its own, so the rows, warnings and errors are those of one process.
+    walk runs in two processes. A forked child walks down from the longest
+    length and this process up from the shortest, until each reaches a
+    length the other has finished. Each process keeps its own live bases,
+    up to n q max(L) doubles each, and the child shares this process's
+    other memory until either writes it, but for the deltas, which both
+    write in one shared array. If the child raises, warns or dies, this
+    process walks on through the lengths it left, so the rows, warnings and
+    errors are those of one process.
     """
     # the solver and the sequence load here: gen-corpus needs neither
     from .matcher import _fit, _mapped_basis
@@ -629,40 +622,39 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     key_m, key_pair = np.divmod(keys, len(pairs))
     walked, starts = np.unique(key_m, return_index=True)
     bounds = np.append(starts, len(keys))
-    items = np.diff(bounds)
     # a fit gathers each item's q x m basis: at most half the cells of the
     # live bases, or FIT_CELLS_FLOOR where that is more
     per_fit = np.maximum(1, max(n * q * longest // 2, FIT_CELLS_FLOOR) // (q * walked))
-    cost = -(-items // per_fit) * _CALL_CELLS[degree > 0] + items * q * walked
     lengths = list(zip(*[x.tolist() for x in (walked, bounds, bounds[1:], per_fit)]))
     # shared with a forked child; NaN marks a delta not found (_fit gives none)
     found = np.frombuffer(mmap.mmap(-1, 8 * len(keys)))
     found[:] = np.nan
-    if degree:  # each image's live basis, the last length it serves
+    if degree:  # each image's live basis, for the lengths over lo up to end
         runs = [_box_runs(row[:, :m]) for row, m in zip(full, top.tolist())]
-        live, live_end = np.empty((n, q, longest)), [0] * n
-    with _shares(lengths, cost, found) as shares:
-        for share in shares:
-            for m, start, stop, step in share:
-                # keys run source by source; every source is also a target, and
-                # they are the images of length m and up: rows first.. of full
-                source, target = pairs[key_pair[start:stop]].T
-                first = source[0]
-                W = full[first:, :, :m]
-                for i0 in range(0, stop - start, step):
-                    a, b = source[i0 : i0 + step], target[i0 : i0 + step]
-                    s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
-                    basis = None
-                    if degree:
-                        for r in range(s0, s1):
-                            if live_end[r] < m:  # the prefix box grew: map its next run
-                                end = live_end[r] = runs[r][np.searchsorted(runs[r], m)]
-                                live[r, :, :end] = _mapped_basis(
-                                    full[r, None, :, :end], degree
-                                )
-                        basis = live[s0:s1, :, :m]
-                    fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
-                    found[start + i0 : start + i0 + len(a)] = fit.delta
+        live, live_lo, live_end = np.empty((n, q, longest)), [0] * n, [0] * n
+    with _shares(lengths, found) as walk:
+        for m, start, stop, step in walk:
+            # keys run source by source; every source is also a target, and
+            # they are the images of length m and up: rows first.. of full
+            source, target = pairs[key_pair[start:stop]].T
+            first = source[0]
+            W = full[first:, :, :m]
+            for i0 in range(0, stop - start, step):
+                a, b = source[i0 : i0 + step], target[i0 : i0 + step]
+                s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
+                basis = None
+                if degree:
+                    for r in range(s0, s1):
+                        if not live_lo[r] < m <= live_end[r]:  # map the run of m
+                            k = np.searchsorted(runs[r], m)
+                            end = live_end[r] = runs[r][k]
+                            live_lo[r] = runs[r][k - 1]
+                            live[r, :, :end] = _mapped_basis(
+                                full[r, None, :, :end], degree
+                            )
+                    basis = live[s0:s1, :, :m]
+                fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
+                found[start + i0 : start + i0 + len(a)] = fit.delta
     deltas = found[cell_key].reshape(plan.shape)
     bands = (deltas[:, related], deltas[:, ~related])
     ok_rows = zip(*[f(d, axis=1).tolist() for d in bands for f in (np.min, np.max)])

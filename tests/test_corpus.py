@@ -753,11 +753,20 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, one_cp
     assert len(set(walked)) == len({m for *_, m in want})
 
 
-def test_sweep_builds_one_basis_per_image_and_length(six_images, one_cpu):
-    # one basis per (image, prefix bounding box) over the whole sweep: a
-    # box serves every length up to the point that widens it
-    entries = six_images
-    alphas = [0.1, 0.2, 0.3]
+def prefix_boxes(entries, alphas):
+    """The (image, bounding box) and (image, length) of every fitted source."""
+    codes, lengths = prefix_plan(entries, alphas, max(alphas))
+    boxes, sources = set(), set()
+    for cut in lengths:
+        for i, j in permutations(range(len(entries)), 2):
+            prefix = codes[i][: min(cut[i], cut[j])]
+            boxes.add((i, *prefix.min(axis=0), *prefix.max(axis=0)))
+            sources.add((i, len(prefix)))
+    return boxes, sources
+
+
+def recorded_bases(patch):
+    """Patch in a spy; it lists the sources of each basis built."""
     built = []
     power_basis = matcher_module._power_basis
 
@@ -765,18 +774,48 @@ def test_sweep_builds_one_basis_per_image_and_length(six_images, one_cpu):
         built.append(s.shape[0])
         return power_basis(s, d)
 
+    patch.setattr(matcher_module, "_power_basis", recording_power_basis)
+    return built
+
+
+def test_sweep_builds_one_basis_per_image_and_length(six_images, one_cpu):
+    # one basis per (image, prefix bounding box) over the whole sweep: a
+    # box serves every length up to the point that widens it
+    alphas = [0.1, 0.2, 0.3]
     with one_cpu() as patch:
-        patch.setattr(matcher_module, "_power_basis", recording_power_basis)
-        rows = sweep(entries, alphas, 3)
+        built = recorded_bases(patch)
+        rows = sweep(six_images, alphas, 3)
     assert [row.status for row in rows] == ["ok"] * 3
-    codes, lengths = prefix_plan(entries, alphas, 0.3)
-    boxes, sources = set(), set()
-    for cut in lengths:
-        for i, j in permutations(range(len(entries)), 2):
-            prefix = codes[i][: min(cut[i], cut[j])]
-            boxes.add((i, *prefix.min(axis=0), *prefix.max(axis=0)))
-            sources.add((i, len(prefix)))
+    boxes, sources = prefix_boxes(six_images, alphas)
     assert sum(built) == len(boxes) < len(sources)
+
+
+def test_a_descending_walk_builds_one_basis_per_image_and_box(
+    six_images, monkeypatch
+):
+    # the forked child's walk, down from the longest length, in the only
+    # process: a live basis serves only the lengths of its own box, so a
+    # shorter length maps its box anew, once, and the rows are delta_median's
+    alphas = [0.1, 0.2, 0.3]
+    walked, fit = [], matcher_module._fit
+
+    @contextlib.contextmanager
+    def descending(lengths, found):
+        yield lengths[::-1]
+
+    def recording_fit(V, W, d, a, b, basis=None):
+        walked.append(V.shape[2])
+        return fit(V, W, d, a, b, basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "_shares", descending)
+        patch.setattr(matcher_module, "_fit", recording_fit)
+        built = recorded_bases(patch)
+        rows = sweep(six_images, alphas, 3)
+    assert walked == sorted(walked, reverse=True) and len(set(walked)) > 1
+    boxes, sources = prefix_boxes(six_images, alphas)
+    assert sum(built) == len(boxes) < len(sources)
+    assert rows == delta_median_rows(six_images, alphas, 0.3, 3)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 3, 5])
@@ -896,15 +935,23 @@ def diagonal_field(shift):
     return make_density_field(img, 1e-4)
 
 
-def test_sweep_takes_the_svd_fallback_item_by_item(one_cpu, two_processes):
-    # the diagonals' cubic bases are past MAX_CONDITION, so their items go to
-    # the SVD inside fits that also hold well-conditioned figure items; each
-    # fit warns once, counting its own SVD items
+@pytest.fixture(scope="module")
+def diagonals_and_figures():
+    """Entries of two one-pixel diagonals (pair 0) and two figures (pair 1)."""
     figures = [
         normalize(generate_figure(s, 128), Polarity.LIGHT_ON_DARK) for s in (5, 6)
     ]
     entries = [(0, diagonal_field(0)), (0, diagonal_field(3))]
-    entries += [(1, make_density_field(img, 1e-4)) for img in figures]
+    return entries + [(1, make_density_field(img, 1e-4)) for img in figures]
+
+
+def test_sweep_takes_the_svd_fallback_item_by_item(
+    diagonals_and_figures, one_cpu, two_processes
+):
+    # the diagonals' cubic bases are past MAX_CONDITION, so their items go to
+    # the SVD inside fits that also hold well-conditioned figure items; each
+    # fit warns once, counting its own SVD items
+    entries = diagonals_and_figures
     alphas = [0.1, 0.2, 0.3]
     fits = []
     fit = matcher_module._fit
@@ -961,7 +1008,7 @@ def test_two_processes_give_the_one_process_rows(
 
 def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypatch):
     # every fit warns, naming its length: the child stops at its first fit,
-    # and the parent's walk of the child's share warns after its own
+    # at the longest length, and the parent walks and warns at every length
     fit = matcher_module._fit
 
     def warning_fit(V, W, d, a, b, basis=None):
@@ -986,7 +1033,7 @@ def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypat
 def test_two_processes_print_a_repeated_warning_as_one(
     six_images, one_cpu, two_processes, monkeypatch, capsys
 ):
-    # every fit warns one text, in both shares: Python's default filter
+    # every fit warns one text, in both walks: Python's default filter
     # prints it once at the sweep's calling line, in one process and in two
     fit = matcher_module._fit
 
@@ -1044,16 +1091,65 @@ def walked_lengths(entries, alphas):
     return sorted({min(cut[i], cut[j]) for i, j in pairs for cut in lengths})
 
 
-def only_the_last_of_theirs(walked, lengths):
-    """Whether the parent's ``walked`` lengths are its share and the last.
+def after_the_child(forks, walked, V):
+    """Record a parent's fit of V; its first waits for the child to exit.
 
-    The parent's share is a prefix of the ascending ``lengths`` and the
-    child's the rest, so this holds when the parent fitted a prefix and the
-    longest length, and skipped at least one length between them.
+    The wait leaves the child unreaped (WNOWAIT), for the sweep to reap, and
+    the child's walk down from the longest length is then over before the
+    parent's walk up from the shortest begins.
     """
-    mine = sorted(set(walked))
-    prefix = mine[:-1] == lengths[: len(mine) - 1]
-    return prefix and mine[-1] == lengths[-1] and len(mine) < len(lengths)
+    if forks and not walked:
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+    walked.append(V.shape[2])
+
+
+def in_order(walked):
+    """The distinct lengths of ``walked`` fits, in the order first fitted."""
+    return list(dict.fromkeys(walked))
+
+
+def test_a_warning_child_leaves_the_parent_the_lengths_up_to_it(
+    diagonals_and_figures, one_cpu, two_processes, monkeypatch
+):
+    # the diagonals' items warn, and the figures' longer codes do not: the
+    # child walks down without warning to the longest length that warns and
+    # stops there, and the parent walks up to that length and no further
+    entries, alphas = diagonals_and_figures, [0.1, 0.2, 0.3, 0.4, 0.5]
+    lengths = walked_lengths(entries, alphas)
+    codes, cuts = prefix_plan(entries, alphas, 0.5)
+    warning = set()
+    for cut in cuts:
+        for i, j in permutations(range(len(entries)), 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                delta_median(codes[i][: cut[i]], codes[j][: cut[j]], 3)
+            if caught:
+                warning.add(min(cut[i], cut[j]))
+    fit, parent, walked, forks = matcher_module._fit, os.getpid(), [], []
+
+    def waiting_fit(V, W, d, a, b, basis=None):
+        if os.getpid() == parent:
+            after_the_child(forks, walked, V)
+        return fit(V, W, d, a, b, basis)
+
+    def heard():
+        walked.clear()
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            rows = sweep(entries, alphas, 3)
+        heard = [(str(w.message), w.category, w.filename, w.lineno) for w in record]
+        return rows, heard
+
+    monkeypatch.setattr(matcher_module, "_fit", waiting_fit)
+    with one_cpu():
+        alone = heard()
+    with two_processes() as forks:
+        shared = heard()
+    assert len(forks) == 1 and shared == alone and alone[1]
+    assert max(warning) < lengths[-1]
+    assert in_order(walked) == [m for m in lengths if m <= max(warning)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def last_frame(info):
@@ -1065,8 +1161,8 @@ def last_frame(info):
 def test_an_error_in_either_process_reaches_the_caller(
     six_images, one_cpu, two_processes, monkeypatch, share
 ):
-    # the degenerate target's items fail from the shortest lengths, which
-    # the parent walks, or only at the longest, which the child walks
+    # the degenerate target's items fail from the shortest lengths, where
+    # the parent starts, or only at the longest, where the child starts
     alphas = [0.1, 0.2, 0.3]
     walked = walked_lengths(six_images, alphas)
     k = 10 if share == "parent" else (walked[-1] - 1) // 4 * 2
@@ -1108,17 +1204,17 @@ def test_an_interrupted_parent_kills_and_reaps_the_child(
 def test_a_killed_child_hands_its_share_back(
     six_images, one_cpu, two_processes, monkeypatch, signum
 ):
-    # the child dies at the longest length, which it alone walks; the
-    # parent then walks that length alone of the child's share, and its rows
-    # are one process's
+    # the child finishes the two longest lengths and dies at the third; the
+    # parent, walking after the child's exit, walks up to and through that
+    # length and stops at the next, and its rows are one process's
     alphas = [0.1, 0.2, 0.3]
     lengths = walked_lengths(six_images, alphas)
-    fit, parent, walked = matcher_module._fit, os.getpid(), []
+    fit, parent, walked, forks = matcher_module._fit, os.getpid(), [], []
 
     def dying_fit(V, W, d, a, b, basis=None):
         if os.getpid() == parent:
-            walked.append(V.shape[2])
-        elif V.shape[2] == lengths[-1]:
+            after_the_child(forks, walked, V)
+        elif V.shape[2] == lengths[-3]:
             os.kill(os.getpid(), signum)
         return fit(V, W, d, a, b, basis)
 
@@ -1127,7 +1223,7 @@ def test_a_killed_child_hands_its_share_back(
     monkeypatch.setattr(matcher_module, "_fit", dying_fit)
     with two_processes() as forks:
         assert sweep(six_images, alphas, 3) == alone
-    assert len(forks) == 1 and only_the_last_of_theirs(walked, lengths)
+    assert len(forks) == 1 and in_order(walked) == lengths[:-2]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1135,19 +1231,18 @@ def test_a_killed_child_hands_its_share_back(
 def test_a_warning_in_the_child_share_comes_from_the_parent(
     six_images, one_cpu, two_processes, monkeypatch
 ):
-    # only the longest length warns, and only the child's share holds it:
-    # the child stops there, and the parent's walk of that length alone of
-    # the child's share warns as one process did
+    # only the third longest length warns: the child finishes the two
+    # longest and stops there, and the parent, walking after the child's
+    # exit, walks up to and through it and warns as one process did
     alphas = [0.1, 0.2, 0.3]
     lengths = walked_lengths(six_images, alphas)
-    longest = lengths[-1]
-    fit, parent, walked = matcher_module._fit, os.getpid(), []
+    fit, parent, walked, forks = matcher_module._fit, os.getpid(), [], []
 
     def warning_fit(V, W, d, a, b, basis=None):
         if os.getpid() == parent:
-            walked.append(V.shape[2])
-        if V.shape[2] == longest:
-            warnings.warn(f"fit at length {longest}", UserWarning, stacklevel=3)
+            after_the_child(forks, walked, V)
+        if V.shape[2] == lengths[-3]:
+            warnings.warn(f"fit at length {lengths[-3]}", UserWarning, stacklevel=3)
         return fit(V, W, d, a, b, basis)
 
     def heard():
@@ -1164,7 +1259,7 @@ def test_a_warning_in_the_child_share_comes_from_the_parent(
     with two_processes() as forks:
         shared = heard()
     assert len(forks) == 1 and shared == alone
-    assert only_the_last_of_theirs(walked, lengths)
+    assert in_order(walked) == lengths[:-2]
     assert alone[1] and {filename for _, _, filename, _ in alone[1]} == {__file__}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1173,19 +1268,19 @@ def test_a_warning_in_the_child_share_comes_from_the_parent(
 def test_an_interrupt_in_what_the_child_left_reaps_it_once(
     six_images, two_processes, monkeypatch
 ):
-    # the child warns at the longest length, past its first, and exits; the
-    # parent's walk of that length is interrupted. Killing the exited child
-    # must raise nothing, so the interrupt reaches the caller, and the
-    # child is reaped once
+    # the child warns at the third longest length, past its first, and
+    # exits; the parent, walking after the child's exit, is interrupted
+    # there. Killing the exited child must raise nothing, so the interrupt
+    # reaches the caller, and the child is reaped once
     alphas = [0.1, 0.2, 0.3]
     lengths = walked_lengths(six_images, alphas)
     fit, kill, parent = matcher_module._fit, os.kill, os.getpid()
-    walked, kills = [], []
+    walked, kills, forks = [], [], []
 
     def failing_fit(V, W, d, a, b, basis=None):
         if os.getpid() == parent:
-            walked.append(V.shape[2])
-        if V.shape[2] == lengths[-1]:
+            after_the_child(forks, walked, V)
+        if V.shape[2] == lengths[-3]:
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             warnings.warn("the child stops here", UserWarning)
@@ -1200,7 +1295,7 @@ def test_an_interrupt_in_what_the_child_left_reaps_it_once(
     with two_processes() as forks, pytest.raises(KeyboardInterrupt):
         sweep(six_images, alphas, 3)
     assert len(forks) == 1 and kills == forks
-    assert only_the_last_of_theirs(walked, lengths)
+    assert in_order(walked) == lengths[:-2]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
