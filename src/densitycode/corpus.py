@@ -37,8 +37,8 @@ _MASS_FLOOR_FRACTION = 0.02
 # basis cells (k items x q rows x m points) a sweep's fit may always gather:
 # 1 MiB, below which the solver's fixed cost per call outweighs the memory
 FIT_CELLS_FLOOR = 2**17
-# cells a blocked numpy pass works on, the stroke boxes `_render_segments`
-# stacks or the output pixels `warp_image` samples: enough to spend the
+# cells a blocked numpy pass works on, the stroke pixels `_render_segments`
+# evaluates or the output pixels `warp_image` samples: enough to spend the
 # per-call cost well, few enough that the temporaries stay small
 _BLOCK_CELLS = 2**14
 # the figure sizes CorpusSpec and generate_figure accept: 64 .. MAX_FIGURE_SIZE
@@ -105,33 +105,20 @@ def _grow_skeleton(rng: np.random.Generator, size: int) -> list[tuple]:
     return segments
 
 
-def _block_bounds(heights: list, widths: list) -> list:
-    """Starts of the blocks of boxes sorted by height, then width, and the end.
-
-    A block grows while its padded cells (boxes x tallest x widest) stay
-    within ``_BLOCK_CELLS`` and 1.5 times its boxes' own cells; a box over
-    the budget is a block of one.
-    """
-    bounds, real, widest = [0], 0, 0
-    for i, (h, w) in enumerate(zip(heights, widths)):
-        wide = max(widest, w)
-        cells = (i - bounds[-1] + 1) * h * wide  # h is the tallest yet: sorted
-        if i > bounds[-1] and (cells > _BLOCK_CELLS or 2 * cells > 3 * (real + h * w)):
-            bounds.append(i)
-            real, wide = 0, w
-        real += h * w
-        widest = wide
-    return [*bounds, len(heights)] if heights else [0]
-
-
 def _render_segments(segments, size: int, width_scale: float) -> np.ndarray:
     """Rasterize soft strokes into a float canvas via distance to segment.
 
-    Each segment lights its box of pixels within half its width plus 1.5 of
-    it, clipped to the canvas. Boxes of similar shape are evaluated together,
-    as one (k, tallest, widest) stack per block of :func:`_block_bounds`, and
-    each segment's own box is max-merged into the canvas. Every pixel takes
-    the same operations on the same operands as a segment-by-segment loop,
+    A segment of half width hw lights the pixels within R = hw + 0.5 of it,
+    all inside its box: the pixels within R + 1 of its ends' bounding box,
+    clipped to the canvas. On each row of its box only the columns within
+    R of the segment's line, and one pixel of slack for rounding, are
+    evaluated: x_line(y) +- (R L / |dy| + 1) for length L and rise dy, or
+    the whole row where that span is wider than the canvas (a horizontal,
+    nearly horizontal or zero-length segment). The (segment, row) spans are
+    evaluated as flat arrays in passes of at most ``_BLOCK_CELLS`` cells,
+    each max-merged into the canvas with one ``np.maximum.at``. Every
+    evaluated pixel takes the same operations on the same operands as a
+    segment-by-segment loop over whole boxes, a skipped pixel would take 0,
     and the max does not depend on order, so the canvas is the same bit for
     bit. A zero-length segment takes len^2 = inf, so its t is 0.
     """
@@ -140,31 +127,42 @@ def _render_segments(segments, size: int, width_scale: float) -> np.ndarray:
     hw = 0.5 * seg[:, 4] * width_scale
     pad = (hw + 1.5)[:, None]
     ends = seg[:, :4].reshape(-1, 2, 2)  # (x0, y0), (x1, y1)
-    lo = np.clip(np.floor(ends.min(axis=1) - pad), 0, size)  # columns x, rows y
-    hi = np.clip(np.ceil(ends.max(axis=1) + pad), -1, size - 1)
-    start = lo.astype(np.intp)
-    extent = hi.astype(np.intp) + 1 - start
-    keep = np.flatnonzero((extent > 0).all(axis=1))
-    order = keep[np.lexsort((extent[keep, 0], extent[keep, 1]))]
-    x0, y0, x1, y1 = seg[order, :4].T
-    dx, dy, hw = x1 - x0, y1 - y0, hw[order]
+    lo = np.clip(np.floor(ends.min(axis=1) - pad), 0, size).astype(np.intp)
+    hi = np.clip(np.ceil(ends.max(axis=1) + pad), -1, size - 1).astype(np.intp)
+    keep = np.flatnonzero((hi >= lo).all(axis=1))
+    (c0, r0), (c1, r1) = lo[keep].T, hi[keep].T  # columns x, rows y
+    x0, y0, x1, y1 = seg[keep, :4].T
+    dx, dy, reach = x1 - x0, y1 - y0, hw[keep] + 0.5
     len_sq = dx * dx + dy * dy
     len_sq[len_sq == 0.0] = np.inf
-    (c0, r0), (ws, hs) = start[order].T, extent[order].T.tolist()
-    cols, rows = c0.tolist(), r0.tolist()
-    bounds = _block_bounds(hs, ws)
-    for b0, b1 in zip(bounds, bounds[1:]):
-        k = slice(b0, b1)
-        at = (k, None, None)  # each segment's scalars, as (k, 1, 1)
-        px = (c0[k, None, None] + np.arange(max(ws[k]))) + 0.5
-        py = (r0[k, None, None] + np.arange(max(hs[k]))[:, None]) + 0.5
-        t = ((px - x0[at]) * dx[at] + (py - y0[at]) * dy[at]) / len_sq[at]
+    # the span's centre moves by dx / dy a row; where the span is wider than
+    # the canvas, it is the whole row, and the quotients are never formed
+    reach_len = reach * np.hypot(dx, dy)  # hypot: dy^2 may underflow
+    narrow = np.abs(dy) * size > reach_len
+    slope = np.divide(dx, dy, out=np.zeros_like(dx), where=narrow)
+    half = np.divide(reach_len, np.abs(dy), out=np.full_like(dx, np.inf), where=narrow)
+    heights = r1 + 1 - r0
+    s = np.repeat(np.arange(len(keep)), heights)  # each row's segment
+    row = np.arange(len(s)) - np.repeat(np.cumsum(heights) - heights - r0, heights)
+    centre = x0[s] + ((row + 0.5) - y0[s]) * slope[s]
+    first = np.clip(np.floor(centre - (half[s] + 1.0)), c0[s], c1[s] + 1)
+    last = np.clip(np.ceil(centre + (half[s] + 1.0)), c0[s] - 1, c1[s])
+    count = (last + 1 - first).astype(np.intp)
+    end = np.cumsum(count)  # the rows' cells, end to end
+    shift = first.astype(np.intp) - (end - count)  # a cell's column less its index
+    out, total = canvas.reshape(-1), int(count.sum())
+    for p in range(0, total, _BLOCK_CELLS):
+        q = min(p + _BLOCK_CELLS, total)
+        a, b = np.searchsorted(end, [p, q - 1], side="right")
+        i = np.arange(a, b + 1)  # the pass's rows, then each row once a cell
+        i = np.repeat(i, np.minimum(end[i], q) - np.maximum(end[i] - count[i], p))
+        col = np.arange(p, q) + shift[i]
+        k = s[i]
+        px, py = col + 0.5, row[i] + 0.5
+        t = ((px - x0[k]) * dx[k] + (py - y0[k]) * dy[k]) / len_sq[k]
         t = np.clip(t, 0.0, 1.0)
-        dist = np.hypot(px - (x0[at] + t * dx[at]), py - (y0[at] + t * dy[at]))
-        value = np.clip(hw[at] + 0.5 - dist, 0.0, 1.0)
-        for i in range(b0, b1):
-            region = canvas[rows[i] : rows[i] + hs[i], cols[i] : cols[i] + ws[i]]
-            np.maximum(region, value[i - b0, : hs[i], : ws[i]], out=region)
+        dist = np.hypot(px - (x0[k] + t * dx[k]), py - (y0[k] + t * dy[k]))
+        np.maximum.at(out, row[i] * size + col, np.clip(reach[k] - dist, 0.0, 1.0))
     return canvas
 
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 import densitycode
@@ -119,16 +121,32 @@ def row_by_row_warp(img, warp):
     return np.maximum(out, 0.0)
 
 
+def clipped_box(x0, y0, x1, y1, width, size, width_scale):
+    """A segment's half width and its box's first and last column and row:
+    the pixels within half its width plus 1.5 of its ends, clipped."""
+    hw = 0.5 * width * width_scale
+    pad = hw + 1.5
+    c0 = max(int(np.floor(min(x0, x1) - pad)), 0)
+    c1 = min(int(np.ceil(max(x0, x1) + pad)), size - 1)
+    r0 = max(int(np.floor(min(y0, y1) - pad)), 0)
+    r1 = min(int(np.ceil(max(y0, y1) + pad)), size - 1)
+    return hw, c0, c1, r0, r1
+
+
+def box_cells(segments, size, width_scale):
+    """Cells in the segments' clipped boxes, each segment counted alone."""
+    total = 0
+    for segment in segments:
+        _, c0, c1, r0, r1 = clipped_box(*segment, size, width_scale)
+        total += max(c1 + 1 - c0, 0) * max(r1 + 1 - r0, 0)
+    return total
+
+
 def segment_by_segment(segments, size, width_scale):
-    """The stroke rasterizer as one numpy pass per segment."""
+    """The stroke rasterizer as one numpy pass per segment over its whole box."""
     canvas = np.zeros((size, size))
     for x0, y0, x1, y1, width in segments:
-        hw = 0.5 * width * width_scale
-        pad = hw + 1.5
-        c0 = max(int(np.floor(min(x0, x1) - pad)), 0)
-        c1 = min(int(np.ceil(max(x0, x1) + pad)), size - 1)
-        r0 = max(int(np.floor(min(y0, y1) - pad)), 0)
-        r1 = min(int(np.ceil(max(y0, y1) + pad)), size - 1)
+        hw, c0, c1, r0, r1 = clipped_box(x0, y0, x1, y1, width, size, width_scale)
         if c1 < c0 or r1 < r0:
             continue
         px = np.arange(c0, c1 + 1) + 0.5
@@ -147,6 +165,14 @@ def segment_by_segment(segments, size, width_scale):
     return canvas
 
 
+# the stroke-width scales generate_figure tries, 1.0 up to 1.3^9
+WIDTH_SCALES = [1.0]
+for _ in range(9):
+    WIDTH_SCALES.append(WIDTH_SCALES[-1] * 1.3)
+# segments the span bound must hold for, nearly flat ones most of all
+SHAPES = ["any", "dot", "horizontal", "vertical", "nearly flat", "grazing"]
+
+
 def hand_made_segments(size):
     """Segments (x0, y0, x1, y1, width) at the edges of a size x size canvas."""
     s = float(size)
@@ -160,7 +186,7 @@ def hand_made_segments(size):
         (s - 10.0, s / 3.0, s + 5.0, s / 3.0 + 2.0, 3.0),  # ... the right
         (0.5 * s, -5.0, 0.5 * s + 4.0, 10.0, 3.0),  # ... the top
         (s / 3.0, s - 10.0, s / 3.0 - 3.0, s + 5.0, 3.0),  # ... the bottom
-        # a diagonal whose box, the whole canvas, is over 2^14 cells from 256^2
+        # a diagonal whose box is the whole canvas, nearly all of it out of reach
         (5.0, 5.0, s - 5.0, s - 8.0, 7.0),
     ]
 
@@ -191,32 +217,69 @@ class TestRenderSegments:
         assert np.array_equal(dot, np.clip(0.5 * width + 0.5 - dist, 0.0, 1.0))
         assert np.count_nonzero(dot) == 40 and dot.max() == 1.0
 
-    def test_blocks_stay_within_the_cell_budget(self, monkeypatch):
-        seen, block_bounds = [], corpus_module._block_bounds
+    @pytest.mark.parametrize("cells", [1, 37, 1000])
+    def test_pass_boundaries_change_nothing(self, monkeypatch, cells):
+        # budgets that end passes inside a segment's rows and inside a row
+        size = 1024
+        skeleton = corpus_module._grow_skeleton(np.random.default_rng([size, 3]), size)
+        for segments in (skeleton, hand_made_segments(size)):
+            want = _render_segments(segments, size, 1.0)
+            with monkeypatch.context() as patched:
+                patched.setattr(corpus_module, "_BLOCK_CELLS", cells)
+                got = _render_segments(segments, size, 1.0)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-        def recording(heights, widths):
-            bounds = block_bounds(heights, widths)
-            seen.append((heights, widths, bounds))
-            return bounds
+    def test_passes_evaluate_only_the_pixels_strokes_can_reach(self, monkeypatch):
+        passes, maximum = [], np.maximum
 
-        monkeypatch.setattr(corpus_module, "_block_bounds", recording)
-        for size in (64, 128, 256, 1024):
-            generate_figure([size, 4], size)
-        _render_segments(hand_made_segments(1024), 1024, 1.0)
-        alone = 0
-        for heights, widths, bounds in seen:
-            assert heights == sorted(heights)
-            assert bounds[0] == 0 and bounds[-1] == len(heights)
-            for b0, b1 in zip(bounds, bounds[1:]):
-                assert b1 > b0
-                h, w = heights[b0:b1], widths[b0:b1]
-                padded = (b1 - b0) * max(h) * max(w)
-                if b1 - b0 == 1:
-                    alone += padded > 2**14
-                    continue
-                assert padded <= 2**14
-                assert 2 * padded <= 3 * sum(map(int.__mul__, h, w))
-        assert alone >= 1  # the hand-made diagonal's box is 1022 x 1024
+        class Recording:  # np.maximum, counting the cells each merge brings
+            def __call__(self, *args, **kwargs):
+                return maximum(*args, **kwargs)
+
+            def at(self, out, index, values):
+                passes.append(len(values))
+                maximum.at(out, index, values)
+
+        size = 1024
+        skeleton = corpus_module._grow_skeleton(np.random.default_rng([size, 3]), size)
+        for segments, share in ((skeleton, 0.5), (hand_made_segments(size), 0.1)):
+            passes.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(np, "maximum", Recording())
+                _render_segments(segments, size, 1.0)
+            assert passes and max(passes) <= corpus_module._BLOCK_CELLS
+            assert sum(passes) <= share * box_cells(segments, size, 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        size=st.integers(min_value=64, max_value=300),
+        data=st.data(),
+        width_scale=st.sampled_from(WIDTH_SCALES),
+    )
+    def test_random_segments_render_as_one_segment_at_a_time(
+        self, size, data, width_scale
+    ):
+        coordinate = st.floats(min_value=-40.0, max_value=size + 40.0)
+        segments = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            x0, y0, x1, y1 = (data.draw(coordinate) for _ in range(4))
+            width = data.draw(st.floats(min_value=0.5, max_value=float(size)))
+            shape = data.draw(st.sampled_from(SHAPES))
+            if shape == "dot":
+                x1, y1 = x0, y0
+            elif shape == "horizontal":
+                y1 = y0
+            elif shape == "vertical":
+                x1 = x0
+            elif shape != "any":  # |dy| <= 1e-9 |dx|
+                if shape == "grazing":  # its reach ends on a row of pixel centres
+                    y0 = np.floor(y0) + 0.5 + (0.5 * width * width_scale + 0.5)
+                tilt = data.draw(st.floats(min_value=-1e-9, max_value=1e-9))
+                y1 = y0 + tilt * (x1 - x0)
+            segments.append((x0, y0, x1, y1, width))
+        got = _render_segments(segments, size, width_scale)
+        want = segment_by_segment(segments, size, width_scale)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def offset_table_blur(n, sigma, rows=slice(None), cols=slice(None)):
