@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# run_grid's bounds: the smallest image side and length, and repetitions
+MIN_GRID_SIZE = 16
+MIN_REPS = 5
+
 
 @dataclass(frozen=True)
 class TimingSample:
@@ -27,6 +31,10 @@ class TimingSample:
     m: int
     reps: int
     median_ms: float
+
+
+# the timing CSV's columns, one per TimingSample field
+TIMING_COLUMNS = {"H": int, "W": int, "m": int, "reps": int, "median_ms": float}
 
 
 @dataclass(frozen=True)
@@ -43,17 +51,11 @@ def _regressors(H: int, W: int, m: int) -> tuple[float, float, float]:
     return hw, m * (math.log2(hw) - 2.0), float(m) * float(W)
 
 
-def run_grid(
-    heights,
-    widths,
-    lengths,
-    reps: int,
-    seed: int = 0,
-    lam: float = 1e-4,
-) -> list[TimingSample]:
+def run_grid(heights, widths, lengths, reps: int) -> list[TimingSample]:
     """Time the full encode pipeline over the cartesian grid of conditions.
 
-    Every repetition uses a fresh random image; each length's sequence is
+    Every repetition uses a fresh random image, seeded by (H, W, m, rep):
+    no timed step depends on the pixel values. Each length's sequence is
     built once outside the timed region. The grid is timed rep-major: a warm-up
     round over every cell, then ``reps`` rounds, each over every cell, so
     a burst of other load on the host costs each cell a repetition or two,
@@ -69,10 +71,10 @@ def run_grid(
     heights = [int(h) for h in heights]
     widths = [int(w) for w in widths]
     lengths = [int(m) for m in lengths]
-    if min(heights) < 16 or min(widths) < 16 or min(lengths) < 16:
-        raise ValueError("all grid sizes must be >= 16")
-    if reps < 5:
-        raise ValueError("reps must be >= 5")
+    if min(heights + widths + lengths) < MIN_GRID_SIZE:
+        raise ValueError(f"all grid sizes must be >= {MIN_GRID_SIZE}")
+    if reps < MIN_REPS:
+        raise ValueError(f"reps must be >= {MIN_REPS}")
     seqs = {m: halton(m) for m in lengths}
     blocks = [(H, W) for H in heights for W in widths]
     times: list[list[list[float]]] = [[[] for _ in lengths] for _ in blocks]
@@ -81,11 +83,11 @@ def run_grid(
         for (H, W), block_times in zip(blocks, times):
             for k in [*range(turn, len(lengths)), *range(turn)]:
                 m = lengths[k]
-                rng = np.random.default_rng([seed, H, W, m, rep])
+                rng = np.random.default_rng([H, W, m, rep])
                 img = GrayImage(pixels=rng.uniform(0.0, 255.0, (H, W)))
                 t0 = time.perf_counter()
                 nimg = normalize(img, Polarity.LIGHT_ON_DARK)
-                field = make_density_field(nimg, lam)
+                field = make_density_field(nimg)
                 encode(field, seqs[m])
                 elapsed_ms = (time.perf_counter() - t0) * 1e3
                 if rep > 0:  # round 0 is the warm-up

@@ -21,34 +21,26 @@ from itertools import chain
 from pathlib import Path
 
 # every command loads the encoder; each loads the rest of the package itself
-from .encoder import MAX_POINTS, Polarity, read_code_csv
+from .encoder import MAX_POINTS, Polarity, read_code_csv, read_table
 
 DEFAULT_LAMBDA = 1e-4
 DEFAULT_SEED = 42
 DEFAULT_GRID = "16,32,64,128,256,512"
 DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
-TIMING_COLUMNS = {"H": int, "W": int, "m": int, "reps": int, "median_ms": float}
 # a sweep fits every ordered image pair at each alpha of its grid
 MAX_ALPHAS = 10**5
-# bench.run_grid's own bounds, checked here in the flags' words before it loads
-MIN_GRID_SIZE = 16
-MIN_REPS = 5
-# and CorpusSpec's, checked the same way before the corpus module loads
-MIN_PAIRS = 2
-MIN_CORPUS_SIZE = 64
-MAX_CORPUS_SIZE = 4096
 
 
-def _grid_sizes(text: str, flag: str) -> list[int]:
-    """A comma-separated grid flag's sizes, refusing none, a non-integer or one < 16."""
+def _grid_sizes(text: str, flag: str, least: int) -> list[int]:
+    """Sizes a comma-separated grid flag lists: at least one, each an int >= least."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"{flag} must list integers, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} must list at least one integer")
-    if min(values) < MIN_GRID_SIZE:
-        raise ValueError(f"{flag} sizes must be >= {MIN_GRID_SIZE}, got {min(values)}")
+    if min(values) < least:
+        raise ValueError(f"{flag} sizes must be >= {least}, got {min(values)}")
     return values
 
 
@@ -157,15 +149,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.mode == "fit":
-        from .bench import TimingSample, fit_model
-        from .encoder import read_table
+    from . import bench  # its bounds are the flags'
 
+    if args.mode == "fit":
         if not args.infile:
             raise ValueError("bench fit requires --in")
-        rows = read_table(args.infile, TIMING_COLUMNS)
-        samples = [TimingSample(**row) for row in rows]
-        model = fit_model(samples)
+        rows = read_table(args.infile, bench.TIMING_COLUMNS)
+        model = bench.fit_model([bench.TimingSample(**row) for row in rows])
         print(
             f"a={model.a:.17g} b={model.b:.17g} c={model.c:.17g} "
             f"r={model.r:.17g} rmse_ms={model.rmse_ms:.17g}"
@@ -173,22 +163,15 @@ def cmd_bench(args) -> int:
         return 0
     if not args.out:
         raise ValueError("bench requires --out")
-    heights = _grid_sizes(args.heights, "--heights")
-    widths = _grid_sizes(args.widths, "--widths")
-    lengths = _grid_sizes(args.lengths, "--lengths")
+    heights = _grid_sizes(args.heights, "--heights", bench.MIN_GRID_SIZE)
+    widths = _grid_sizes(args.widths, "--widths", bench.MIN_GRID_SIZE)
+    lengths = _grid_sizes(args.lengths, "--lengths", bench.MIN_GRID_SIZE)
     if max(lengths) > MAX_POINTS:
         raise ValueError(f"--lengths sizes must be <= {MAX_POINTS}, got {max(lengths)}")
-    if args.reps < MIN_REPS:
-        raise ValueError(f"--reps must be >= {MIN_REPS}, got {args.reps}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    _check_lambda(args.lam)
-    from .bench import run_grid
-
-    samples = run_grid(
-        heights, widths, lengths, reps=args.reps, seed=args.seed, lam=args.lam
-    )
-    lines = [",".join(TIMING_COLUMNS)]
+    if args.reps < bench.MIN_REPS:
+        raise ValueError(f"--reps must be >= {bench.MIN_REPS}, got {args.reps}")
+    samples = bench.run_grid(heights, widths, lengths, args.reps)
+    lines = [",".join(bench.TIMING_COLUMNS)]
     for s in samples:
         lines.append(f"{s.H},{s.W},{s.m},{s.reps},{s.median_ms:.17g}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -197,18 +180,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
-    if args.pairs < MIN_PAIRS:
-        raise ValueError(f"--pairs must be >= {MIN_PAIRS}, got {args.pairs}")
-    if args.size < MIN_CORPUS_SIZE:
-        raise ValueError(f"--size must be >= {MIN_CORPUS_SIZE}, got {args.size}")
-    if args.size > MAX_CORPUS_SIZE:
-        raise ValueError(f"--size must be <= {MAX_CORPUS_SIZE}, got {args.size}")
+    from . import corpus  # its bounds are the flags'
+
+    if args.pairs < corpus.MIN_PAIRS:
+        raise ValueError(f"--pairs must be >= {corpus.MIN_PAIRS}, got {args.pairs}")
+    if args.size < corpus.MIN_FIGURE_SIZE:
+        raise ValueError(f"--size must be >= {corpus.MIN_FIGURE_SIZE}, got {args.size}")
+    if args.size > corpus.MAX_FIGURE_SIZE:
+        raise ValueError(f"--size must be <= {corpus.MAX_FIGURE_SIZE}, got {args.size}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    from .corpus import CorpusSpec, generate_corpus
-
-    spec = CorpusSpec(pair_count=args.pairs, size=args.size, seed=args.seed)
-    rows = generate_corpus(args.out, spec)
+    spec = corpus.CorpusSpec(pair_count=args.pairs, size=args.size, seed=args.seed)
+    rows = corpus.generate_corpus(args.out, spec)
     print(f"pairs={len(rows)} out={args.out}")
     return 0
 
@@ -284,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV of boundary curves")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="time encoding and fit the timing model")
+    p = sub.add_parser(
+        "bench", help="time encoding on seeded random images; fit the timing model"
+    )
     p.add_argument(
         "mode",
         nargs="?",
@@ -298,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", default=DEFAULT_GRID)
     p.add_argument("--lengths", default=DEFAULT_LENGTHS)
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-corpus", help="generate the synthetic test corpus")

@@ -41,16 +41,20 @@ FIT_CELLS_FLOOR = 2**17
 # evaluates or the output pixels `warp_image` samples: enough to spend the
 # per-call cost well, few enough that the temporaries stay small
 _BLOCK_CELLS = 2**14
-# the figure sizes CorpusSpec and generate_figure accept: 64 .. MAX_FIGURE_SIZE
-# (a 4096^2 figure peaks at 0.25 GiB: the render canvas and the blur's row pass)
+# the figure sizes CorpusSpec and generate_figure accept: MIN_FIGURE_SIZE ..
+# MAX_FIGURE_SIZE (a 4096^2 figure peaks at 0.25 GiB: the render canvas and
+# the blur's row pass), and the fewest pairs a corpus holds
+MIN_FIGURE_SIZE = 64
 MAX_FIGURE_SIZE = 4096
+MIN_PAIRS = 2
 # rows, then columns, that one matmul of the figure blur writes
 _BLUR_BLOCK = 64
 
 
 def _check_size(size: int) -> None:
-    if not 64 <= size <= MAX_FIGURE_SIZE:
-        raise ValueError(f"size must be in 64..{MAX_FIGURE_SIZE}, got {size}")
+    if not MIN_FIGURE_SIZE <= size <= MAX_FIGURE_SIZE:
+        bounds = f"{MIN_FIGURE_SIZE}..{MAX_FIGURE_SIZE}"
+        raise ValueError(f"size must be in {bounds}, got {size}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class CorpusSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.pair_count < 2:
-            raise ValueError("pair_count must be >= 2")
+        if self.pair_count < MIN_PAIRS:
+            raise ValueError(f"pair_count must be >= {MIN_PAIRS}")
         _check_size(self.size)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -72,6 +76,9 @@ class CorpusSpec:
 def _grow_skeleton(rng: np.random.Generator, size: int) -> list[tuple]:
     """Recursive trunk-and-branch segments as (x0, y0, x1, y1, width)."""
     segments: list[tuple] = []
+
+    def uniform(lo, hi):  # rng.uniform(lo, hi), bit for bit, at a third of its cost
+        return lo + (hi - lo) * rng.random()
 
     def grow(x, y, angle, length, width, depth):
         x2 = x + length * math.cos(angle)
@@ -82,23 +89,23 @@ def _grow_skeleton(rng: np.random.Generator, size: int) -> list[tuple]:
         n_children = 2 + (rng.random() < 0.45)
         side = 1.0 if rng.random() < 0.5 else -1.0
         for _ in range(n_children):
-            spread = side * rng.uniform(0.25, 0.8) + rng.normal(0.0, 0.15)
+            spread = side * uniform(0.25, 0.8) + rng.normal(0.0, 0.15)
             side = -side
             grow(
                 x2,
                 y2,
                 angle + spread,
-                length * rng.uniform(0.58, 0.78),
+                length * uniform(0.58, 0.78),
                 width * 0.72,
                 depth - 1,
             )
 
-    trunk_x = size * rng.uniform(0.42, 0.58)
+    trunk_x = size * uniform(0.42, 0.58)
     grow(
         trunk_x,
         size * 0.92,
         -math.pi / 2 + rng.normal(0.0, 0.12),
-        size * rng.uniform(0.2, 0.28),
+        size * uniform(0.2, 0.28),
         size / 34.0,
         5,
     )

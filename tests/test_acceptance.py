@@ -158,7 +158,7 @@ def test_criterion_05_separation_sweep(tmp_path):
 
 
 def test_criterion_06_encoding_speed():
-    samples = run_grid([256], [256], [1025], reps=7, seed=99)
+    samples = run_grid([256], [256], [1025], reps=7)
     median_ms = samples[0].median_ms
     _report(
         6,
@@ -172,7 +172,7 @@ def test_criterion_07_timing_model_structure():
     t0 = time.perf_counter()
     sizes = [16, 32, 64, 128, 256, 512]
     lengths = [16, 32, 64, 128, 256, 512, 1024]
-    samples = run_grid(sizes, sizes, lengths, reps=10, seed=7)
+    samples = run_grid(sizes, sizes, lengths, reps=10)
     model = fit_model(samples)
 
     planted = (0.6853e-4, 3.8459e-4, 0.3943e-4)

@@ -640,6 +640,10 @@ def test_points_above_the_limit_are_refused(
     assert not out.exists()
 
 
+def never_reached(*args, **kwargs):
+    raise AssertionError("ran past the flag checks")
+
+
 @pytest.fixture()
 def loaders_refused(monkeypatch):
     # the stubs stand in for the loaders: a flag is refused before any runs
@@ -692,9 +696,8 @@ def test_bad_length_flags_are_named_before_anything_loads(
 def test_bad_corpus_flags_are_named_before_anything_is_written(
     tmp_path, capsys, monkeypatch, flags, message
 ):
-    # the corpus module cannot load: a bad flag is refused before it would
-    monkeypatch.delattr(densitycode, "corpus")
-    monkeypatch.setitem(sys.modules, "densitycode.corpus", None)
+    # the stub fails if reached: a bad flag is refused before any figure is built
+    monkeypatch.setattr(densitycode.corpus, "generate_corpus", never_reached)
     out = tmp_path / "corpus"
     rc = main(["gen-corpus", *flags, "--out", str(out)])
     assert rc == 1
@@ -719,19 +722,108 @@ def test_bad_corpus_flags_are_named_before_anything_is_written(
         ),
         ("--reps", "2", "--reps must be >= 5, got 2"),
         ("--reps", "-1", "--reps must be >= 5, got -1"),
-        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ],
 )
 def test_bench_grid_flags_are_named_before_any_timing(
     tmp_path, capsys, monkeypatch, flag, value, message
 ):
-    # the bench module cannot load: a bad flag is refused before it would
-    monkeypatch.delattr(densitycode, "bench")
-    monkeypatch.setitem(sys.modules, "densitycode.bench", None)
+    # the stub fails if reached: a bad flag is refused before any timing
+    monkeypatch.setattr(densitycode.bench, "run_grid", never_reached)
     out = tmp_path / "t.csv"
     rc = main(["bench", flag, value, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# (module, constant, a patched value, the flags it refuses and their message,
+# the library's own check and its message)
+FLAG_BOUNDS = [
+    (
+        "bench",
+        "MIN_GRID_SIZE",
+        32,
+        ["bench", "--heights", "16"],
+        "--heights sizes must be >= 32, got 16",
+        lambda: densitycode.bench.run_grid([16], [32], [32], 5),
+        "all grid sizes must be >= 32",
+    ),
+    (
+        "bench",
+        "MIN_REPS",
+        6,
+        ["bench", "--reps", "5"],
+        "--reps must be >= 6, got 5",
+        lambda: densitycode.bench.run_grid([16], [16], [16], 5),
+        "reps must be >= 6",
+    ),
+    (
+        "corpus",
+        "MIN_PAIRS",
+        3,
+        ["gen-corpus", "--pairs", "2"],
+        "--pairs must be >= 3, got 2",
+        lambda: densitycode.corpus.CorpusSpec(pair_count=2),
+        "pair_count must be >= 3",
+    ),
+    (
+        "corpus",
+        "MIN_FIGURE_SIZE",
+        128,
+        ["gen-corpus", "--size", "64"],
+        "--size must be >= 128, got 64",
+        lambda: densitycode.corpus.CorpusSpec(size=64),
+        "size must be in 128..4096, got 64",
+    ),
+    (
+        "corpus",
+        "MAX_FIGURE_SIZE",
+        256,
+        ["gen-corpus", "--size", "512"],
+        "--size must be <= 256, got 512",
+        lambda: densitycode.corpus.CorpusSpec(size=512),
+        "size must be in 64..256, got 512",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, value, flags, message, library_call, library_message",
+    FLAG_BOUNDS,
+    ids=[bound[1] for bound in FLAG_BOUNDS],
+)
+def test_each_flag_bound_is_the_library_constant(
+    tmp_path,
+    capsys,
+    monkeypatch,
+    module,
+    name,
+    value,
+    flags,
+    message,
+    library_call,
+    library_message,
+):
+    # one owner per bound: the library's check and the flag's message both
+    # follow its constant
+    monkeypatch.setattr(getattr(densitycode, module), name, value)
+    out = tmp_path / "out"
+    assert main([*flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ValueError) as refused:
+        library_call()
+    assert str(refused.value) == library_message
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--lambda"])
+def test_bench_takes_no_seed_or_lambda(tmp_path, capsys, flag):
+    # no timed step depends on the pixel values or on lambda
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exited:
+        main(["bench", "run", flag, "1", "--out", str(out)])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -762,19 +854,15 @@ def test_bad_alpha_and_degree_are_named_before_anything_loads(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["encode", "sweep", "bench"])
+@pytest.mark.parametrize("command", ["encode", "sweep"])
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
 def test_bad_lambda_is_named_before_anything_loads(
-    loaders_refused, tmp_path, capsys, monkeypatch, command, value
+    loaders_refused, tmp_path, capsys, command, value
 ):
-    # nor can the bench module load: bench refuses the flag before it would
-    monkeypatch.delattr(densitycode, "bench")
-    monkeypatch.setitem(sys.modules, "densitycode.bench", None)
     out = tmp_path / "out.csv"
     inputs = {
         "encode": ["--image", "absent.pgm", "--polarity", "light-on-dark"],
         "sweep": ["--corpus", "absent"],
-        "bench": [],
     }
     rc = main([command, *inputs[command], "--lambda", value, "--out", str(out)])
     assert rc == 1

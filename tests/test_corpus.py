@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import traceback
 import tracemalloc
 import warnings
@@ -1408,6 +1409,37 @@ def test_sweep_forks_only_alone_on_two_cpus_over_two_lengths(tmp_path):
     assert proc.returncode == 0, proc.stderr
     two_cpus = len(os.sched_getaffinity(0)) >= 2
     assert proc.stdout.split() == ["1" if two_cpus else "0", "0", "0", "0"]
+
+
+def test_the_fork_rule_counts_threads_on_any_host(monkeypatch):
+    # on two usable CPUs, whatever the host has: a second thread (an
+    # unpinned BLAS pool is one) keeps the walk in process, and a fresh
+    # interpreter with one BLAS thread, which has no other, forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not corpus_module._walk_in_two(5)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    body = (
+        "import os\n"
+        "from densitycode.corpus import _walk_in_two\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print(_walk_in_two(5))\n"
+    )
+    src = str(Path(densitycode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env.update(dict.fromkeys(blas, "1"))
+    cmd = [sys.executable, "-c", body]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 def test_sweep_encodes_at_its_largest_alpha(six_images):
