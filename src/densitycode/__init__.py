@@ -43,6 +43,7 @@ _EXPORTS = {
         "DensityField",
         "GrayImage",
         "NormalizedImage",
+        "density_field",
         "load_image",
         "load_pgm",
         "load_png",

@@ -65,7 +65,7 @@ def run_grid(heights, widths, lengths, reps: int) -> list[TimingSample]:
     """
     # the encode chain loads here: fit_model needs none of it
     from .encoder import encode
-    from .image_io import GrayImage, Polarity, make_density_field, normalize
+    from .image_io import GrayImage, Polarity, density_field
     from .quasirandom import halton
 
     heights = [int(h) for h in heights]
@@ -86,9 +86,7 @@ def run_grid(heights, widths, lengths, reps: int) -> list[TimingSample]:
                 rng = np.random.default_rng([H, W, m, rep])
                 img = GrayImage(pixels=rng.uniform(0.0, 255.0, (H, W)))
                 t0 = time.perf_counter()
-                nimg = normalize(img, Polarity.LIGHT_ON_DARK)
-                field = make_density_field(nimg)
-                encode(field, seqs[m])
+                encode(density_field(img, Polarity.LIGHT_ON_DARK), seqs[m])
                 elapsed_ms = (time.perf_counter() - t0) * 1e3
                 if rep > 0:  # round 0 is the warm-up
                     block_times[k].append(elapsed_ms)

@@ -21,9 +21,8 @@ from itertools import chain
 from pathlib import Path
 
 # every command loads the encoder; each loads the rest of the package itself
-from .encoder import MAX_POINTS, Polarity, read_code_csv, read_table
+from .encoder import DEFAULT_LAMBDA, MAX_POINTS, Polarity, read_code_csv, read_table
 
-DEFAULT_LAMBDA = 1e-4
 DEFAULT_SEED = 42
 DEFAULT_GRID = "16,32,64,128,256,512"
 DEFAULT_LENGTHS = "16,32,64,128,256,512,1024"
@@ -64,7 +63,7 @@ def _check_degree(degree: int) -> None:
 
 def cmd_encode(args) -> int:
     from .encoder import EncodeParams, encode, write_code_csv
-    from .image_io import load_image, make_density_field, normalize
+    from .image_io import density_field, load_image
     from .quasirandom import halton
 
     _check_points(args.points)
@@ -72,12 +71,8 @@ def cmd_encode(args) -> int:
         raise ValueError(f"--alpha must be finite and > 0, got {args.alpha:g}")
     _check_lambda(args.lam)
     img = load_image(args.image)
-    polarity = Polarity(args.polarity)
     t0 = time.perf_counter()
-    nimg = normalize(img, polarity)
-    del img  # two canvases alive at most: each stage's input goes once used
-    field = make_density_field(nimg, args.lam)
-    del nimg
+    field = density_field(img, Polarity(args.polarity), args.lam)
     seq = halton(args.points)
     code = encode(field, seq, EncodeParams(alpha=args.alpha))
     elapsed_ms = (time.perf_counter() - t0) * 1e3
@@ -203,6 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
         "compare them with a transformation-invariant dissimilarity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    lambda_flag = dict(
+        dest="lam",
+        type=float,
+        default=DEFAULT_LAMBDA,
+        help="background lift constant (default %(default)g)",
+    )
 
     p = sub.add_parser("encode", help="encode an image into a code file")
     p.add_argument("--image", required=True, help="input PGM or PNG")
@@ -219,13 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="mass-proportional code length factor (default: fixed length)",
     )
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=DEFAULT_LAMBDA,
-        help="background lift constant (default 0.0001)",
-    )
+    p.add_argument("--lambda", **lambda_flag)
     p.add_argument("--out", required=True, help="output code CSV")
     p.set_defaults(func=cmd_encode)
 
@@ -256,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[pol.value for pol in Polarity],
         default=Polarity.LIGHT_ON_DARK.value,
     )
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    p.add_argument("--lambda", **lambda_flag)
     p.add_argument(
         "--points",
         type=int,

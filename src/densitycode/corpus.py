@@ -26,9 +26,8 @@ from .encoder import MAX_POINTS, invert, read_table
 from .image_io import (
     GrayImage,
     Polarity,
+    density_field,
     load_image,
-    make_density_field,
-    normalize,
     write_pgm,
 )
 
@@ -438,8 +437,7 @@ def load_corpus(corpus_dir, polarity: Polarity, lam: float) -> list:
             path = corpus_dir / row[key]
             if not path.is_file():
                 raise ValueError(f"corpus incomplete: missing {path}")
-            nimg = normalize(load_image(path), polarity)
-            entries.append((pair, make_density_field(nimg, lam)))
+            entries.append((pair, density_field(load_image(path), polarity, lam)))
     if len(entries) < 4:
         raise ValueError("corpus incomplete: need at least two pairs")
     return entries

@@ -28,6 +28,8 @@ CODE_FORMAT_TAG = "density-code v1"
 # a sequence takes 16 bytes a point and each code as much again; without
 # --points a sweep encodes every image at the longest code its largest alpha asks for
 MAX_POINTS = 10**7
+# the background lift lambda of a density field, unless one is given
+DEFAULT_LAMBDA = 1e-4
 # cells of pixel rows in one band of invert's cumulative table: 1 MiB of doubles
 _BAND_CELLS = 2**17
 

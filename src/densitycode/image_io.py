@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import Polarity
+from .encoder import DEFAULT_LAMBDA, Polarity
 
 # a header field, or a comment (run to end of line) to skip; a comment may
 # touch a field, and whitespace separates the rest
@@ -232,34 +232,39 @@ def normalize(img: GrayImage, polarity: Polarity) -> NormalizedImage:
     )
 
 
-def make_density_field(nimg: NormalizedImage, lam: float = 1e-4) -> DensityField:
+def make_density_field(
+    nimg: NormalizedImage, lam: float = DEFAULT_LAMBDA
+) -> DensityField:
     """Lift the normalized image into a strictly positive probability array.
 
     Adds the constant c = lam * mass / (width * height) to every cell before
     renormalizing, a faint background lighting that keeps every cumulative
     sum strictly increasing and therefore invertible. The row-marginal CDF
-    is computed here, once per field.
+    is computed here, once per field, in new arrays: ``nimg`` is left as it was.
     """
+    return _lift(nimg, lam, in_place=False)
+
+
+def density_field(
+    img: GrayImage, polarity: Polarity, lam: float = DEFAULT_LAMBDA
+) -> DensityField:
+    """``make_density_field(normalize(img, polarity), lam)``, with no second canvas."""
+    return _lift(normalize(img, polarity), lam, in_place=True)
+
+
+def _lift(nimg: NormalizedImage, lam: float, in_place: bool) -> DensityField:
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be finite and > 0")
     g = np.asarray(nimg.pixels, dtype=np.float64)
     mass = float(nimg.foreground_mass)
     if mass <= 0:
         raise ValueError("foreground mass must be > 0")
-    sy, sx = g.shape
-    c = lam * mass / (sx * sy)
-    f = g + c
+    c = lam * mass / g.size
+    f = np.add(g, c, out=g if in_place else None)
     total = float(f.sum())
     if not math.isfinite(total):
         raise ValueError("lambda too large: the background lift overflows")
     f /= total
     row_cdf = np.cumsum(f.sum(axis=1))
     row_cdf = row_cdf / row_cdf[-1]
-    return DensityField(
-        f=f,
-        c=c,
-        lam=lam,
-        row_cdf=row_cdf,
-        foreground_mass=mass,
-        polarity=nimg.polarity,
-    )
+    return DensityField(f, c, lam, row_cdf, mass, nimg.polarity)

@@ -13,6 +13,7 @@ from densitycode import (
     GrayImage,
     NormalizedImage,
     Polarity,
+    density_field,
     encode,
     generate_figure,
     halton,
@@ -481,6 +482,50 @@ def test_normalize_and_field_are_the_plain_formulas_and_leave_inputs_alone():
         assert np.array_equal(field.f, (g + field.c) / (g + field.c).sum())
         assert np.array_equal(nimg.pixels, g)
     assert np.array_equal(img.pixels, h)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(2, 64), st.integers(2, 64)),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.float64]),
+    polarity=st.sampled_from(list(Polarity)),
+    lam=st.sampled_from([1e-4, 1e-2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_density_field_is_the_two_stage_chain_and_the_stages_copy(
+    shape, dtype, polarity, lam, seed
+):
+    rng = np.random.default_rng(seed)
+    top = 255.0 if dtype is np.uint8 else 65535.0
+    pixels = rng.uniform(0.0, top, shape)
+    pixels.flat[:2] = (0.0, top)  # never flat
+    if dtype is not np.float64:
+        pixels = np.rint(pixels).astype(dtype)
+    img = GrayImage(pixels=pixels.copy())
+    assert img.pixels.dtype == dtype
+    # the stages return new arrays and leave their inputs' alone
+    nimg = normalize(img, polarity)
+    assert not np.shares_memory(nimg.pixels, img.pixels)
+    assert np.array_equal(img.pixels, pixels)
+    normalized = nimg.pixels.copy()
+    want = make_density_field(nimg, lam)
+    for array in (want.f, want.row_cdf):
+        assert not np.shares_memory(array, nimg.pixels)
+    assert np.array_equal(bits(nimg.pixels), bits(normalized))
+    # the owned chain gives the same field, bit for bit
+    got = density_field(img, polarity, lam)
+    assert np.array_equal(img.pixels, pixels)
+    for array in (got.f, got.row_cdf):
+        assert not np.shares_memory(array, img.pixels)
+    assert np.array_equal(bits(got.f), bits(want.f))
+    assert np.array_equal(bits(got.row_cdf), bits(want.row_cdf))
+    for name in ("c", "foreground_mass", "lam"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name))
+    assert got.polarity is want.polarity is polarity
 
 
 def test_normalize_rejects_flat_image():
