@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-import mmap
-import os
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import permutations, takewhile
+from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,9 +29,6 @@ from .image_io import (
 
 # minimum normalized foreground mass, as a fraction of the pixel count
 _MASS_FLOOR_FRACTION = 0.02
-# basis cells (k items x q rows x m points) a sweep's fit may always gather:
-# 1 MiB, below which the solver's fixed cost per call outweighs the memory
-FIT_CELLS_FLOOR = 2**17
 # cells a blocked numpy pass works on, the stroke pixels `_render_segments`
 # evaluates or the output pixels `warp_image` samples: enough to spend the
 # per-call cost well, few enough that the temporaries stay small
@@ -454,78 +447,6 @@ class SweepRow(NamedTuple):
     status: str  # "ok", or "invalid" when a code is shorter than the basis
 
 
-def _box_runs(code: np.ndarray) -> np.ndarray:
-    """0, then the ascending ends of the runs of prefix lengths with one box.
-
-    ``code`` is coordinate-major (2, L). Prefix length t ends a run when
-    point t lies outside the box of the first t points; L ends the last.
-    The run that ends at bounds[k] holds the lengths over bounds[k - 1].
-    """
-    lo = np.minimum.accumulate(code, axis=1)
-    hi = np.maximum.accumulate(code, axis=1)
-    grows = ((lo[:, 1:] < lo[:, :-1]) | (hi[:, 1:] > hi[:, :-1])).any(axis=0)
-    return np.flatnonzero(np.r_[True, grows, True])
-
-
-def _walk_in_two(lengths: int) -> bool:
-    """Whether a forked child can walk a share of ``lengths`` walked lengths.
-
-    That takes os.fork and os.sched_getaffinity (Linux), 2 usable CPUs, at
-    least 2 lengths to share, and a process of one OS thread: fork copies
-    only the calling thread, so a BLAS pool or any other thread keeps the
-    walk in process.
-    """
-    if lengths < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False
-    if len(os.sched_getaffinity(0)) < 2:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:  # no /proc mounted: the threads cannot be counted
-        return False
-
-
-@contextmanager
-def _shares(lengths: list, found: np.ndarray):
-    """Yield the lengths this process fits into ``found``, in walking order.
-
-    Each is (m, start, stop, step); length m's deltas fill found[start:stop]
-    in order. In one process the walk is every length, ascending. In two, a
-    child made by os.fork walks them descending with every warning an
-    error, writes its deltas straight into ``found`` (shared memory holding
-    NaN) and ends in os._exit, while this process walks them ascending.
-    Each walk stops at the first length whose last delta the other has
-    written: the child finishes lengths one after another from the longest,
-    so this walk covers every length the child left, from the one where it
-    raised, warned or died. Rows, warnings and errors are thus those of one
-    process. This process always reaps the child, and kills it first if its
-    own walk raises.
-    """
-    if not _walk_in_two(len(lengths)):
-        yield lengths
-        return
-    import signal  # a second process alone needs it
-
-    def unmet(walk):  # found[stop - 1], written last, is a NaN until written
-        return takewhile(lambda length: math.isnan(found[length[2] - 1]), walk)
-
-    pid = os.fork()
-    if pid == 0:  # the child
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                yield unmet(reversed(lengths))
-        finally:
-            os._exit(0)
-    try:
-        yield unmet(lengths)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-
-
 def sweep(entries, alphas, degree: int, points: int | None = None) -> list[SweepRow]:
     """Delta of every ordered image pair per alpha, split related/unrelated.
 
@@ -540,34 +461,15 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
     each alpha compares prefixes of those codes: its own codes, bit for bit.
 
     The plan is the (alphas x ordered pairs) array of common lengths
-    min(L_i, L_j), walked once in ascending length. Each distinct (pair,
-    length) is one item, so a pair tied at several alphas is fitted once.
-    The items of one length go to the solver :func:`delta_median` runs, in
-    runs whose gathered item bases (k items x q rows x m points) stay within
-    the larger of half the live bases (n q max(L) / 2 cells) and
-    :data:`FIT_CELLS_FLOOR`. On short codes the solver's cost is per call,
-    not per item, and the floor makes nearly every length one call; on long
-    codes at degree 1 and up, half the live bases is the larger cap. A
-    source is prepared once per fit that holds its items. Each image keeps
-    one live [-1, 1]-mapped basis, built for its prefix's bounding box over
-    every prefix length that shares that box: a length takes its first
-    columns, and a new basis is built only when the box grows. Every delta
-    is :func:`delta_median`'s on the same prefixes, bit for bit. Returns one
-    :class:`SweepRow` per alpha, in the order given.
-
-    On Linux, with at least 2 usable CPUs and 2 walked lengths, in a
-    process of one OS thread (one BLAS thread: a BLAS pool is a thread), the
-    walk runs in two processes. A forked child walks down from the longest
-    length and this process up from the shortest, until each reaches a
-    length the other has finished. Each process keeps its own live bases,
-    up to n q max(L) doubles each, and the child shares this process's
-    other memory until either writes it, but for the deltas, which both
-    write in one shared array. If the child raises, warns or dies, this
-    process walks on through the lengths it left, so the rows, warnings and
-    errors are those of one process.
+    min(L_i, L_j). Each distinct (length, pair) is one item, so a pair tied
+    at several alphas is fitted once. The items go to the solver's walk,
+    :func:`densitycode.matcher._fit_items`, in ascending length and in one
+    process or two: every delta is :func:`delta_median`'s on the same
+    prefixes, bit for bit. Returns one :class:`SweepRow` per alpha, in the
+    order given.
     """
     # the solver and the sequence load here: gen-corpus needs neither
-    from .matcher import _fit, _mapped_basis
+    from .matcher import _fit_items
     from .quasirandom import halton
 
     if degree < 0:
@@ -623,41 +525,7 @@ def sweep(entries, alphas, degree: int, points: int | None = None) -> list[Sweep
         plan * len(pairs) + np.arange(len(pairs)), return_inverse=True
     )
     key_m, key_pair = np.divmod(keys, len(pairs))
-    walked, starts = np.unique(key_m, return_index=True)
-    bounds = np.append(starts, len(keys))
-    # a fit gathers each item's q x m basis: at most half the cells of the
-    # live bases, or FIT_CELLS_FLOOR where that is more
-    per_fit = np.maximum(1, max(n * q * longest // 2, FIT_CELLS_FLOOR) // (q * walked))
-    lengths = list(zip(*[x.tolist() for x in (walked, bounds, bounds[1:], per_fit)]))
-    # shared with a forked child; NaN marks a delta not found (_fit gives none)
-    found = np.frombuffer(mmap.mmap(-1, 8 * len(keys)))
-    found[:] = np.nan
-    if degree:  # each image's live basis, for the lengths over lo up to end
-        runs = [_box_runs(row[:, :m]) for row, m in zip(full, top.tolist())]
-        live, live_lo, live_end = np.empty((n, q, longest)), [0] * n, [0] * n
-    with _shares(lengths, found) as walk:
-        for m, start, stop, step in walk:
-            # keys run source by source; every source is also a target, and
-            # they are the images of length m and up: rows first.. of full
-            source, target = pairs[key_pair[start:stop]].T
-            first = source[0]
-            W = full[first:, :, :m]
-            for i0 in range(0, stop - start, step):
-                a, b = source[i0 : i0 + step], target[i0 : i0 + step]
-                s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
-                basis = None
-                if degree:
-                    for r in range(s0, s1):
-                        if not live_lo[r] < m <= live_end[r]:  # map the run of m
-                            k = np.searchsorted(runs[r], m)
-                            end = live_end[r] = runs[r][k]
-                            live_lo[r] = runs[r][k - 1]
-                            live[r, :, :end] = _mapped_basis(
-                                full[r, None, :, :end], degree
-                            )
-                    basis = live[s0:s1, :, :m]
-                fit = _fit(full[s0:s1, :, :m], W, degree, a - s0, b - first, basis)
-                found[start + i0 : start + i0 + len(a)] = fit.delta
+    found = _fit_items(full, top, np.column_stack((key_m, pairs[key_pair])), degree)
     deltas = found[cell_key].reshape(plan.shape)
     bands = (deltas[:, related], deltas[:, ~related])
     ok_rows = zip(*[f(d, axis=1).tolist() for d in bands for f in (np.min, np.max)])

@@ -18,10 +18,13 @@ minimum-norm SVD fit.
 
 from __future__ import annotations
 
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf
+from itertools import takewhile
+from math import comb, inf, isnan
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +35,10 @@ MAX_CONDITION = 1e6
 
 # Largest code coordinate magnitude delta_median and the corpus sweep accept.
 MAX_COORDINATE = 1e100
+
+# basis cells (k items x q rows x m points) one fit of many may always gather:
+# 1 MiB, below which the solver's fixed cost per call outweighs the memory
+FIT_CELLS_FLOOR = 2**17
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +175,7 @@ def _mapped_basis(V: np.ndarray, d: int) -> np.ndarray:
     return _power_basis((2.0 * V - (lo + hi)) / np.where(width > 0, width, 1.0), d)
 
 
-def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
+def _fit(V, W, d: int, a, b, basis=None, *, stacklevel=3) -> FitStack:
     """Median dissimilarity of the items (V[a], W[b]): the matcher's one solver.
 
     ``V`` and ``W`` are coordinate-major stacks of codes of m points each,
@@ -176,7 +183,7 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
     points V[a][i].T with target points W[b][i].T. ``a`` and ``b`` are index
     arrays, so a source or target shared by several items is prepared once,
     or slices, which pair stacks item for item as views. :func:`delta_median`
-    fits one pair, :func:`densitycode.corpus.sweep` a grid of them.
+    fits one pair, :func:`_fit_items` a list of them.
 
     Each source is mapped into [-1, 1] per axis by its bounding box, and the
     degree-d monomials of the mapped points form the basis B (``basis`` is
@@ -187,13 +194,13 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
     sqrt(max lam / min lam) is at most MAX_CONDITION is solved with that
     inverse, followed by one refinement step that reuses it, and the rest go
     through :func:`least_squares_fit`. A call that sends any item to the SVD
-    warns once, at the line that called delta_median or the sweep
-    (RuntimeWarning), naming how many and how many of those dropped rank.
-    Each target's scale is the median distance of its points to their
-    centroid. Items do not interact: each item's result is bit-identical to
-    fitting its pair alone, which holds as long as numpy runs the stacked
-    linear algebra item by item. The tests check this, and the sweep relies
-    on it to equal delta_median.
+    warns once (RuntimeWarning), ``stacklevel`` frames up: at the line that
+    called delta_median or the sweep, naming how many and how many of those
+    dropped rank. Each target's scale is the median distance of its points
+    to their centroid. Items do not interact: each item's result is
+    bit-identical to fitting its pair alone, which holds as long as numpy
+    runs the stacked linear algebra item by item. The tests check this, and
+    :func:`_fit_items` relies on it to equal delta_median.
 
     A call's fixed cost, a few dozen numpy calls, outweighs its arithmetic
     on short codes, so the work every call repeats is kept to what every fit
@@ -242,7 +249,7 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
                 f"and dropped rank for {int((rank < q).sum())} of {k} (lowest rank "
                 f"{int(rank.min())} of q={q}: collinear, or one value on an axis)",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
         np.matmul(coefficients.transpose(0, 2, 1), basis, out=diff)
         diff -= target
@@ -256,6 +263,138 @@ def _fit(V, W, d: int, a, b, basis=None) -> FitStack:
     residuals = _norms(diff)
     delta = 100.0 * _median(residuals) / target_scale
     return FitStack(delta, residuals, target_scale, coefficients, rank, condition)
+
+
+def _box_runs(code: np.ndarray) -> np.ndarray:
+    """0, then the ascending ends of the runs of prefix lengths with one box.
+
+    ``code`` is coordinate-major (2, L). Prefix length t ends a run when
+    point t lies outside the box of the first t points; L ends the last.
+    The run that ends at bounds[k] holds the lengths over bounds[k - 1].
+    """
+    lo = np.minimum.accumulate(code, axis=1)
+    hi = np.maximum.accumulate(code, axis=1)
+    grows = ((lo[:, 1:] < lo[:, :-1]) | (hi[:, 1:] > hi[:, :-1])).any(axis=0)
+    return np.flatnonzero(np.r_[True, grows, True])
+
+
+def _walk_in_two(lengths: int) -> bool:
+    """Whether a forked child can walk a share of ``lengths`` walked lengths.
+
+    That takes os.fork and os.sched_getaffinity (Linux), 2 usable CPUs, at
+    least 2 lengths to share, and a process of one OS thread: fork copies
+    only the calling thread, so a BLAS pool or any other thread keeps the
+    walk in process.
+    """
+    if lengths < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc mounted: the threads cannot be counted
+        return False
+
+
+@contextmanager
+def _shares(lengths: list, found: np.ndarray):
+    """Yield the lengths this process fits into ``found``, in walking order.
+
+    Each is (m, start, stop, step); length m's deltas fill found[start:stop]
+    in order. In one process the walk is every length, ascending. In two
+    (:func:`_walk_in_two`), a child made by os.fork walks them descending
+    with every warning an error, writes its deltas straight into ``found``
+    (shared memory holding NaN) and ends in os._exit, while this process
+    walks them ascending. Each keeps its own live bases, and the child
+    shares this process's other memory until either writes it. Each walk
+    stops at the first length whose last delta the other has written: the
+    child finishes lengths one after another from the longest, so this walk
+    covers every length the child left, from the one where it raised,
+    warned or died. Rows, warnings and errors are thus those of one
+    process. This process always reaps the child, and kills it first if its
+    own walk raises.
+    """
+    if not _walk_in_two(len(lengths)):
+        yield lengths
+        return
+    import signal  # a second process alone needs it
+
+    def unmet(walk):  # found[stop - 1], written last, is a NaN until written
+        return takewhile(lambda length: isnan(found[length[2] - 1]), walk)
+
+    pid = os.fork()
+    if pid == 0:  # the child
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                yield unmet(reversed(lengths))
+        finally:
+            os._exit(0)
+    try:
+        yield unmet(lengths)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _fit_items(stack: np.ndarray, tops, items: np.ndarray, d: int) -> np.ndarray:
+    """The delta of each (m, source, target) item: :func:`_fit` over many pairs.
+
+    ``stack`` is coordinate-major (n, 2, L), already checked; row r holds a
+    code of tops[r] points, then zeros. ``items`` is (k, 3), sorted by m,
+    then by source; the sources of one m are consecutive rows, each at
+    least m points long, and a target may be any row. Each of the k deltas
+    is delta_median(stack[i, :, :m].T, stack[j, :, :m].T, d).delta, bit for
+    bit. The walk runs in ascending m, in one process or two (:func:`_shares`).
+
+    One m's items are fitted in runs whose gathered bases (k items x q rows
+    x m points) stay within the larger of half the live bases (n q L / 2
+    cells) and :data:`FIT_CELLS_FLOOR`: on short codes the solver's cost is
+    per call, and the floor makes nearly every m one call. A fit prepares
+    each of its sources once and slices the targets from the lesser of the
+    m's first source and least target. Each row keeps one live [-1, 1]-mapped
+    basis, built for its prefix's bounding box over every length that
+    shares the box (:func:`_box_runs`): a length takes its first columns,
+    and a new basis is built only when the box grows.
+    """
+    import mmap  # loaded by a walk alone: delta_median needs no shared memory
+
+    n, _, longest = stack.shape
+    q = comb(d + 2, 2)
+    key_m, source, target = items.T
+    walked, starts = np.unique(key_m, return_index=True)
+    bounds = np.append(starts, len(items))
+    per_fit = np.maximum(1, max(n * q * longest // 2, FIT_CELLS_FLOOR) // (q * walked))
+    lengths = list(zip(*[x.tolist() for x in (walked, bounds, bounds[1:], per_fit)]))
+    # shared with a forked child; NaN marks a delta not found (_fit gives none)
+    found = np.frombuffer(mmap.mmap(-1, 8 * len(items)))
+    found[:] = np.nan
+    if d:  # each row's live basis, for the lengths over lo up to end
+        runs = [_box_runs(row[:, :m]) for row, m in zip(stack, tops)]
+        live, live_lo, live_end = np.empty((n, q, longest)), [0] * n, [0] * n
+    with _shares(lengths, found) as walk:
+        for m, start, stop, step in walk:
+            sources, targets = source[start:stop], target[start:stop]
+            first = min(sources[0], targets.min())
+            W = stack[first:, :, :m]
+            for i0 in range(0, stop - start, step):
+                a, b = sources[i0 : i0 + step], targets[i0 : i0 + step]
+                s0, s1 = a[0], a[-1] + 1  # the fit's sources: consecutive rows
+                basis = None
+                if d:
+                    for r in range(s0, s1):
+                        if not live_lo[r] < m <= live_end[r]:  # map the run of m
+                            k = np.searchsorted(runs[r], m)
+                            end = live_end[r] = runs[r][k]
+                            live_lo[r] = runs[r][k - 1]
+                            live[r, :, :end] = _mapped_basis(stack[r, None, :, :end], d)
+                    basis = live[s0:s1, :, :m]
+                V = stack[s0:s1, :, :m]
+                fit = _fit(V, W, d, a - s0, b - first, basis, stacklevel=4)
+                found[start + i0 : start + i0 + len(a)] = fit.delta
+    return found
 
 
 @dataclass(frozen=True)
@@ -294,8 +433,8 @@ def delta_median(V, W, d: int) -> DissimilarityReport:
     per-point Euclidean distances; with d >= 1 they are the errors of the
     fitted degree-d polynomial map applied to V. The median of an even
     count is the mean of the two central order statistics. The fit is the
-    solver :func:`densitycode.corpus.sweep` runs on a grid of pairs, and the
-    tests check that the sweep's deltas equal this function's bit for bit.
+    solver :func:`_fit_items` runs on many pairs, as the sweep does, and the
+    tests check that its deltas equal this function's bit for bit.
     """
     v = _as_points(V)
     w = _as_points(W)

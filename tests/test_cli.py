@@ -23,7 +23,7 @@ from densitycode import (
     read_code_csv,
     write_pgm,
 )
-from densitycode.cli import MAX_POINTS, main
+from densitycode.cli import MAX_POINTS, build_parser, main
 
 
 @pytest.fixture()
@@ -814,6 +814,14 @@ def test_each_flag_bound_is_the_library_constant(
     with pytest.raises(ValueError) as refused:
         library_call()
     assert str(refused.value) == library_message
+
+
+def test_gen_corpus_defaults_are_the_corpus_spec_defaults():
+    # the parser holds its own copy, so that it loads no corpus module for
+    # the other commands; this ties the copy to CorpusSpec's
+    args = build_parser().parse_args(["gen-corpus", "--out", "x"])
+    spec = densitycode.corpus.CorpusSpec()
+    assert (args.pairs, args.size, args.seed) == (spec.pair_count, spec.size, spec.seed)
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--lambda"])

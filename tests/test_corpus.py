@@ -712,56 +712,6 @@ def image_of(codes, points):
     return index
 
 
-@pytest.fixture
-def one_cpu(monkeypatch):
-    """A context in which the sweep sees one usable CPU, so walks in process.
-
-    A spy patched into a test sees only the fits of its own process: a
-    second process walks on a copy of the spy and its records.
-    """
-
-    @contextlib.contextmanager
-    def context():
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            yield patch
-
-    return context
-
-
-@pytest.fixture
-def two_processes(monkeypatch):
-    """A context in which the sweep walks in two processes; it yields the forks.
-
-    The sweep forks only on 2 usable CPUs in a process of one OS thread, and
-    an unpinned BLAS pool is a second thread, so the context lifts both
-    rules. Python 3.12 warns at a fork beside threads; OpenBLAS shuts its
-    pool down at fork, so the context drops that one warning.
-    """
-    fork = os.fork
-
-    @contextlib.contextmanager
-    def context():
-        forks = []
-
-        def counted_fork():
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", "This process .* is multi-threaded", DeprecationWarning
-                )
-                pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        with monkeypatch.context() as patch:
-            patch.setattr(corpus_module, "_walk_in_two", lambda n: n >= 2)
-            patch.setattr(os, "fork", counted_fork)
-            yield forks
-
-    return context
-
-
 def test_sweep_rows_match_direct_delta_median(tmp_path):
     generate_corpus(tmp_path, CorpusSpec(pair_count=2, size=64, seed=7))
     entries = load_corpus(tmp_path, Polarity.LIGHT_ON_DARK, 1e-4)
@@ -791,8 +741,8 @@ def test_sweep_pairs_equal_delta_median_from_exactly_q_points(six_images, one_cp
     fits = []
     fit = matcher_module._fit
 
-    def recording_fit(V, W, d, a, b, basis=None):
-        result = fit(V, W, d, a, b, basis)
+    def recording_fit(V, W, d, a, b, basis=None, **kwargs):
+        result = fit(V, W, d, a, b, basis, **kwargs)
         fits.append((V, W, d, a, b, result))
         return result
 
@@ -867,12 +817,12 @@ def test_a_descending_walk_builds_one_basis_per_image_and_box(
     def descending(lengths, found):
         yield lengths[::-1]
 
-    def recording_fit(V, W, d, a, b, basis=None):
+    def recording_fit(V, W, d, a, b, basis=None, **kwargs):
         walked.append(V.shape[2])
-        return fit(V, W, d, a, b, basis)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(corpus_module, "_shares", descending)
+        patch.setattr(matcher_module, "_shares", descending)
         patch.setattr(matcher_module, "_fit", recording_fit)
         built = recorded_bases(patch)
         rows = sweep(six_images, alphas, 3)
@@ -900,9 +850,9 @@ def test_sweep_fits_tied_lengths_once(six_images, one_cpu):
     items = []
     fit = matcher_module._fit
 
-    def recording_fit(V, W, d, a, b, basis=None):
+    def recording_fit(V, W, d, a, b, basis=None, **kwargs):
         items.extend((V.shape[2], s, t) for s, t in zip(a, b))
-        return fit(V, W, d, a, b, basis)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     with one_cpu() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
@@ -946,9 +896,9 @@ def fits_by_length(entries, alphas, degree, one_cpu):
     calls = {}
     fit = matcher_module._fit
 
-    def recording_fit(V, W, d, a, b, basis=None):
+    def recording_fit(V, W, d, a, b, basis=None, **kwargs):
         calls.setdefault(V.shape[2], []).append(len(a))
-        return fit(V, W, d, a, b, basis)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     with one_cpu() as patch:
         patch.setattr(matcher_module, "_fit", recording_fit)
@@ -964,7 +914,7 @@ def test_sweep_fits_a_length_in_one_call_under_the_floor(default_images, one_cpu
     # half-live rule alone split the same items into 645)
     alphas = [0.01 * i for i in range(1, 51)]
     calls = fits_by_length(default_images, alphas, 3, one_cpu)
-    q, floor = 10, corpus_module.FIT_CELLS_FLOOR
+    q, floor = 10, matcher_module.FIT_CELLS_FLOOR
     longest = max(len(code) for code in prefix_plan(default_images, [], 0.5)[0])
     assert 12 * q * longest // 2 < floor
     for m, items in calls.items():
@@ -986,9 +936,9 @@ def test_sweep_keeps_half_the_live_bases_above_the_floor(default_images, one_cpu
     codes, _ = prefix_plan(default_images, [], 2.5)
     q, longest = 10, max(len(code) for code in codes)
     cap = 12 * q * longest // 2
-    assert cap > corpus_module.FIT_CELLS_FLOOR
+    assert cap > matcher_module.FIT_CELLS_FLOOR
     cells = [k * q * m for m, items in calls.items() for k in items]
-    assert max(cells) <= cap and max(cells) > corpus_module.FIT_CELLS_FLOOR
+    assert max(cells) <= cap and max(cells) > matcher_module.FIT_CELLS_FLOOR
 
 
 def diagonal_field(shift):
@@ -1020,8 +970,8 @@ def test_sweep_takes_the_svd_fallback_item_by_item(
     fits = []
     fit = matcher_module._fit
 
-    def recording_fit(V, W, d, a, b, basis=None):
-        result = fit(V, W, d, a, b, basis)
+    def recording_fit(V, W, d, a, b, basis=None, **kwargs):
+        result = fit(V, W, d, a, b, basis, **kwargs)
         fits.append((V, W, d, a, b, result))
         return result
 
@@ -1075,9 +1025,9 @@ def test_two_processes_warn_as_one(six_images, one_cpu, two_processes, monkeypat
     # at the longest length, and the parent walks and warns at every length
     fit = matcher_module._fit
 
-    def warning_fit(V, W, d, a, b, basis=None):
-        warnings.warn(f"fit at length {V.shape[2]}", UserWarning, stacklevel=3)
-        return fit(V, W, d, a, b, basis)
+    def warning_fit(V, W, d, a, b, basis=None, **kwargs):
+        warnings.warn(f"fit at length {V.shape[2]}", UserWarning, stacklevel=4)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     def heard():
         with warnings.catch_warnings(record=True) as record:
@@ -1101,9 +1051,9 @@ def test_two_processes_print_a_repeated_warning_as_one(
     # prints it once at the sweep's calling line, in one process and in two
     fit = matcher_module._fit
 
-    def warning_fit(V, W, d, a, b, basis=None):
-        warnings.warn("every fit warns this", RuntimeWarning, stacklevel=3)
-        return fit(V, W, d, a, b, basis)
+    def warning_fit(V, W, d, a, b, basis=None, **kwargs):
+        warnings.warn("every fit warns this", RuntimeWarning, stacklevel=4)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     def to_stderr(message, category, filename, lineno, file=None, line=None):
         sys.stderr.write(warnings.formatwarning(message, category, filename, lineno))
@@ -1191,10 +1141,10 @@ def test_a_warning_child_leaves_the_parent_the_lengths_up_to_it(
                 warning.add(min(cut[i], cut[j]))
     fit, parent, walked, forks = matcher_module._fit, os.getpid(), [], []
 
-    def waiting_fit(V, W, d, a, b, basis=None):
+    def waiting_fit(V, W, d, a, b, basis=None, **kwargs):
         if os.getpid() == parent:
             after_the_child(forks, walked, V)
-        return fit(V, W, d, a, b, basis)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     def heard():
         walked.clear()
@@ -1249,10 +1199,10 @@ def test_an_interrupted_parent_kills_and_reaps_the_child(
     shortest = walked_lengths(six_images, [0.1, 0.2, 0.3])[0]
     fit = matcher_module._fit
 
-    def interrupted_fit(V, W, d, a, b, basis=None):
+    def interrupted_fit(V, W, d, a, b, basis=None, **kwargs):
         if V.shape[2] == shortest:  # the parent's first fit
             raise KeyboardInterrupt
-        return fit(V, W, d, a, b, basis)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     monkeypatch.setattr(matcher_module, "_fit", interrupted_fit)
     with two_processes() as forks, pytest.raises(KeyboardInterrupt):
@@ -1275,12 +1225,12 @@ def test_a_killed_child_hands_its_share_back(
     lengths = walked_lengths(six_images, alphas)
     fit, parent, walked, forks = matcher_module._fit, os.getpid(), [], []
 
-    def dying_fit(V, W, d, a, b, basis=None):
+    def dying_fit(V, W, d, a, b, basis=None, **kwargs):
         if os.getpid() == parent:
             after_the_child(forks, walked, V)
         elif V.shape[2] == lengths[-3]:
             os.kill(os.getpid(), signum)
-        return fit(V, W, d, a, b, basis)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     with one_cpu():
         alone = sweep(six_images, alphas, 3)
@@ -1302,12 +1252,12 @@ def test_a_warning_in_the_child_share_comes_from_the_parent(
     lengths = walked_lengths(six_images, alphas)
     fit, parent, walked, forks = matcher_module._fit, os.getpid(), [], []
 
-    def warning_fit(V, W, d, a, b, basis=None):
+    def warning_fit(V, W, d, a, b, basis=None, **kwargs):
         if os.getpid() == parent:
             after_the_child(forks, walked, V)
         if V.shape[2] == lengths[-3]:
-            warnings.warn(f"fit at length {lengths[-3]}", UserWarning, stacklevel=3)
-        return fit(V, W, d, a, b, basis)
+            warnings.warn(f"fit at length {lengths[-3]}", UserWarning, stacklevel=4)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     def heard():
         walked.clear()
@@ -1341,14 +1291,14 @@ def test_an_interrupt_in_what_the_child_left_reaps_it_once(
     fit, kill, parent = matcher_module._fit, os.kill, os.getpid()
     walked, kills, forks = [], [], []
 
-    def failing_fit(V, W, d, a, b, basis=None):
+    def failing_fit(V, W, d, a, b, basis=None, **kwargs):
         if os.getpid() == parent:
             after_the_child(forks, walked, V)
         if V.shape[2] == lengths[-3]:
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             warnings.warn("the child stops here", UserWarning)
-        return fit(V, W, d, a, b, basis)
+        return fit(V, W, d, a, b, basis, **kwargs)
 
     def recorded_kill(pid, signum):
         kills.append(pid)
@@ -1420,14 +1370,14 @@ def test_the_fork_rule_counts_threads_on_any_host(monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not corpus_module._walk_in_two(5)
+        assert not matcher_module._walk_in_two(5)
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     body = (
         "import os\n"
-        "from densitycode.corpus import _walk_in_two\n"
+        "from densitycode.matcher import _walk_in_two\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "print(_walk_in_two(5))\n"
     )

@@ -17,6 +17,7 @@ from densitycode import (
     encode,
     generate_figure,
     halton,
+    invert,
     load_image,
     load_pgm,
     make_density_field,
@@ -559,6 +560,42 @@ def test_normalize_affine_relighting_invariance(a, b):
     original = normalize(GrayImage(pixels=base), Polarity.LIGHT_ON_DARK)
     relit = normalize(GrayImage(pixels=a * base + b), Polarity.LIGHT_ON_DARK)
     assert np.allclose(relit.pixels, original.pixels, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(2, 16), st.integers(2, 16)),
+    polarity=st.sampled_from(list(Polarity)),
+    k=st.integers(-3, 8),
+    offset=st.integers(0, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_power_of_two_contrast_and_whole_brightness_keep_the_code_bits(
+    shape, polarity, k, offset, seed
+):
+    # on 8-bit pixels 2**k * h + o is exact, and so is each step of
+    # normalize: h - lo and hi - lo both gain the factor 2**k, which their
+    # quotient drops without a rounding, so the field and code keep their bits
+    h = np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
+    assume(h.max() > h.min())
+    u = halton(1025).points
+    want = invert(density_field(GrayImage(pixels=h), polarity), u)
+    got = invert(density_field(GrayImage(pixels=2.0**k * h + offset), polarity), u)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("polarity", list(Polarity), ids=lambda p: p.value)
+def test_an_increasing_affine_intensity_map_moves_codes_by_rounding_alone(polarity):
+    # any other scale or offset rounds in normalize: the codes stay within
+    # 1e-9 px (2.3e-13 px measured) of the unmapped figure's
+    u = halton(1025).points
+    for s in range(4):
+        h = generate_figure([42, s], 128).pixels
+        want = invert(density_field(GrayImage(pixels=h), polarity), u)
+        for scale, offset in ((3.0, 0.0), (0.5, 12.0), (1.7, 51.0)):
+            relit = GrayImage(pixels=scale * h + offset)
+            got = invert(density_field(relit, polarity), u)
+            assert np.abs(got - want).max() <= 1e-9, (s, scale, offset)
 
 
 def test_density_field_constant_formula():

@@ -26,6 +26,8 @@ sys.meta_path.insert(0, BlockScipy())
 """
 SCIPY_LOADED = "[m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy']"
 PACKAGE_LOADED = "[m for m in sorted(sys.modules) if m.split('.')[0] == 'densitycode']"
+# what matcher._fit_items loads inside, for its shared deltas and its second process
+WALK_LOADED = "sorted({'mmap', 'signal'} & set(sys.modules))"
 
 
 def run_blocked(body, cwd):
@@ -120,13 +122,15 @@ def test_each_command_loads_only_the_modules_it_runs(codes_dir, argv, modules):
         "import json\n"
         "from densitycode.cli import main\n"
         f"code = main({argv!r})\n"
-        f"print(json.dumps([code, {PACKAGE_LOADED}]))\n"
+        f"print(json.dumps([code, {PACKAGE_LOADED}, {WALK_LOADED}]))\n"
     )
     out = run_blocked(body, codes_dir)
     assert out.returncode == 0, out.stderr
-    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    code, loaded, walk_loaded = json.loads(out.stdout.splitlines()[-1])
     assert code == 0, out.stderr
     assert loaded == ["densitycode", *(f"densitycode.{name}" for name in modules)]
+    if argv[0] == "compare":  # one fit loads the matcher, but not its walk's modules
+        assert walk_loaded == []
 
 
 def test_package_import_loads_no_submodule_and_no_numpy(tmp_path):

@@ -1,11 +1,13 @@
 """Tests for the monomial basis, least-squares fit, and median dissimilarity."""
 
+import os
 import warnings
 from contextlib import contextmanager
+from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from densitycode import (
@@ -20,7 +22,7 @@ from densitycode import (
     least_squares_fit,
     load_corpus,
 )
-from densitycode.matcher import _fit, _median
+from densitycode.matcher import _fit, _fit_items, _median
 
 
 class TestAllPowers:
@@ -563,3 +565,90 @@ class TestFitStack:
         raw, _, _ = least_squares_fit(B, W)
         raw_residuals = np.sqrt(((B @ raw - W) ** 2).sum(axis=1))
         assert np.allclose(report.residuals, raw_residuals, rtol=1e-7, atol=1e-7)
+
+
+def walk_stacks(lengths, seed):
+    """Two zero-padded (n, 2, L) stacks of random codes in a 64^2 image.
+
+    The first holds the codes by ascending length, as the sweep does. The
+    second moves the code of middle length to row 0, so from 3 codes up
+    row 0 has shorter and longer codes after it.
+    """
+    rng = np.random.default_rng(seed)
+    tops = sorted(lengths)
+    stack = np.zeros((len(tops), 2, tops[-1]))
+    for row, m in zip(stack, tops):
+        row[:, :m] = rng.uniform(0.0, 64.0, (2, m))
+    mid = len(tops) // 2
+    order = [mid, *range(mid), *range(mid + 1, len(tops))]
+    return (stack, tops), (stack[order], [tops[r] for r in order])
+
+
+def every_pair(tops):
+    """The sweep's items: each ordered pair at its common length, sorted."""
+    pairs = permutations(range(len(tops)), 2)
+    return np.array(sorted((min(tops[i], tops[j]), i, j) for i, j in pairs))
+
+
+def one_source(tops, r=0):
+    """A one-to-many list: row r against every other row at their common length."""
+    targets = [t for t in range(len(tops)) if t != r]
+    return np.array(sorted((min(tops[r], tops[t]), r, t) for t in targets))
+
+
+def delta_median_bits(stack, items, d):
+    """The bits of delta_median's delta for each (m, source, target) item."""
+    with svd_fallback_allowed():
+        deltas = [
+            delta_median(stack[i, :, :m].T, stack[j, :, :m].T, d).delta
+            for m, i, j in items
+        ]
+    return np.array(deltas).view(np.int64)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    lengths=st.lists(st.integers(10, 90), min_size=2, max_size=6, unique=True),
+    seed=st.integers(0, 2**31 - 1),
+    d=st.sampled_from([0, 1, 3]),
+)
+def test_fit_items_equal_delta_median(one_cpu, lengths, seed, d):
+    # the sweep's every-pair list, and one source against every other row:
+    # all longer than it, all shorter and in the rows before it, or (middle
+    # length in row 0) shorter and longer; a source longer than its target
+    # is cut to the target's length
+    (ascending, tops), (middle_first, middle_tops) = walk_stacks(lengths, seed)
+    cases = [
+        (ascending, tops, every_pair(tops)),
+        (ascending, tops, one_source(tops)),
+        (ascending, tops, one_source(tops, len(tops) - 1)),
+        (middle_first, middle_tops, one_source(middle_tops)),
+    ]
+    for stack, row_tops, items in cases:
+        with one_cpu(), svd_fallback_allowed():
+            deltas = _fit_items(stack, row_tops, items, d)
+        assert np.array_equal(deltas.view(np.int64), delta_median_bits(stack, items, d))
+
+
+def test_fit_items_give_one_source_the_same_bits_in_two_processes(
+    one_cpu, two_processes
+):
+    # row 0 (45 points) against two shorter and two longer codes: three
+    # lengths, so the child walks down from 45 and the parent up from 12
+    _, (stack, tops) = walk_stacks([12, 30, 45, 60, 75], 7)
+    items = one_source(tops)
+    assert sorted(items[:, 0].tolist()) == [12, 30, 45, 45]
+    with one_cpu(), svd_fallback_allowed():
+        alone = _fit_items(stack, tops, items, 3)
+    with two_processes() as forks, svd_fallback_allowed():
+        shared = _fit_items(stack, tops, items, 3)
+    assert len(forks) == 1
+    assert np.array_equal(shared.view(np.int64), alone.view(np.int64))
+    assert np.array_equal(alone.view(np.int64), delta_median_bits(stack, items, 3))
+    with pytest.raises(ChildProcessError):  # the child is reaped
+        os.waitpid(-1, os.WNOHANG)
