@@ -30,8 +30,9 @@ from .image_io import (
 # minimum normalized foreground mass, as a fraction of the pixel count
 _MASS_FLOOR_FRACTION = 0.02
 # cells a blocked numpy pass works on, the stroke pixels `_render_segments`
-# evaluates or the output pixels `warp_image` samples: enough to spend the
-# per-call cost well, few enough that the temporaries stay small
+# evaluates, the output pixels `warp_image` samples or the source rows one
+# solve finds for a group of corpus warps: enough to spend the per-call cost
+# well, few enough that the temporaries stay small
 _BLOCK_CELLS = 2**14
 # the figure sizes CorpusSpec and generate_figure accept: MIN_FIGURE_SIZE ..
 # MAX_FIGURE_SIZE (a 4096^2 figure peaks at 0.25 GiB: the render canvas and
@@ -220,19 +221,35 @@ def generate_figure(seed, size: int) -> GrayImage:
     return GrayImage(pixels=canvas)
 
 
-def _poly(coeffs, y):
-    """Sum of coeffs[k] * y**k, k ascending, skipping zero coefficients."""
-    out = np.zeros(np.shape(y))
-    for k, coeff in enumerate(coeffs):
-        if coeff == 0.0:
-            continue
-        out += coeff * y**k if k else coeff
-    return out
+def _polynomial(coeffs):
+    """y -> sum of coeffs[..., k] * y**k, k ascending, skipping zero coefficients.
+
+    ``coeffs`` is one polynomial, or a stack of them (g, k) evaluated row by
+    row at y (g, n). A power that only some rows of a stack have adds -0.0
+    to the others, which changes no value, so each row is its own
+    polynomial's sum, bit for bit.
+    """
+    coeffs = np.asarray(coeffs)
+    terms = []
+    for k, column in enumerate(coeffs.reshape(-1, coeffs.shape[-1]).T.tolist()):
+        coeff = coeffs[..., k, None]
+        if any(column):  # NaN counts, as coeff == 0.0 is False for it
+            terms.append((k, coeff, None if all(column) else coeff == 0.0))
+
+    def evaluate(y):
+        out = np.zeros(np.shape(y))
+        for k, coeff, zero in terms:
+            term = coeff if k == 0 else coeff * (y if k == 1 else y**k)
+            out += term if zero is None else np.where(zero, -0.0, term)
+        return out
+
+    return evaluate
 
 
 def _derivative(coeffs):
-    """Ascending coefficients of the derivative of an ascending polynomial."""
-    return np.arange(1, len(coeffs)) * coeffs[1:]
+    """Ascending coefficients of the derivative of each ascending polynomial."""
+    coeffs = np.asarray(coeffs)
+    return np.arange(1, coeffs.shape[-1]) * coeffs[..., 1:]
 
 
 class WindWarp(NamedTuple):
@@ -255,7 +272,7 @@ def _least_on(coeffs, hi: float):
     ys = [0.0, float(hi)]
     if c[2] > 0.0 and 0.0 < -c[1] < 2.0 * c[2] * hi:
         ys.append(-c[1] / (2.0 * c[2]))
-    return np.min(_poly(coeffs, np.array(ys)))
+    return np.min(_polynomial(coeffs)(np.array(ys)))
 
 
 def check_warp_family(warp: WindWarp, sy: int) -> None:
@@ -297,30 +314,41 @@ def wind_warp_coefficients(rng: np.random.Generator, size: int) -> WindWarp:
 
 
 def _invert_monotone(q, targets, lo: float, hi: float):
-    """Solve q(y) = t for a polynomial q increasing on [lo, hi], vectorized.
+    """Solve q(y) = t for each polynomial of a stack, increasing on [lo, hi].
 
-    Bisection localizes the root, a few Newton steps polish it to machine
-    precision. Targets outside [q(lo), q(hi)] come back NaN.
+    ``q`` holds one polynomial's ascending coefficients a row, (g, k), and
+    row i of the (g, n) result solves row i of ``q`` for every target.
+    Bisection localizes the roots, a few Newton steps polish them to machine
+    precision. Targets outside [q(lo), q(hi)] come back NaN. Every step is
+    elementwise, so each row is the one polynomial's solve, bit for bit.
     """
-    dq = _derivative(q)
+    poly, slope = _polynomial(q), _polynomial(_derivative(q))
     t = np.asarray(targets, dtype=np.float64)
-    flo = float(_poly(q, np.array([lo]))[0])
-    fhi = float(_poly(q, np.array([hi]))[0])
+    flo, fhi = poly(np.full((len(q), 1), lo)), poly(np.full((len(q), 1), hi))
     outside = (t < flo) | (t > fhi)
-    a = np.full(t.shape, lo)
-    b = np.full(t.shape, hi)
+    a = np.full(outside.shape, lo)
+    b = np.full(outside.shape, hi)
     for _ in range(52):
         mid = 0.5 * (a + b)
-        go_right = _poly(q, mid) < t
+        go_right = poly(mid) < t
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
     x = 0.5 * (a + b)
     for _ in range(3):
-        d = _poly(dq, x)
-        x = x - (_poly(q, x) - t) / np.where(d > 0.0, d, 1.0)
+        d = slope(x)
+        x = x - (poly(x) - t) / np.where(d > 0.0, d, 1.0)
     x = np.clip(x, lo, hi)
     x[outside] = np.nan
     return x
+
+
+def _source_rows(warps, sy: int) -> np.ndarray:
+    """Each warp's source y of every output row, one row of (len(warps), sy)
+    a warp, NaN where it lies off the image; one solve for all the warps."""
+    for warp in warps:
+        check_warp_family(warp, sy)
+    q = np.stack([warp.q for warp in warps])
+    return _invert_monotone(q, np.arange(sy) + 0.5, 0.0, float(sy))
 
 
 def _bilinear(px: np.ndarray, x: np.ndarray, y: np.ndarray, fill: float):
@@ -328,22 +356,67 @@ def _bilinear(px: np.ndarray, x: np.ndarray, y: np.ndarray, fill: float):
 
     Pixel (r, c) has its center at (c + 0.5, r + 0.5). ``y`` lies in [0, sy],
     as the source rows :func:`_invert_monotone` solves for do; samples at an
-    ``x`` outside [0, sx], or NaN, return the fill value.
+    ``x`` outside [0, sx], or NaN, return the fill value. The steps that
+    change no sample are skipped: ``nan_to_num`` when every x is finite, the
+    fill when every x is inside the image. The neighbours to the right and
+    below are read through offset views of the flat pixels.
     """
     sy, sx = px.shape
-    with np.errstate(invalid="ignore"):
-        ok = (x >= 0.0) & (x <= sx)  # False at NaN and at either infinity
-    xc = np.clip(np.nan_to_num(x) - 0.5, 0.0, sx - 1.0)
+    least, most = x.min(), x.max()  # NaN when any x is
+    finite = math.isfinite(least) and math.isfinite(most)
+    xc = np.clip((x if finite else np.nan_to_num(x)) - 0.5, 0.0, sx - 1.0)
     yc = np.clip(y - 0.5, 0.0, sy - 1.0)
     j0 = np.minimum(np.floor(xc).astype(np.intp), sx - 2)
     i0 = np.minimum(np.floor(yc).astype(np.intp), sy - 2)
     fx = xc - j0
+    gx = 1.0 - fx
     fy = yc - i0
     flat, k = px.ravel(), i0 * sx + j0  # k: each sample's top-left neighbour
-    top = (1.0 - fx) * flat.take(k) + fx * flat.take(k + 1)
-    bottom = (1.0 - fx) * flat.take(k + sx) + fx * flat.take(k + sx + 1)
+    top = gx * flat.take(k) + fx * flat[1:].take(k)
+    bottom = gx * flat[sx:].take(k) + fx * flat[sx + 1 :].take(k)
     value = (1.0 - fy) * top + fy * bottom
+    if least >= 0.0 and most <= sx:
+        return value
+    with np.errstate(invalid="ignore"):
+        ok = (x >= 0.0) & (x <= sx)  # False at NaN and at either infinity
     return np.where(ok, value, fill)
+
+
+def _ink_windows(px: np.ndarray, y_src, a, b):
+    """Each output row's columns [start, stop) that can differ from +0.0.
+
+    Ink is any pixel but +0.0 (a -0.0 is ink). A sample whose four source
+    neighbours are all +0.0 is +0.0, the sum of +0.0 times weights that are
+    not negative; its neighbours lie in the two source rows i0, i0 + 1 and
+    the columns j0, j0 + 1 of :func:`_bilinear`. So only the columns whose
+    x = (c + 0.5 - b) / a lies within one pixel of [L - 0.5, R + 1.5] can
+    differ from +0.0, for L and R the rows' first and last ink column. The
+    bounds are mapped to columns with one column of slack. Computed x
+    never falls as c grows where a > 0, so the window holds all such
+    columns when x lies below that range just left of it and above it just
+    right of it; a row where that does not hold (a NaN, an overflow) takes
+    the whole row.
+    """
+    sy, sx = px.shape
+    ink = (px.view(np.int64) if px.dtype == np.float64 else px) != 0
+    has_ink = ink.any(axis=1)
+    first = np.where(has_ink, ink.argmax(axis=1), sx)
+    last = np.where(has_ink, sx - 1 - ink[:, ::-1].argmax(axis=1), -1)
+    del ink
+    yc = np.clip(np.nan_to_num(y_src) - 0.5, 0.0, sy - 1.0)
+    i0 = np.minimum(np.floor(yc).astype(np.intp), sy - 2)
+    lo_col = np.minimum(first[i0], first[i0 + 1])
+    hi_col = np.maximum(last[i0], last[i0 + 1])
+    lo_x, hi_x = lo_col - 1.5, hi_col + 2.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.clip(np.floor(a * lo_x + b - 0.5) - 1.0, 0, sx)
+        stop = np.clip(np.floor(a * hi_x + b - 0.5) + 2.0, 0, sx)
+        held = (a > 0.0) & ((start == 0) | ((start - 0.5 - b) / a < lo_x))
+        held &= (stop == sx) | ((stop + 0.5 - b) / a > hi_x)
+    start = np.where(held, start, 0).astype(np.intp)
+    stop = np.where(held, stop, sx).astype(np.intp)
+    stop[lo_col > hi_col] = 0  # no ink in either source row
+    return start, stop
 
 
 def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
@@ -353,26 +426,38 @@ def warp_image(img: GrayImage, warp: WindWarp) -> GrayImage:
     each output row and is found by inverting q; the x component is then
     a(y)*x + b(y), inverted in closed form per row. Bilinear sampling with
     the image minimum as background fill completes the resampling, one
-    sampling call per block of rows of at most ``_BLOCK_CELLS`` pixels.
+    sampling call per block of at most ``_BLOCK_CELLS // sx`` rows. When the
+    fill is +0.0, a block samples only the columns its rows' ink windows
+    span (:func:`_ink_windows`), and every other pixel keeps the fill the
+    sampler would compute there; with any other fill it samples whole rows.
+    Every sampled pixel takes the same operations as a row at a time.
     """
+    return _warp_rows(img, warp, _source_rows([warp], len(img.pixels))[0])
+
+
+def _warp_rows(img: GrayImage, warp: WindWarp, y_src) -> GrayImage:
+    """:func:`warp_image` of a warp whose source rows are solved."""
     px = np.ascontiguousarray(img.pixels)  # each block then ravels to a view
     sy, sx = px.shape
-    check_warp_family(warp, sy)
     fill = img.lo
-    y_src = _invert_monotone(warp.q, np.arange(sy) + 0.5, 0.0, float(sy))
     # a, b or x past the float range makes an infinite or NaN x: fill
     with np.errstate(over="ignore", invalid="ignore"):
-        a = _poly(warp.a, y_src)
-        b = _poly(warp.b, y_src)
+        a = _polynomial(warp.a)(y_src)
+        b = _polynomial(warp.b)(y_src)
+    if fill == 0.0 and math.copysign(1.0, fill) > 0.0:
+        start, stop = _ink_windows(px, y_src, a, b)  # before the output exists
+    else:
+        start, stop = np.zeros(sy, np.intp), np.full(sy, sx)
     col_targets = np.arange(sx) + 0.5
     out = np.full((sy, sx), fill)
-    rows = np.flatnonzero(np.isfinite(y_src))
+    rows = np.flatnonzero(np.isfinite(y_src) & (stop > start))
     per_block = max(1, _BLOCK_CELLS // sx)
-    for start in range(0, len(rows), per_block):
-        r = rows[start : start + per_block, None]  # the block's rows, as a column
+    for first in range(0, len(rows), per_block):
+        r = rows[first : first + per_block, None]  # the block's rows, as a column
+        c0, c1 = start[r].min(), stop[r].max()
         with np.errstate(over="ignore", invalid="ignore"):
-            x_src = (col_targets - b[r]) / a[r]
-        out[r[:, 0]] = _bilinear(px, x_src, y_src[r], fill)
+            x_src = (col_targets[c0:c1] - b[r]) / a[r]
+        out[r[:, 0], c0:c1] = _bilinear(px, x_src, y_src[r], fill)
     return GrayImage(pixels=out)
 
 
@@ -387,16 +472,23 @@ def generate_corpus(out_dir, spec: CorpusSpec | None = None) -> list[dict]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
+    # each pair draws its warp from its own stream; a group's source rows
+    # are solved at once, a stack of at most _BLOCK_CELLS rows
+    group = max(1, _BLOCK_CELLS // spec.size)
     for k in range(spec.pair_count):
+        if k % group == 0:
+            ks = range(k, min(k + group, spec.pair_count))
+            rngs = [np.random.default_rng([spec.seed, j, 1]) for j in ks]
+            warps = [wind_warp_coefficients(rng, spec.size) for rng in rngs]
+            sources = _source_rows(warps, spec.size)
+        warp = warps[k % group]
         file_a = f"pair{k}_A.pgm"
         file_b = f"pair{k}_B.pgm"
         # each write runs beside one image: the figure is written before it
         # is warped and dropped before the warped image is written
         figure = generate_figure([spec.seed, k], spec.size)
         write_pgm(figure.pixels / figure.hi * 65535.0, out_dir / file_a, maxval=65535)
-        warp_rng = np.random.default_rng([spec.seed, k, 1])
-        warp = wind_warp_coefficients(warp_rng, spec.size)
-        warped = warp_image(figure, warp)
+        warped = _warp_rows(figure, warp, sources[k % group])
         del figure
         write_pgm(warped.pixels / warped.hi * 65535.0, out_dir / file_b, maxval=65535)
         del warped  # not alive while the next pair is built

@@ -126,17 +126,18 @@ def invert(field: DensityField, u) -> np.ndarray:
     band = min(max(1, _BAND_CELLS // (sx + 1)), sy)
     cum = np.zeros((band + 1, sx + 1))  # row k holds pixel row r0 + k - 1
     flat = cum.ravel()
+    below = flat[sx + 1 :]  # each cell's row below, at the cell's own index
 
     def columns(r0, iy, wy, ux):
         r1 = min(r0 + band, sy)
         top = max(r0 - 1, 0)
         np.cumsum(field.f[top:r1], axis=1, out=cum[top - r0 + 1 : r1 - r0 + 1, 1:])
         above = (iy - r0) * (sx + 1)
-        below = above + (sx + 1)
 
         def blended(k):
-            a = flat[above + k]
-            return a + wy * (flat[below + k] - a)
+            i = above + k
+            a = flat[i]
+            return a + wy * (below[i] - a)
 
         target = ux * blended(sx)
         lo = np.zeros_like(iy)
@@ -144,8 +145,8 @@ def invert(field: DensityField, u) -> np.ndarray:
         for _ in range((sx - 1).bit_length()):
             mid = (lo + hi) >> 1
             left = blended(mid) <= target
-            lo = np.where(left, mid, lo)
-            hi = np.where(left, hi, mid)
+            lo += (mid - lo) * left  # integer steps: mid where left, else lo
+            hi = mid + (hi - mid) * left
         c_lo = blended(lo)
         return lo + (target - c_lo) / (blended(hi) - c_lo)
 

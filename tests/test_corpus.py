@@ -106,20 +106,55 @@ def row_bilinear(px, x, y, fill):
     return np.where(ok, (1.0 - fy) * top + fy * bottom, fill)
 
 
+def per_warp_poly(coeffs, y):
+    """The polynomial as it was evaluated: one, skipping zero coefficients."""
+    out = np.zeros(np.shape(y))
+    for k, coeff in enumerate(coeffs):
+        if coeff == 0.0:
+            continue
+        out += coeff * y**k if k else coeff
+    return out
+
+
+def per_warp_rows(q, targets, lo, hi):
+    """The source-row solve as it was: one warp's q alone, bisection then
+    Newton, NaN for targets outside [q(lo), q(hi)]."""
+    dq = np.arange(1, len(q)) * q[1:]
+    t = np.asarray(targets, dtype=np.float64)
+    flo = float(per_warp_poly(q, np.array([lo]))[0])
+    fhi = float(per_warp_poly(q, np.array([hi]))[0])
+    outside = (t < flo) | (t > fhi)
+    a = np.full(t.shape, lo)
+    b = np.full(t.shape, hi)
+    for _ in range(52):
+        mid = 0.5 * (a + b)
+        go_right = per_warp_poly(q, mid) < t
+        a = np.where(go_right, mid, a)
+        b = np.where(go_right, b, mid)
+    x = 0.5 * (a + b)
+    for _ in range(3):
+        d = per_warp_poly(dq, x)
+        x = x - (per_warp_poly(q, x) - t) / np.where(d > 0.0, d, 1.0)
+    x = np.clip(x, lo, hi)
+    x[outside] = np.nan
+    return x
+
+
 def row_by_row_warp(img, warp):
-    """Reference warp_image: one sampling call per output row, as it was."""
+    """Reference warp_image: the warp's rows solved alone and one sampling
+    call per whole output row, as it was."""
     px = img.pixels
     sy, sx = px.shape
     fill = float(px.min())
-    y_src = corpus_module._invert_monotone(warp.q, np.arange(sy) + 0.5, 0.0, sy)
-    a = corpus_module._poly(warp.a, y_src)
-    b = corpus_module._poly(warp.b, y_src)
+    y_src = per_warp_rows(warp.q, np.arange(sy) + 0.5, 0.0, float(sy))
+    a = per_warp_poly(warp.a, y_src)
+    b = per_warp_poly(warp.b, y_src)
     col_targets = np.arange(sx) + 0.5
     out = np.full((sy, sx), fill)
     for r in np.flatnonzero(np.isfinite(y_src)):
         x_src = (col_targets - b[r]) / a[r]
         out[r] = row_bilinear(px, x_src, np.full(sx, y_src[r]), fill)
-    return np.maximum(out, 0.0)
+    return out
 
 
 def clipped_box(x0, y0, x1, y1, width, size, width_scale):
@@ -540,6 +575,14 @@ class TestWarp:
             want = row_by_row_warp(img, warp)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(got[18:] == img.lo) and np.all(got[:14] > img.lo)
+        # on a +0.0 background the same rows' ink windows overflow or are
+        # NaN, and those rows are sampled whole
+        dark = GrayImage(pixels=np.where(img.pixels > 5.0, img.pixels, 0.0))
+        got = warp_image(dark, warp).pixels
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = row_by_row_warp(dark, warp)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.any(got[:14] > 0.0)
         x = np.array([[np.nan, np.inf, -np.inf, -0.1, 64.1, 0.0, 64.0, 31.3]])
         y = np.full((1, 1), 40.2)
         want = row_bilinear(img.pixels, x[0], np.full(8, 40.2), -1.0)
@@ -560,6 +603,97 @@ class TestWarp:
         assert calls == [(49, 333)] * 4 + [(4, 333)]
         assert all(rows * cols <= 2**14 for rows, cols in calls)
         assert np.array_equal(got, img.pixels)
+        # on a +0.0 background, ink in rows 60-119 and columns 100-149:
+        # output row r reads source rows r and r + 1, so rows 59-119 are
+        # sampled, in a block of 49 and one of 12, and x = c - 2 only
+        # within a pixel and two columns (the slack and the rounding down)
+        # of [L - 0.5, R + 1.5] for ink columns L..R
+        calls.clear()
+        px = np.zeros((200, 333))
+        px[60:120, 100:150] = np.random.default_rng(8).uniform(1, 9, (60, 50))
+        img, warp = GrayImage(pixels=px), identity_warp()
+        warp.b[0] = 2.5
+
+        def windowed(px, x, y, fill):
+            calls.append(x.shape)
+            assert 100 - 0.5 - 3.0 <= x.min() and x.max() <= 149 + 1.5 + 3.0
+            return _bilinear(px, x, y, fill)
+
+        monkeypatch.setattr(corpus_module, "_bilinear", windowed)
+        got = warp_image(img, warp).pixels
+        assert [rows for rows, _ in calls] == [49, 12]
+        assert all(rows * cols <= 2**14 for rows, cols in calls)
+        want = row_by_row_warp(img, warp)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+        background=st.sampled_from(["+0.0", "-0.0", "none"]),
+        dtype=st.sampled_from([np.float64, np.uint8, np.uint16]),
+        cells=st.sampled_from([1, 37, 2**14]),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.tuples(st.floats(0.25, 4.0), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        shift=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        bend=st.tuples(st.floats(-0.04, 0.04), st.floats(-0.04, 0.04)),
+    )
+    def test_warp_equals_the_row_by_row_warp(
+        self, shape, background, dtype, cells, seed, a, shift, bend
+    ):
+        # ink in a box that may touch any edge, on +0.0, on +0.0 with -0.0
+        # pixels (ink), or no zero at all; a(y) != 1, and shifts of up to
+        # 1.5 image sizes send rows off the image and ink past an edge
+        sy, sx = shape
+        rng = np.random.default_rng(seed)
+        if background == "none":
+            px = rng.uniform(1.0, 255.0, shape)
+        else:
+            px = np.zeros(shape)
+            r0, c0 = rng.integers(sy), rng.integers(sx)
+            r1, c1 = rng.integers(r0, sy + 1), rng.integers(c0, sx + 1)
+            box = rng.uniform(0.0, 255.0, (r1 - r0, c1 - c0))
+            px[r0:r1, c0:c1] = np.where(rng.random(box.shape) < 0.2, 0.0, box)
+            if background == "-0.0":
+                px[rng.random(shape) < 0.3] = -0.0
+        if dtype != np.float64:
+            px = np.rint(px).astype(dtype)
+        img = GrayImage(pixels=px)
+        sway = rng.uniform(-0.05, 0.05, 3) * sx
+        warp = WindWarp(
+            a=np.array([a[0], a[1] / sy, a[2] / sy**2]),
+            b=np.array([shift[0] * sx, sway[0] / sy, sway[1] / sy**2, sway[2] / sy**3]),
+            q=np.array([shift[1] * sy, 1.0, bend[0] / sy, bend[1] / sy**2]),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus_module, "_BLOCK_CELLS", cells)
+            got = warp_image(img, warp).pixels
+        want = row_by_row_warp(img, warp)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        sy=st.integers(2, 300),
+        qs=st.lists(
+            st.tuples(
+                st.floats(-2.0, 2.0) | st.just(np.nan),
+                st.floats(0.0, 2.0),
+                st.floats(-1.0, 1.0) | st.just(0.0),
+                st.floats(-1.0, 1.0) | st.just(0.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_stacked_rows_equal_each_warp_solved_alone(self, sy, qs):
+        # a coefficient that is 0 for some warps of the stack and not for
+        # others, and rows that come back NaN: off the image, or a NaN q0
+        q = np.array([(q0 * sy, q1, q2 / sy, q3 / sy**2) for q0, q1, q2, q3 in qs])
+        targets = np.arange(sy) + 0.5
+        with np.errstate(all="ignore"):
+            got = corpus_module._invert_monotone(q, targets, 0.0, float(sy))
+            for row, coeffs in zip(got, q):
+                want = per_warp_rows(coeffs, targets, 0.0, float(sy))
+                assert np.array_equal(row.view(np.int64), want.view(np.int64))
 
     def test_family_is_checked_between_sample_rows(self):
         # q' = 0.008 - 0.006 y + 0.000999 y^2 dips below 0 on 2 < y < 4,
@@ -647,6 +781,22 @@ class TestGenerateCorpus:
             write_pgm(scaled, tmp_path / "rebuilt.pgm", maxval=65535, binary=True)
             assert (tmp_path / "rebuilt.pgm").read_bytes() == (
                 tmp_path / "corpus" / row["file_b"]
+            ).read_bytes()
+
+    @pytest.mark.parametrize("cells", [64, 128, 2**20])
+    def test_warp_groups_change_no_file(self, tmp_path, monkeypatch, cells):
+        # a group budget of one 64-row warp, of two (the last group holds
+        # one), and of more than the corpus: each gives the default's files
+        spec = CorpusSpec(pair_count=5, size=64, seed=7)
+        generate_corpus(tmp_path / "default", spec)
+        with monkeypatch.context() as patched:
+            patched.setattr(corpus_module, "_BLOCK_CELLS", cells)
+            generate_corpus(tmp_path / "patched", spec)
+        names = sorted(path.name for path in (tmp_path / "default").iterdir())
+        assert len(names) == 11
+        for name in names:
+            assert (tmp_path / "patched" / name).read_bytes() == (
+                tmp_path / "default" / name
             ).read_bytes()
 
     def test_spec_validation(self):

@@ -400,6 +400,30 @@ class TestBandedInvert:
         with bands_of(cells):
             assert np.array_equal(invert(field, u), full_table_invert(field, u))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(2, 80), st.integers(2, 300)),
+        band=st.integers(1, 9) | st.none(),
+        m=st.integers(1, 600),
+        **IMAGES,
+    )
+    def test_integer_steps_equal_the_where_bisection(
+        self, shape, band, m, lam, polarity, dark, seed
+    ):
+        # full_table_invert bisects with np.where, as invert did; invert's
+        # integer steps and its read of the row below through an offset
+        # view give its points bit for bit, in bands or in one table
+        sy, sx = shape
+        field = random_field(shape, seed, dark, polarity, lam)
+        u, _ = points_in_every_row(field, 2, seed)
+        rng = np.random.default_rng(seed)
+        u = np.vstack((u, halton(m).points, rng.uniform(1e-9, 1.0 - 1e-9, (m, 2))))
+        cells = encoder._BAND_CELLS if band is None else band * (sx + 1)
+        with bands_of(cells):
+            got = invert(field, u)
+        want = full_table_invert(field, u)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_points_of_one_band_only(self):
         # bands of 4 rows: only rows 20-23, the sixth band, hold points
         field = random_field((40, 16), 3)
